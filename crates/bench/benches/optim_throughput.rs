@@ -3,17 +3,15 @@
 //! The workload is a (16,16)-torus embedded in a (16,16)-mesh (256 nodes,
 //! 512 guest edges) — large enough that a full congestion re-sweep per move
 //! would dominate, so the number measures the *incremental* delta-evaluation
-//! path (`O(degree × path length)` per swap). `congestion` and `dilation`
-//! run the two incremental objectives; `rebuild` measures the full re-sweep
-//! the incremental path replaces, for the contrast. Results are recorded in
+//! path (`O(degree × path length)` per swap). `congestion` runs the
+//! incremental objective; `full_rebuild` measures the full re-sweep the
+//! incremental path replaces, for the contrast. Results are recorded in
 //! `BENCH_optim.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emb_bench::{mesh, torus};
 use embeddings::auto::embed;
-use embeddings::optim::{
-    CongestionObjective, DilationObjective, Objective, Optimizer, OptimizerConfig,
-};
+use embeddings::optim::{CongestionObjective, Objective, Optimizer, OptimizerConfig};
 use embeddings::Embedding;
 
 const STEPS: u64 = 5_000;
@@ -40,17 +38,6 @@ fn bench_optim(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("optim", "congestion"), |b| {
         b.iter(|| {
             let mut objective = CongestionObjective::new(&guest, &host).unwrap();
-            Optimizer::new(config)
-                .optimize(&embedding, &mut objective)
-                .unwrap()
-                .report
-                .best
-                .primary
-        })
-    });
-    group.bench_function(BenchmarkId::new("optim", "dilation"), |b| {
-        b.iter(|| {
-            let mut objective = DilationObjective::new(&guest, &host).unwrap();
             Optimizer::new(config)
                 .optimize(&embedding, &mut objective)
                 .unwrap()

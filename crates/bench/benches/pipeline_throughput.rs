@@ -1,16 +1,13 @@
-//! Benchmark: the batched allocation-free evaluation pipeline against the
-//! old per-call path it replaced, on a ~2²⁰-node grid.
+//! Benchmark: the batched allocation-free evaluation pipeline on a
+//! ~2²⁰-node grid.
 //!
-//! `per_call` is the preserved pre-batching implementation
-//! (`emb_bench::compat`): one dynamic `map` call per edge endpoint, a
-//! `BTreeMap`/`HashMap` update per edge or hop, and per-step coordinate
-//! re-encoding. `batched` is the library path built on
-//! `Embedding::for_each_edge_mapped` + flat load/histogram vectors;
-//! `batched_parallel_N` fans the same sweep out over N crossbeam workers.
-//! Results are recorded in `BENCH_pipeline.json` at the repo root.
+//! `batched` is the library path built on `Embedding::for_each_edge_mapped`
+//! and flat load/histogram vectors; `batched_parallel_N` fans the same
+//! sweep out over N crossbeam workers. Results are recorded in
+//! `BENCH_pipeline.json` at the repo root; its `per_call` figures are
+//! recorded history that no bench re-measures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use emb_bench::compat::{congestion_per_call, verify_per_call};
 use emb_bench::torus;
 use embeddings::auto::embed;
 use embeddings::congestion::{congestion_parallel, congestion_sequential};
@@ -31,9 +28,6 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_throughput");
     group.throughput(Throughput::Elements(edges));
 
-    group.bench_function(BenchmarkId::new("verify", "per_call"), |b| {
-        b.iter(|| verify_per_call(&embedding).dilation)
-    });
     group.bench_function(BenchmarkId::new("verify", "batched"), |b| {
         b.iter(|| verify_sequential(&embedding).dilation)
     });
@@ -41,9 +35,6 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| verify(&embedding, 8).unwrap().dilation)
     });
 
-    group.bench_function(BenchmarkId::new("congestion", "per_call"), |b| {
-        b.iter(|| congestion_per_call(&embedding).max_congestion)
-    });
     group.bench_function(BenchmarkId::new("congestion", "batched"), |b| {
         b.iter(|| congestion_sequential(&embedding).unwrap().max_congestion)
     });

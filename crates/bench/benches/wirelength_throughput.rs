@@ -3,11 +3,11 @@
 //!
 //! The workload matches `optim_throughput` — a (16,16)-torus embedded in a
 //! (16,16)-mesh (256 nodes, 512 guest edges) — so the wirelength numbers
-//! read directly against the congestion and dilation objectives. The
-//! wirelength delta only touches the affected edges' distances (no routed
-//! path walks), so it is the cheapest incremental objective; `weighted` adds
-//! the per-edge weight lookup, `rebuild` measures the full re-sweep the
-//! incremental path replaces. Results are recorded in `BENCH_optim.json`
+//! read directly against the congestion objective. The wirelength delta
+//! only touches the affected edges' distances (no routed path walks), so it
+//! is the cheapest incremental objective; `weighted` adds the per-edge
+//! weight lookup, `rebuild` measures the full re-sweep the incremental path
+//! replaces. Results are recorded in `BENCH_optim.json`
 //! (group `optim/wirelength`, gated via `summary.wirelength_moves_per_second`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

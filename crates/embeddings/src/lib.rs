@@ -103,8 +103,8 @@ pub mod prelude {
     pub use crate::metrics::EmbeddingMetrics;
     pub use crate::optim::parallel::{optimize_sharded, ShardedConfig, ShardedOutcome};
     pub use crate::optim::{
-        CongestionObjective, Cost, DilationObjective, Objective, OptimOutcome, OptimReport,
-        Optimizer, OptimizerConfig, WirelengthObjective,
+        CongestionObjective, Cost, Objective, OptimOutcome, OptimReport, Optimizer,
+        OptimizerConfig, WirelengthObjective,
     };
     pub use crate::plan::{format_grid_spec, parse_grid_spec, Plan, PlanError};
     pub use crate::reduction::embed_simple_reduction;

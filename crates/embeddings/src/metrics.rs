@@ -6,8 +6,7 @@
 //! edge congestion under deterministic routing, and how the achieved dilation
 //! compares with the paper's prediction and with the Theorem 47 lower bound.
 //! [`EmbeddingMetrics::measure`] collects all of that in a single pass-friendly
-//! structure that the examples, the `repro` harness and the `gridviz` tables
-//! can render.
+//! structure that the examples and the `gridviz` tables can render.
 
 use core::fmt;
 use std::collections::BTreeMap;

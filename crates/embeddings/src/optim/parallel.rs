@@ -8,7 +8,7 @@
 //! table, so N shards explore N seeds in the wall-clock time of one. Under
 //! [`ShardStrategy::Portfolio`] the shards stop being mere restarts and
 //! become a *portfolio*: each non-zero shard also gets its own
-//! [`MoveMix`](super::MoveMix) and temperature schedule from a fixed palette
+//! [`MoveMix`] and temperature schedule from a fixed palette
 //! ([`shard_config`]), so one call races the historical pairwise walk
 //! against k-cycle-heavy, block-swap-heavy and hot-start variants. Shard
 //! configs are a pure function of `(base config, shard index, strategy)` —

@@ -359,8 +359,9 @@ pub fn parse_grid_spec(spec: &str) -> Result<Grid, PlanError> {
 /// Appends `s` to `out` with the escape scheme of the plan format: `\"`,
 /// `\\`, `\n`, `\t`, `\r`, and `\uXXXX` for the remaining control
 /// characters. Everything else (including non-ASCII) passes through as raw
-/// UTF-8.
-fn escape_into(out: &mut String, s: &str) {
+/// UTF-8. This is a valid JSON string body, so explab's record writer uses
+/// it too.
+pub fn escape_into(out: &mut String, s: &str) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),

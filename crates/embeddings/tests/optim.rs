@@ -8,7 +8,7 @@ use embeddings::auto::embed;
 use embeddings::congestion::congestion_sequential;
 use embeddings::optim::parallel::{optimize_sharded, ShardStrategy, ShardedConfig};
 use embeddings::optim::{
-    CongestionObjective, Cost, DilationObjective, MoveMix, Objective, Optimizer, OptimizerConfig,
+    CongestionObjective, Cost, MoveMix, Objective, Optimizer, OptimizerConfig, WirelengthObjective,
 };
 use embeddings::verify::verify_sequential;
 use embeddings::Embedding;
@@ -221,7 +221,7 @@ fn optimization_never_worsens_any_objective() {
             initial_congestion.max_congestion
         );
 
-        let mut dilation = DilationObjective::new(&guest, &host).unwrap();
+        let mut dilation = WirelengthObjective::new(&guest, &host).unwrap();
         let outcome = Optimizer::new(OptimizerConfig {
             seed: 5,
             steps: 400,

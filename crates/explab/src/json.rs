@@ -6,25 +6,12 @@
 //! integers as-is, floats with a fixed six-decimal format so that records
 //! compare bit-identically across runs and worker counts.
 
-use core::fmt::Write as _;
-
-/// Escapes a string for inclusion in a JSON document (quotes included).
+/// Escapes a string for inclusion in a JSON document (quotes included),
+/// with the plan format's escaper.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    embeddings::plan::escape_into(&mut out, s);
     out.push('"');
     out
 }

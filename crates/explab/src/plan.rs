@@ -315,8 +315,8 @@ pub enum ObjectiveKind {
     /// Minimize max link congestion (ties: total routed path length);
     /// incremental delta evaluation, the default.
     Congestion,
-    /// Minimize total path length / average dilation (ties: max dilation);
-    /// incremental delta evaluation.
+    /// Minimize total path length / average dilation (ties: max dilation):
+    /// the unit-weight wirelength objective, recorded as `dilation`.
     Dilation,
     /// Minimize the unit-weight wirelength — the total routed path length
     /// over guest edges, the quantity Tang's bound speaks about (ties: max

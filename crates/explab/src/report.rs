@@ -13,8 +13,7 @@ use crate::executor::SweepOutcome;
 use crate::trial::TrialRecord;
 
 /// The three-way marker used in dilation tables: measured equals the bound,
-/// beats it, or violates it (the repo-wide convention of the `repro`
-/// harness).
+/// beats it, or violates it.
 pub fn check_mark(predicted: u64, measured: u64) -> &'static str {
     if measured == predicted {
         "ok"

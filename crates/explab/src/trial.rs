@@ -15,9 +15,7 @@ use embeddings::chain::{ChainReport, ChainStep};
 use embeddings::congestion::congestion_sequential;
 use embeddings::lower_bound::wirelength_lower_bound;
 use embeddings::optim::parallel::{optimize_sharded, ShardStrategy, ShardedConfig, ShardedOutcome};
-use embeddings::optim::{
-    CongestionObjective, DilationObjective, Objective, OptimizerConfig, WirelengthObjective,
-};
+use embeddings::optim::{CongestionObjective, Objective, OptimizerConfig, WirelengthObjective};
 use embeddings::verify::verify_sequential;
 use embeddings::{Embedding, Plan};
 use netsim::chaos::{simulate_chaos, ChaosRouting, FaultPlan};
@@ -553,22 +551,10 @@ fn chaos_ok(m: &TrialMetrics) -> bool {
 
 /// Builds the workload a spec denotes for a guest of `guest.size()` tasks,
 /// or `None` when the spec does not apply to that guest.
-///
-/// The neighbor-exchange workload is assembled through the fallible
-/// [`Workload::try_new`] — pair lists here are generated, so explab treats
-/// range errors as impossible-by-construction rather than panicking deep in
-/// `netsim`.
 pub fn build_workload(spec: WorkloadSpec, guest: &Grid, seed: u64) -> Option<Workload> {
     let n = guest.size();
     match spec {
-        WorkloadSpec::Neighbor => {
-            let mut pairs = Vec::with_capacity(2 * guest.num_edges() as usize);
-            for (a, b) in guest.edges() {
-                pairs.push((a, b));
-                pairs.push((b, a));
-            }
-            Some(Workload::try_new(n, pairs).expect("guest edges are in range"))
-        }
+        WorkloadSpec::Neighbor => Some(Workload::from_task_graph(guest)),
         WorkloadSpec::Tornado => (n >= 3).then(|| patterns::tornado(n)),
         WorkloadSpec::Transpose => {
             if guest.dim() < 2 {
@@ -740,8 +726,7 @@ fn chaos_metrics(
     constructive: &Placement,
     optimized: Option<&Placement>,
 ) -> ChaosMetrics {
-    let neighbor = build_workload(WorkloadSpec::Neighbor, &spec.guest, spec.seed)
-        .expect("the neighbor exchange applies to every guest");
+    let neighbor = Workload::from_task_graph(&spec.guest);
 
     // The 0% baseline plus the plan's loss levels, ascending and deduplicated.
     let mut losses = vec![0u32];
@@ -860,7 +845,7 @@ fn optimize_trial(
         // result is worker-count invariant either way.
         workers: 1,
     };
-    // One factory for all three objective kinds: each shard builds its own
+    // One factory for every objective kind: each shard builds its own
     // boxed objective on its worker thread (objectives carry mutable
     // incremental state and must never be shared across walks).
     let factory = || -> embeddings::error::Result<Box<dyn Objective>> {
@@ -868,8 +853,8 @@ fn optimize_trial(
             ObjectiveKind::Congestion => {
                 Box::new(CongestionObjective::new(&spec.guest, &spec.host)?)
             }
-            ObjectiveKind::Dilation => Box::new(DilationObjective::new(&spec.guest, &spec.host)?),
-            ObjectiveKind::Wirelength => {
+            // The unit-weight wirelength is the total dilation.
+            ObjectiveKind::Dilation | ObjectiveKind::Wirelength => {
                 Box::new(WirelengthObjective::new(&spec.guest, &spec.host)?)
             }
             ObjectiveKind::Makespan => Box::new(
@@ -891,7 +876,7 @@ fn optimize_trial(
     let winner = &sharded.shards[sharded.winner as usize];
     let placement = Placement::from_embedding(&outcome.embedding);
     let metrics = OptimizedMetrics {
-        objective: outcome.report.objective,
+        objective: optim_spec.objective.name(),
         steps: outcome.report.steps,
         accepted: outcome.report.accepted,
         improvements: outcome.report.improvements,

@@ -247,6 +247,23 @@ fn makespan_objective_runs_sharded_in_sweeps() {
         .filter(|o| o.objective == "makespan")
         .count();
     assert_eq!(optimized, outcome.supported());
+
+    // `optimize = dilation` anneals the unit-weight wirelength under its own
+    // name: its records equal the wirelength records but for `objective`.
+    let with_objective = |objective| {
+        let mut plan = plan.clone();
+        plan.optimize = plan.optimize.map(|o| OptimSpec { objective, ..o });
+        run(&plan, 2).to_jsonl()
+    };
+    let dilation = with_objective(ObjectiveKind::Dilation);
+    assert_eq!(
+        dilation.matches("\"objective\":\"dilation\"").count(),
+        outcome.supported()
+    );
+    assert_eq!(
+        dilation.replace("\"objective\":\"dilation\"", "\"objective\":\"wirelength\""),
+        with_objective(ObjectiveKind::Wirelength)
+    );
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! The paper communicates its constructions through figures — the
 //! `f_L`/`g_L`/`h_L` tables of Figure 9, the line/ring-in-mesh pictures of
 //! Figure 10, the supernode view of Figure 12. This crate regenerates those
-//! artifacts as plain text so the examples and the `repro` harness can show
-//! an embedding rather than just its dilation number:
+//! artifacts as plain text so the examples can show an embedding rather
+//! than just its dilation number:
 //!
 //! * [`table`] — a small column-aligned table builder with plain-text,
 //!   Markdown and CSV output;
@@ -15,8 +15,8 @@
 //!
 //! The crate deliberately depends only on `topology` and `embeddings` and
 //! allocates nothing fancier than strings: it is the presentation layer for
-//! every human-readable artifact in the workspace. The `repro` harness
-//! prints its figure reproductions through [`render`]; the `lab` CLI, the
+//! every human-readable artifact in the workspace. The examples print their
+//! figure reproductions through [`render`]; the `lab` CLI, the
 //! `benchgate` gate and the generated EXPERIMENTS.md render every summary
 //! through [`Table`] — which is why [`Table`] output is byte-stable across
 //! runs and machines (fixed column widths from content, fixed float

@@ -1,6 +1,6 @@
 //! A small column-aligned text table builder.
 //!
-//! The `repro` harness, the examples and EXPERIMENTS.md all print tables of
+//! The `lab` CLI, the examples and EXPERIMENTS.md all print tables of
 //! "shape / construction / predicted / measured" rows. This builder keeps the
 //! formatting in one place and offers three output styles: aligned plain
 //! text (for terminals), GitHub-flavored Markdown (for the documentation),

@@ -87,17 +87,6 @@ impl Placement {
         Ok(Placement { map })
     }
 
-    /// A placement defined by an explicit table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is not injective; use
-    /// [`Placement::try_from_table`] to handle that case as an error.
-    #[deprecated(note = "use `Placement::try_from_table` and handle the error")]
-    pub fn from_table(map: Vec<u64>) -> Self {
-        Self::try_from_table(map).expect("placement must be injective")
-    }
-
     /// The placement induced by an embedding: task `x` (a guest node) runs on
     /// host node `f(x)`.
     pub fn from_embedding(embedding: &Embedding) -> Self {
@@ -358,14 +347,6 @@ mod tests {
         assert_eq!(stats.messages, 128);
         assert!(stats.cycles >= stats.max_hops);
         assert!(stats.total_hops >= stats.messages); // no self messages
-    }
-
-    #[test]
-    #[should_panic(expected = "injective")]
-    fn non_injective_placement_panics() {
-        // Pins the deprecated constructor's panic contract until removal.
-        #[allow(deprecated)]
-        let _ = Placement::from_table(vec![0, 1, 1]);
     }
 
     #[test]

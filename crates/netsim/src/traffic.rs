@@ -97,9 +97,8 @@ pub struct Workload {
 
 impl Workload {
     /// Creates a workload from explicit pairs, rejecting out-of-range task
-    /// references as an error — the fallible path for library code (such as
-    /// `explab` trial construction) assembling workloads from generated or
-    /// untrusted pair lists.
+    /// references as an error, so generated or untrusted pair lists never
+    /// panic deep in the simulator.
     ///
     /// # Errors
     ///
@@ -116,17 +115,6 @@ impl Workload {
             }
         }
         Ok(Workload { tasks, pairs })
-    }
-
-    /// Creates a workload from explicit pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pair references a task `>= tasks`; use
-    /// [`Workload::try_new`] to handle that case as an error.
-    #[deprecated(note = "use `Workload::try_new` and handle the error")]
-    pub fn new(tasks: u64, pairs: Vec<(u64, u64)>) -> Self {
-        Self::try_new(tasks, pairs).expect("workload references tasks outside the task range")
     }
 
     /// The neighbor-exchange workload of a task graph: every edge of `graph`
@@ -358,14 +346,6 @@ mod tests {
             assert_eq!(w.pairs().len(), messages);
             assert!(w.pairs().iter().all(|&(a, b)| a != b));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn out_of_range_pairs_panic() {
-        // Pins the deprecated constructor's panic contract until removal.
-        #[allow(deprecated)]
-        let _ = Workload::new(4, vec![(0, 4)]);
     }
 
     #[test]

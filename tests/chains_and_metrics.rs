@@ -120,7 +120,7 @@ fn grid_metrics_closed_forms_hold_for_the_papers_graphs() {
 
 #[test]
 fn tables_render_the_experiment_rows_they_are_given() {
-    // The gridviz table is what the examples and the repro harness print;
+    // The gridviz table is what the examples and the `lab` CLI print;
     // make sure a realistic experiment table round-trips through all three
     // output formats without losing rows.
     let mut table =

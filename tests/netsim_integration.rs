@@ -34,6 +34,7 @@ fn max_hops_equals_measured_dilation_for_neighbor_exchange() {
         (Grid::torus(shape(&[3, 3])), Grid::mesh(shape(&[3, 3]))),
         (Grid::hypercube(4).unwrap(), Grid::mesh(shape(&[4, 4]))),
         (Grid::mesh(shape(&[4, 2, 3])), Grid::mesh(shape(&[4, 6]))),
+        (Grid::ring(64).unwrap(), Grid::mesh(shape(&[8, 8]))),
     ];
     for (guest, host) in cases {
         let embedding = embed(&guest, &host).unwrap();

@@ -6,6 +6,8 @@
 //! `topology::routing` next-hop rule, and this suite is the fence that keeps
 //! them from desynchronizing.
 
+use std::collections::{BTreeMap, HashMap};
+
 use embeddings::auto::embed;
 use embeddings::basic::{embed_line_in, embed_ring_in};
 use embeddings::congestion::{congestion_parallel, congestion_sequential};
@@ -81,14 +83,15 @@ fn parallel_congestion_equals_sequential_congestion() {
 
 #[test]
 fn congestion_path_lengths_equal_netsim_dor_hop_counts() {
-    // Cross-crate: for every embedding, the congestion model's total routed
-    // path length must equal the sum of the simulator's dimension-ordered
-    // hop counts over the same guest edges — both crates route with the
-    // shared next-hop primitive.
+    // Cross-crate: for every embedding, the congestion model must agree with
+    // an independent per-hop count over the simulator's dimension-ordered
+    // routes of the same guest edges — both crates route with the shared
+    // next-hop primitive. Link loads are keyed by the unordered node pair.
     for embedding in fixtures() {
         let report = congestion_sequential(&embedding).unwrap();
         let network = Network::new(embedding.host().clone());
         let router = Router::new(&network, RoutingAlgorithm::DimensionOrdered);
+        let mut loads: HashMap<(u64, u64), u64> = HashMap::new();
         let mut simulated_total = 0u64;
         let mut simulated_edges = 0u64;
         let mut route = Vec::new();
@@ -101,11 +104,31 @@ fn congestion_path_lengths_equal_netsim_dor_hop_counts() {
                 router.hops(&network, from, to),
                 "route/hops mismatch for guest edge ({a},{b})"
             );
+            let mut current = from;
+            for &next in &route {
+                *loads
+                    .entry((current.min(next), current.max(next)))
+                    .or_insert(0) += 1;
+                current = next;
+            }
             simulated_total += route.len() as u64;
             simulated_edges += 1;
         }
+        let used = loads.len() as u64;
+        let average = if used == 0 {
+            0.0
+        } else {
+            simulated_total as f64 / used as f64
+        };
         assert_eq!(report.guest_edges, simulated_edges, "{embedding:?}");
         assert_eq!(report.total_path_length, simulated_total, "{embedding:?}");
+        assert_eq!(
+            report.max_congestion,
+            loads.values().copied().max().unwrap_or(0),
+            "{embedding:?}"
+        );
+        assert_eq!(report.used_host_edges, used, "{embedding:?}");
+        assert_eq!(report.average_congestion, average, "{embedding:?}");
     }
 }
 
@@ -149,15 +172,17 @@ fn batched_edge_sweep_matches_per_call_measurements() {
         let mut edges = 0u64;
         let mut dilation = 0u64;
         let mut total = 0u64;
+        let mut histogram = BTreeMap::new();
         for (a, b) in embedding.guest().edges() {
             let d = host.distance(&embedding.map(a), &embedding.map(b));
             edges += 1;
             total += d;
             dilation = dilation.max(d);
+            *histogram.entry(d).or_insert(0u64) += 1;
         }
         assert_eq!(report.edges, edges);
         assert_eq!(report.dilation, dilation);
-        assert_eq!(report.histogram.values().sum::<u64>(), edges);
+        assert_eq!(report.histogram, histogram, "{embedding:?}");
         assert!((report.average_dilation - total as f64 / edges as f64).abs() < 1e-12);
         assert!(report.injective);
         assert_eq!(report.invalid_images, 0);

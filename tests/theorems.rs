@@ -48,6 +48,9 @@ fn basic_embedding_sweep() {
         vec![5, 4],
         vec![2, 9],
         vec![3, 2, 2, 2],
+        vec![2, 2, 2, 2],
+        vec![6, 6],
+        vec![5, 5, 5],
     ];
     for radices in &host_shapes {
         for host in grids_of(radices) {
@@ -77,7 +80,15 @@ fn increasing_dimension_sweep() {
         (vec![12, 2], vec![3, 4, 2]),
         (vec![9, 9], vec![3, 3, 3, 3]),
         (vec![16], vec![4, 4]),
+        (vec![6, 12], vec![6, 3, 2, 2]),
+        (vec![9, 15], vec![3, 3, 3, 5]),
+        (vec![16, 16], vec![4, 4, 4, 4]),
+        // Corollary 34: power-of-two guests into Q₆ (the binary 6-mesh).
+        (vec![8, 8], vec![2, 2, 2, 2, 2, 2]),
         (vec![4, 4, 4], vec![2, 2, 2, 2, 2, 2]),
+        (vec![32, 2], vec![2, 2, 2, 2, 2, 2]),
+        (vec![4, 4, 2, 2], vec![2, 2, 2, 2, 2, 2]),
+        (vec![64], vec![2, 2, 2, 2, 2, 2]),
     ];
     for (guest_radices, host_radices) in cases {
         for guest_kind in [GraphKind::Mesh, GraphKind::Torus] {
@@ -110,6 +121,14 @@ fn lowering_dimension_sweep() {
         (vec![3, 3, 6], vec![6, 9]),
         (vec![5, 5, 4], vec![10, 10]),
         (vec![2, 2, 2, 2, 2], vec![4, 8]),
+        (vec![2, 2, 2, 2, 2, 2], vec![8, 8]),
+        (vec![2, 2, 2, 2], vec![16]),
+        (vec![4, 4, 4], vec![64]),
+        // Theorem 47's lower bound against the achieved dilation.
+        (vec![8, 8], vec![64]),
+        (vec![16, 16], vec![256]),
+        (vec![4, 4, 4], vec![8, 8]),
+        (vec![2, 2, 2, 2, 2, 2, 2, 2], vec![16, 16]),
     ];
     for (guest_radices, host_radices) in cases {
         for guest_kind in [GraphKind::Mesh, GraphKind::Torus] {
@@ -141,6 +160,13 @@ fn square_graph_sweep() {
         (9, 2, 4),
         (3, 4, 2),
         (64, 2, 3),
+        (8, 2, 1),
+        (4, 5, 2),
+        (9, 2, 1),
+        (16, 1, 2),
+        (27, 2, 3),
+        (16, 3, 4),
+        (64, 1, 3),
     ];
     for (ell, d, c) in cases {
         let guest_shape = Shape::square(ell, d).unwrap();
@@ -168,6 +194,8 @@ fn hamiltonian_corollaries_from_ring_embeddings() {
         vec![5, 5],
         vec![4, 2, 3],
         vec![3, 3, 3],
+        vec![7],
+        vec![8],
     ];
     for radices in shapes {
         for grid in grids_of(&radices) {
