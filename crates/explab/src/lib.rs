@@ -73,3 +73,20 @@ pub mod prelude {
     pub use crate::report::experiments_markdown;
     pub use crate::trial::{run_trial, TrialOutcome, TrialRecord, TrialSpec};
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::report::check_mark;
+
+    #[test]
+    fn check_mark_outcomes_are_pairwise_distinct() {
+        // Exact match, strictly-better and violation must never collapse
+        // into the same marker, or sweep tables lose information.
+        let exact = check_mark(3, 3);
+        let beats = check_mark(3, 2);
+        let violates = check_mark(3, 4);
+        assert_ne!(exact, beats);
+        assert_ne!(exact, violates);
+        assert_ne!(beats, violates);
+    }
+}
