@@ -32,6 +32,16 @@
 //!   full sweep; [`Objective::apply_swap`] updates the state for one
 //!   transposition in `O(degree × path length)` instead of re-sweeping every
 //!   guest edge.
+//! * Tables — the congestion and wirelength objectives read only two flat
+//!   tables after construction: the guest's edge list (tail and head arrays
+//!   in [`Grid::edges`] order, plus each node's incident edge ids in CSR
+//!   form) and the host's node-major digit table (`d · n` `u32`s filled by
+//!   [`DigitPlanes::decode_range`]). A swap finds the edges it moves through
+//!   the incident ids; congestion re-routes them from coordinates read out
+//!   of the digit table, wirelength re-measures them as per-dimension `|Δ|`
+//!   sums over two table rows, and neither decodes a node index. Both
+//!   constructors refuse pairs whose host link count or guest edge count
+//!   exceeds 2²⁹ before allocating anything.
 //! * [`Cost`] — a lexicographic `(primary, secondary)` pair, so "max link
 //!   congestion, ties broken by total routed path length" is one totally
 //!   ordered value.
@@ -106,8 +116,10 @@
 
 pub mod parallel;
 
+use mixedradix::distance::{digit_distance_mesh, digit_distance_torus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use topology::planes::{DigitPlanes, LANES};
 use topology::routing::{for_each_hop, link_slot_of_hop};
 use topology::{Coord, Grid, Shape};
 
@@ -202,9 +214,9 @@ impl<T: Objective + ?Sized> Objective for Box<T> {
     }
 }
 
-/// A histogram over `u64` values that maintains the current maximum under
-/// single-value increments/decrements — the piece that makes "max link
-/// congestion" an incrementally evaluable objective.
+/// A histogram over `u64` values that maintains the current maximum as
+/// tracked slots change value — the piece that makes "max link congestion"
+/// and "max per-edge distance" incrementally evaluable.
 #[derive(Clone, Debug, Default)]
 struct MaxTracker {
     /// `count[v]` = number of tracked slots currently holding value `v`
@@ -219,7 +231,35 @@ impl MaxTracker {
         self.max = 0;
     }
 
-    /// Records a slot moving from value `from` to value `from + 1`.
+    /// Records a slot moving from value `from` straight to value `to`.
+    /// Value 0 is untracked, so `shift(0, v)` adds a slot and `shift(v, 0)`
+    /// drops one. The new value is counted before the old one is released,
+    /// so the maximum only has to be searched for when the last slot at the
+    /// maximum moves down — the one case that walks down to the next
+    /// occupied value; every other shift is O(1).
+    fn shift(&mut self, from: u64, to: u64) {
+        if from == to {
+            return;
+        }
+        if to > 0 {
+            if self.count.len() <= to as usize {
+                self.count.resize(to as usize + 1, 0);
+            }
+            self.count[to as usize] += 1;
+            self.max = self.max.max(to);
+        }
+        if from > 0 {
+            self.count[from as usize] -= 1;
+            while self.max > 0 && self.count[self.max as usize] == 0 {
+                self.max -= 1;
+            }
+        }
+    }
+
+    /// Records a slot moving from value `from` to value `from + 1`. The
+    /// congestion objective calls this and [`MaxTracker::decrement`] once
+    /// per routed hop; as calls to [`MaxTracker::shift`] its swaps measured
+    /// about 15% slower.
     fn increment(&mut self, from: u64) {
         let to = from + 1;
         if self.count.len() <= to as usize {
@@ -247,109 +287,230 @@ impl MaxTracker {
     }
 }
 
-/// Appends every guest edge incident to node `x` to `out`, each in the
-/// *canonical orientation* of [`Grid::edges`] (the enumeration behind the
-/// full congestion sweep): the tail is the endpoint whose coordinate steps
-/// `+1` along the edge's dimension, and torus wrap edges run from the
-/// highest coordinate back to 0. Routing dimension-ordered paths is
-/// orientation-sensitive, so incremental updates must route each edge in
-/// the same direction the full sweep did. One entry per incident edge —
-/// length-2 torus dimensions contribute a single edge. The scratch-vector
-/// pattern keeps swap evaluation allocation-free after warm-up.
-fn incident_edges_into(guest: &Grid, x: u64, out: &mut Vec<(u64, u64)>) {
-    let shape = guest.shape();
-    let coord = guest.coord(x).expect("node in range");
-    for j in 0..shape.dim() {
-        let l = shape.radix(j);
-        if l < 2 {
-            continue;
+/// The most host links (`d · n`) and guest edges an objective builds flat
+/// tables for. The congestion load vector and the host digit table hold one
+/// entry per host link; the guest edge list and its incident-edge index hold
+/// four `u32`s per guest edge.
+const LINK_LIMIT: u64 = 1 << 29;
+
+/// Checks a guest/host pair against the objectives' tables before anything
+/// is allocated.
+///
+/// # Errors
+///
+/// Returns [`EmbeddingError::SizeMismatch`] if the graphs differ in size,
+/// and [`EmbeddingError::TooLarge`] if the host's link count or the guest's
+/// edge count exceeds [`LINK_LIMIT`].
+fn check_pair(guest: &Grid, host: &Grid) -> Result<()> {
+    if guest.size() != host.size() {
+        return Err(EmbeddingError::SizeMismatch {
+            guest: guest.size(),
+            host: host.size(),
+        });
+    }
+    let too_large = |size| EmbeddingError::TooLarge {
+        size,
+        limit: LINK_LIMIT,
+    };
+    // `d · n` can overflow `u64`; the unchecked count would silently wrap
+    // and under-allocate.
+    let links = host.try_link_count().unwrap_or(u64::MAX);
+    if links > LINK_LIMIT {
+        return Err(too_large(links));
+    }
+    // Every radix is at least 2, so a host within the limit caps the shared
+    // size at 2²⁹ nodes and the guest at 29 dimensions: the guest's edge
+    // count cannot overflow.
+    let edges = guest.num_edges();
+    if edges > LINK_LIMIT {
+        return Err(too_large(edges));
+    }
+    Ok(())
+}
+
+/// The guest's edges as flat tables, built once per objective.
+///
+/// Edge id `e` is the `e`-th pair [`Grid::edges`] yields, stored in the same
+/// *canonical orientation*: the tail is the endpoint whose coordinate steps
+/// `+1` along the edge's dimension, torus wrap edges run from the highest
+/// coordinate back to 0, and a length-2 torus dimension contributes a single
+/// edge, from its coordinate-0 end. Routing dimension-ordered paths is
+/// orientation-sensitive, so incremental updates route each edge in the
+/// direction the full sweep did. Each node's incident edge ids sit in CSR
+/// form, which is all a swap needs to find the edges it moves. Node indices
+/// and edge ids are `u32`: [`check_pair`] caps both counts at
+/// [`LINK_LIMIT`].
+#[derive(Debug, Default)]
+struct GuestEdges {
+    tails: Vec<u32>,
+    heads: Vec<u32>,
+    /// The ids of the edges at node `x` are
+    /// `incident[offsets[x]..offsets[x + 1]]`, in increasing order.
+    offsets: Vec<u32>,
+    incident: Vec<u32>,
+}
+
+impl GuestEdges {
+    fn new(guest: &Grid) -> Self {
+        let n = guest.size() as usize;
+        let m = guest.num_edges() as usize;
+        let mut tails = Vec::with_capacity(m);
+        let mut heads = Vec::with_capacity(m);
+        // Degrees land one slot to the right, so the prefix sum below turns
+        // them into the CSR offsets.
+        let mut offsets = vec![0u32; n + 1];
+        for (tail, head) in guest.edges() {
+            tails.push(tail as u32);
+            heads.push(head as u32);
+            offsets[tail as usize + 1] += 1;
+            offsets[head as usize + 1] += 1;
         }
-        let i = coord.get(j);
-        let w = shape.weight(j + 1);
-        if guest.is_torus() {
-            if l == 2 {
-                // One physical edge, enumerated from the coordinate-0 end.
-                if i == 0 {
-                    out.push((x, x + w));
-                } else {
-                    out.push((x - w, x));
+        for x in 0..n {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut incident = vec![0u32; 2 * m];
+        for (e, (&tail, &head)) in tails.iter().zip(&heads).enumerate() {
+            for x in [tail as usize, head as usize] {
+                incident[next[x] as usize] = e as u32;
+                next[x] += 1;
+            }
+        }
+        GuestEdges {
+            tails,
+            heads,
+            offsets,
+            incident,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.tails.len()
+    }
+
+    /// The canonical `(tail, head)` of edge `e`.
+    #[inline]
+    fn endpoints(&self, e: usize) -> (u64, u64) {
+        (u64::from(self.tails[e]), u64::from(self.heads[e]))
+    }
+
+    /// The ids of the edges incident to node `x`.
+    #[inline]
+    fn incident(&self, x: u64) -> &[u32] {
+        let x = x as usize;
+        &self.incident[self.offsets[x] as usize..self.offsets[x + 1] as usize]
+    }
+
+    /// Visits every guest edge affected by the transposition of the images
+    /// of guest nodes `a` and `b`, calling `update(e, pre, post)` once per
+    /// edge with its id and its `(tail, head)` images before and after the
+    /// swap. `table` is the table after the swap.
+    ///
+    /// This is the one place that knows which edges a swap touches — in
+    /// particular that an edge between `a` and `b` themselves appears in
+    /// both incident lists and must be updated exactly once (the `a` pivot
+    /// skips it, the `b` pivot handles it). Every incremental objective
+    /// defers to it.
+    fn for_each_affected(
+        &self,
+        table: &[u64],
+        a: u64,
+        b: u64,
+        mut update: impl FnMut(usize, (u64, u64), (u64, u64)),
+    ) {
+        // The images of `a` and `b` were exchanged, everything else is
+        // unchanged, so the pre-swap image of `a` is `table[b]` and vice
+        // versa.
+        let (fa, fb) = (table[a as usize], table[b as usize]);
+        let pre = |x: u64| -> u64 {
+            if x == a {
+                fb
+            } else if x == b {
+                fa
+            } else {
+                table[x as usize]
+            }
+        };
+        for (node, skip_peer) in [(a, Some(b)), (b, None::<u64>)] {
+            for &e in self.incident(node) {
+                let (tail, head) = self.endpoints(e as usize);
+                let other = if tail == node { head } else { tail };
+                if Some(other) == skip_peer {
+                    continue;
                 }
-                continue;
-            }
-            // Forward edge (x is the tail; wraps at the top coordinate).
-            if i + 1 == l {
-                out.push((x, x - (l as u64 - 1) * w));
-            } else {
-                out.push((x, x + w));
-            }
-            // Backward edge (the predecessor is the tail; the predecessor
-            // of coordinate 0 is the wrap edge's top end).
-            if i == 0 {
-                out.push((x + (l as u64 - 1) * w, x));
-            } else {
-                out.push((x - w, x));
-            }
-        } else {
-            if i + 1 < l {
-                out.push((x, x + w));
-            }
-            if i > 0 {
-                out.push((x - w, x));
+                update(
+                    e as usize,
+                    (pre(tail), pre(head)),
+                    (table[tail as usize], table[head as usize]),
+                );
             }
         }
     }
 }
 
-/// Visits every guest edge affected by the transposition of the images of
-/// guest nodes `a` and `b`, calling
-/// `update(tail, head, pre_tail, pre_head, post_tail, post_head)` once per
-/// edge with the edge's *guest* endpoints followed by its endpoint *images*
-/// before and after the swap, all in the canonical tail → head orientation
-/// of [`Grid::edges`]. The guest endpoints are what weighted objectives key
-/// per-edge weights on — they are invariant under the swap. `table` is the
-/// table after the swap; `scratch` is a caller-owned buffer so the walk is
-/// allocation-free after warm-up.
-///
-/// This is the one place that knows which edges a swap touches — in
-/// particular that an edge between `a` and `b` themselves appears in both
-/// incident lists and must be updated exactly once (the `a` pivot skips it,
-/// the `b` pivot handles it). Every incremental objective defers to it.
-fn for_each_affected_edge(
-    guest: &Grid,
-    scratch: &mut Vec<(u64, u64)>,
-    table: &[u64],
-    a: u64,
-    b: u64,
-    mut update: impl FnMut(u64, u64, u64, u64, u64, u64),
-) {
-    // The images of `a` and `b` were exchanged, everything else is
-    // unchanged, so the pre-swap image of `a` is `table[b]` and vice versa.
-    let (fa, fb) = (table[a as usize], table[b as usize]);
-    let pre = move |x: u64| -> u64 {
-        if x == a {
-            fb
-        } else if x == b {
-            fa
-        } else {
-            table[x as usize]
-        }
-    };
-    for (node, skip_peer) in [(a, Some(b)), (b, None::<u64>)] {
-        scratch.clear();
-        incident_edges_into(guest, node, scratch);
-        for &(tail, head) in scratch.iter() {
-            let other = if tail == node { head } else { tail };
-            if Some(other) == skip_peer {
-                continue;
+/// The host's coordinates as a node-major digit table, built once per
+/// objective with [`DigitPlanes::decode_range`]: digit `j` of host node `y`
+/// at `digits[y · d + j]`, which is `d · n` entries — the host's link count,
+/// capped by [`check_pair`]. Swap updates read coordinates and distances
+/// here instead of decoding node indices.
+#[derive(Debug)]
+struct HostDigits {
+    grid: Grid,
+    digits: Vec<u32>,
+}
+
+impl HostDigits {
+    fn new(host: &Grid) -> Self {
+        let shape = host.shape();
+        let d = host.dim();
+        let mut digits = vec![0u32; host.size() as usize * d];
+        let mut planes = DigitPlanes::for_base(shape);
+        let mut start = 0u64;
+        // One batch of up to LANES consecutive nodes per chunk, transposed
+        // from the planes' dimension-major layout into node-major rows.
+        for rows in digits.chunks_mut(LANES * d) {
+            let count = rows.len() / d;
+            planes
+                .decode_range(shape, start, count)
+                .expect("batch within the host");
+            for j in 0..d {
+                for (row, &digit) in rows.chunks_exact_mut(d).zip(planes.plane(j)) {
+                    row[j] = digit;
+                }
             }
-            update(
-                tail,
-                head,
-                pre(tail),
-                pre(head),
-                table[tail as usize],
-                table[head as usize],
-            );
+            start += count as u64;
+        }
+        HostDigits {
+            grid: host.clone(),
+            digits,
+        }
+    }
+
+    /// The digits of host node `y`.
+    #[inline]
+    fn of(&self, y: u64) -> &[u32] {
+        let d = self.grid.dim();
+        &self.digits[y as usize * d..][..d]
+    }
+
+    /// The host distance between nodes `x` and `y` (Lemmas 5 and 6): the
+    /// per-dimension `|Δ|` of their table rows, each taken as
+    /// `min(Δ, l − Δ)` on toruses, summed — what [`Grid::distance_index`]
+    /// computes after decoding both indices.
+    #[inline]
+    fn distance(&self, x: u64, y: u64) -> u64 {
+        let (p, q) = (self.of(x), self.of(y));
+        if self.grid.is_torus() {
+            p.iter()
+                .zip(q)
+                .zip(self.grid.shape().radices())
+                .map(|((&u, &v), &l)| digit_distance_torus(u, v, l))
+                .sum()
+        } else {
+            p.iter()
+                .zip(q)
+                .map(|(&u, &v)| digit_distance_mesh(u, v))
+                .sum()
         }
     }
 }
@@ -357,25 +518,25 @@ fn for_each_affected_edge(
 /// Minimize the maximum link congestion under dimension-ordered routing
 /// (ties broken by total routed path length).
 ///
-/// State: the same flat per-link load vector as
-/// [`crate::congestion::congestion`] (indexed by [`Grid::link_index`]) plus
-/// a `MaxTracker` histogram of load values, so a swap re-routes only the
-/// `O(degree)` guest edges incident to the swapped nodes and the maximum is
-/// maintained without scanning the load vector.
+/// Tables: the guest's edge list with its incident-edge index and the
+/// host's node-major digit table, both built at construction. State: the
+/// same flat per-link load vector as [`crate::congestion::congestion`]
+/// (indexed by [`Grid::link_index`]) plus a `MaxTracker` histogram of load
+/// values. A swap re-routes only the `O(degree)` guest edges incident to
+/// the swapped nodes, found through the index and routed from coordinates
+/// read out of the digit table, and the maximum is maintained without
+/// scanning the load vector.
 pub struct CongestionObjective {
-    guest: Grid,
-    host: Grid,
+    edges: GuestEdges,
+    host: HostDigits,
     dims: Vec<usize>,
     loads: Vec<u64>,
     tracker: MaxTracker,
     total_path_length: u64,
-    /// Scratch coordinates reused by every routed edge.
+    /// Scratch route endpoints, refilled from the digit table per route
+    /// (building two fresh `Coord`s per route measured ~10% slower swaps).
     current: Coord,
     target: Coord,
-    /// Scratch incident-edge buffer reused by every swap evaluation.
-    scratch: Vec<(u64, u64)>,
-    /// Scratch (pre-from, pre-to, post-from, post-to) update list.
-    updates: Vec<(u64, u64, u64, u64)>,
 }
 
 impl CongestionObjective {
@@ -385,41 +546,26 @@ impl CongestionObjective {
     ///
     /// Returns [`EmbeddingError::SizeMismatch`] if the graphs differ in size,
     /// and [`EmbeddingError::TooLarge`] if the host's dense link index space
-    /// `d · n` does not fit the flat load vector (the unchecked count would
-    /// silently wrap and under-allocate).
+    /// `d · n` or the guest's edge count exceeds 2²⁹ (checked before any
+    /// table is allocated).
     pub fn new(guest: &Grid, host: &Grid) -> Result<Self> {
-        if guest.size() != host.size() {
-            return Err(EmbeddingError::SizeMismatch {
-                guest: guest.size(),
-                host: host.size(),
-            });
-        }
-        const LINK_LIMIT: u64 = 1 << 29;
-        let links = host.try_link_count().unwrap_or(u64::MAX);
-        if links > LINK_LIMIT {
-            return Err(EmbeddingError::TooLarge {
-                size: links,
-                limit: LINK_LIMIT,
-            });
-        }
+        check_pair(guest, host)?;
         Ok(CongestionObjective {
-            guest: guest.clone(),
-            host: host.clone(),
+            edges: GuestEdges::new(guest),
+            host: HostDigits::new(host),
             dims: (0..host.dim()).collect(),
-            loads: vec![0; links as usize],
+            loads: vec![0; host.link_count() as usize],
             tracker: MaxTracker::default(),
             total_path_length: 0,
-            current: Coord::empty(),
-            target: Coord::empty(),
-            scratch: Vec::new(),
-            updates: Vec::new(),
+            current: Coord::zero(host.dim()).expect("host dimension within MAX_DIM"),
+            target: Coord::zero(host.dim()).expect("host dimension within MAX_DIM"),
         })
     }
 
     /// Routes `from → to` and applies `±1` to every traversed link.
-    fn route(&mut self, from: u64, to: u64, add: bool) {
+    fn route(&mut self, (from, to): (u64, u64), add: bool) {
         // Destructure to split the borrows: the route expansion reads
-        // host/current/target/dims while the hop callback mutates
+        // host/dims while the hop callback mutates
         // loads/tracker/total_path_length.
         let CongestionObjective {
             host,
@@ -431,12 +577,13 @@ impl CongestionObjective {
             target,
             ..
         } = self;
-        host.shape()
-            .to_digits_into(from, current)
-            .expect("host node");
-        host.shape().to_digits_into(to, target).expect("host node");
-        for_each_hop(host, current, from, target, dims, |hop, before, after| {
-            let slot = link_slot_of_hop(host, hop, before, after) as usize;
+        let grid = &host.grid;
+        for (j, (&u, &v)) in host.of(from).iter().zip(host.of(to)).enumerate() {
+            current.set(j, u);
+            target.set(j, v);
+        }
+        for_each_hop(grid, current, from, target, dims, |hop, before, after| {
+            let slot = link_slot_of_hop(grid, hop, before, after) as usize;
             if add {
                 tracker.increment(loads[slot]);
                 loads[slot] += 1;
@@ -463,12 +610,12 @@ impl Objective for CongestionObjective {
     }
 
     fn rebuild(&mut self, table: &[u64]) -> Cost {
-        self.loads.iter_mut().for_each(|l| *l = 0);
+        self.loads.fill(0);
         self.tracker.clear();
         self.total_path_length = 0;
-        let guest = self.guest.clone();
-        for (x, y) in guest.edges() {
-            self.route(table[x as usize], table[y as usize], true);
+        for e in 0..self.edges.len() {
+            let (tail, head) = self.edges.endpoints(e);
+            self.route((table[tail as usize], table[head as usize]), true);
         }
         self.cost()
     }
@@ -477,27 +624,16 @@ impl Objective for CongestionObjective {
         if a == b {
             return self.cost();
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut updates = std::mem::take(&mut self.updates);
-        updates.clear();
-        for_each_affected_edge(
-            &self.guest,
-            &mut scratch,
-            table,
-            a,
-            b,
-            |_, _, pf, pt, nf, nt| {
-                updates.push((pf, pt, nf, nt));
-            },
-        );
-        for &(pre_from, pre_to, post_from, post_to) in &updates {
+        // `route` borrows the whole objective, so the edge tables are
+        // moved out for the walk and put back after it.
+        let edges = std::mem::take(&mut self.edges);
+        edges.for_each_affected(table, a, b, |_, pre, post| {
             // Remove the pre-swap route, add the post-swap route — both in
             // the canonical tail → head orientation the full sweep uses.
-            self.route(pre_from, pre_to, false);
-            self.route(post_from, post_to, true);
-        }
-        self.scratch = scratch;
-        self.updates = updates;
+            self.route(pre, false);
+            self.route(post, true);
+        });
+        self.edges = edges;
         self.cost()
     }
 }
@@ -516,12 +652,14 @@ impl Objective for CongestionObjective {
 /// ([`crate::lower_bound::wirelength_lower_bound`]) — the repo's second
 /// analytic optimization target after the paper's dilation predictions.
 ///
-/// State: the weighted total plus a `MaxTracker` histogram of *unweighted*
-/// per-edge distances (tracking weighted contributions would size the
-/// histogram by the largest weight). A swap re-measures only the
-/// `O(degree)` guest edges incident to the swapped nodes, via the same
-/// affected-edge walk the other incremental objectives use; the guest
-/// endpoints it reports key the weight lookup.
+/// Tables: the guest's edge list with its incident-edge index, the weights
+/// indexed by edge id, and the host's node-major digit table, all built at
+/// construction. State: the weighted total plus a `MaxTracker` histogram of
+/// *unweighted* per-edge distances (tracking weighted contributions would
+/// size the histogram by the largest weight). A swap re-measures only the
+/// `O(degree)` guest edges incident to the swapped nodes, through the same
+/// affected-edge walk the congestion objective uses, each as a
+/// per-dimension `|Δ|` sum over two digit-table rows.
 ///
 /// # Example
 ///
@@ -549,20 +687,12 @@ impl Objective for CongestionObjective {
 /// assert!(outcome.report.best.primary >= bound);
 /// ```
 pub struct WirelengthObjective {
-    guest: Grid,
-    host: Grid,
-    /// Per-guest-edge weights keyed by the canonical `(tail, head)`
-    /// orientation of [`Grid::edges`]; `None` means every edge weighs 1 and
-    /// skips the lookup entirely.
-    weights: Option<std::collections::HashMap<(u64, u64), u64>>,
+    edges: GuestEdges,
+    host: HostDigits,
+    /// The weight of edge `e` at `weights[e]` (all 1 for unit weights).
+    weights: Vec<u64>,
     tracker: MaxTracker,
     total: u64,
-    /// Scratch incident-edge buffer reused by every swap evaluation.
-    scratch: Vec<(u64, u64)>,
-    /// Scratch (tail, head, pre-from, pre-to, post-from, post-to) update
-    /// list — guest endpoints first, so the weight lookup happens outside
-    /// the affected-edge walk's borrow of the scratch buffer.
-    updates: Vec<(u64, u64, u64, u64, u64, u64)>,
 }
 
 impl WirelengthObjective {
@@ -572,82 +702,46 @@ impl WirelengthObjective {
     ///
     /// # Errors
     ///
-    /// Returns [`EmbeddingError::SizeMismatch`] if the graphs differ in size.
+    /// Returns [`EmbeddingError::SizeMismatch`] if the graphs differ in size,
+    /// and [`EmbeddingError::TooLarge`] if the host's link count or the
+    /// guest's edge count exceeds 2²⁹.
     pub fn new(guest: &Grid, host: &Grid) -> Result<Self> {
-        Self::build(guest, host, None)
+        Self::with_weights(guest, host, |_, _| 1)
     }
 
     /// Creates the objective with a per-guest-edge weight function, evaluated
     /// once per canonical edge of [`Grid::edges`] (so `weight(tail, head)`
-    /// sees each edge exactly once, in sweep orientation). Zero-weight edges
-    /// are legal — they simply stop contributing to the primary cost, though
-    /// they still participate in the max-distance tie-breaker.
+    /// sees each edge exactly once, in sweep order and orientation).
+    /// Zero-weight edges are legal — they simply stop contributing to the
+    /// primary cost, though they still participate in the max-distance
+    /// tie-breaker.
     ///
     /// # Errors
     ///
-    /// Returns [`EmbeddingError::SizeMismatch`] if the graphs differ in size.
+    /// Returns [`EmbeddingError::SizeMismatch`] if the graphs differ in size,
+    /// and [`EmbeddingError::TooLarge`] if the host's link count or the
+    /// guest's edge count exceeds 2²⁹ (checked before `weight` is called or
+    /// any table is allocated).
     pub fn with_weights(
         guest: &Grid,
         host: &Grid,
         mut weight: impl FnMut(u64, u64) -> u64,
     ) -> Result<Self> {
-        let weights = guest
-            .edges()
-            .map(|(tail, head)| ((tail, head), weight(tail, head)))
+        check_pair(guest, host)?;
+        let edges = GuestEdges::new(guest);
+        let weights = (0..edges.len())
+            .map(|e| {
+                let (tail, head) = edges.endpoints(e);
+                weight(tail, head)
+            })
             .collect();
-        Self::build(guest, host, Some(weights))
-    }
-
-    fn build(
-        guest: &Grid,
-        host: &Grid,
-        weights: Option<std::collections::HashMap<(u64, u64), u64>>,
-    ) -> Result<Self> {
-        if guest.size() != host.size() {
-            return Err(EmbeddingError::SizeMismatch {
-                guest: guest.size(),
-                host: host.size(),
-            });
-        }
         Ok(WirelengthObjective {
-            guest: guest.clone(),
-            host: host.clone(),
+            edges,
+            host: HostDigits::new(host),
             weights,
             tracker: MaxTracker::default(),
             total: 0,
-            scratch: Vec::new(),
-            updates: Vec::new(),
         })
-    }
-
-    fn weight(&self, tail: u64, head: u64) -> u64 {
-        match &self.weights {
-            None => 1,
-            Some(map) => *map.get(&(tail, head)).unwrap_or(&1),
-        }
-    }
-
-    fn distance(&self, from: u64, to: u64) -> u64 {
-        self.host
-            .distance_index(from, to)
-            .expect("table entries are host nodes")
-    }
-
-    fn add_edge(&mut self, weight: u64, d: u64) {
-        // increment(v) moves one slot from v to v+1, so the sequence below
-        // is exactly one slot walking 0 → d: the intermediate counts
-        // cancel and only the final distance remains tracked.
-        for v in 0..d {
-            self.tracker.increment(v);
-        }
-        self.total += weight * d;
-    }
-
-    fn remove_edge(&mut self, weight: u64, d: u64) {
-        for v in (1..=d).rev() {
-            self.tracker.decrement(v);
-        }
-        self.total -= weight * d;
     }
 
     fn cost(&self) -> Cost {
@@ -666,11 +760,13 @@ impl Objective for WirelengthObjective {
     fn rebuild(&mut self, table: &[u64]) -> Cost {
         self.tracker.clear();
         self.total = 0;
-        let guest = self.guest.clone();
-        for (x, y) in guest.edges() {
-            let w = self.weight(x, y);
-            let d = self.distance(table[x as usize], table[y as usize]);
-            self.add_edge(w, d);
+        for e in 0..self.edges.len() {
+            let (tail, head) = self.edges.endpoints(e);
+            let d = self
+                .host
+                .distance(table[tail as usize], table[head as usize]);
+            self.tracker.shift(0, d);
+            self.total += self.weights[e] * d;
         }
         self.cost()
     }
@@ -679,28 +775,21 @@ impl Objective for WirelengthObjective {
         if a == b {
             return self.cost();
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut updates = std::mem::take(&mut self.updates);
-        updates.clear();
-        for_each_affected_edge(
-            &self.guest,
-            &mut scratch,
-            table,
-            a,
-            b,
-            |t, h, pf, pt, nf, nt| {
-                updates.push((t, h, pf, pt, nf, nt));
-            },
-        );
-        self.scratch = scratch;
-        for &(tail, head, pre_from, pre_to, post_from, post_to) in &updates {
-            let w = self.weight(tail, head);
-            let old = self.distance(pre_from, pre_to);
-            let new = self.distance(post_from, post_to);
-            self.remove_edge(w, old);
-            self.add_edge(w, new);
-        }
-        self.updates = updates;
+        let WirelengthObjective {
+            edges,
+            host,
+            weights,
+            tracker,
+            total,
+        } = self;
+        edges.for_each_affected(table, a, b, |e, (pre_tail, pre_head), (tail, head)| {
+            let old = host.distance(pre_tail, pre_head);
+            let new = host.distance(tail, head);
+            tracker.shift(old, new);
+            // The total holds this edge's old term, so subtracting first
+            // cannot underflow.
+            *total = *total - weights[e] * old + weights[e] * new;
+        });
         self.cost()
     }
 }
@@ -1204,6 +1293,57 @@ mod tests {
             .collect()
     }
 
+    /// The reference for [`GuestEdges`]' incident-edge index: appends every
+    /// guest edge incident to node `x` to `out`, derived from the node's
+    /// coordinate, each in the canonical orientation of [`Grid::edges`] (the
+    /// tail is the endpoint whose coordinate steps `+1` along the edge's
+    /// dimension, and torus wrap edges run from the highest coordinate back to
+    /// 0). One entry per incident edge — length-2 torus dimensions contribute a
+    /// single edge.
+    fn incident_edges_into(guest: &Grid, x: u64, out: &mut Vec<(u64, u64)>) {
+        let shape = guest.shape();
+        let coord = guest.coord(x).expect("node in range");
+        for j in 0..shape.dim() {
+            let l = shape.radix(j);
+            if l < 2 {
+                continue;
+            }
+            let i = coord.get(j);
+            let w = shape.weight(j + 1);
+            if guest.is_torus() {
+                if l == 2 {
+                    // One physical edge, enumerated from the coordinate-0 end.
+                    if i == 0 {
+                        out.push((x, x + w));
+                    } else {
+                        out.push((x - w, x));
+                    }
+                    continue;
+                }
+                // Forward edge (x is the tail; wraps at the top coordinate).
+                if i + 1 == l {
+                    out.push((x, x - (l as u64 - 1) * w));
+                } else {
+                    out.push((x, x + w));
+                }
+                // Backward edge (the predecessor is the tail; the predecessor
+                // of coordinate 0 is the wrap edge's top end).
+                if i == 0 {
+                    out.push((x + (l as u64 - 1) * w, x));
+                } else {
+                    out.push((x - w, x));
+                }
+            } else {
+                if i + 1 < l {
+                    out.push((x, x + w));
+                }
+                if i > 0 {
+                    out.push((x - w, x));
+                }
+            }
+        }
+    }
+
     #[test]
     fn max_tracker_follows_increments_and_decrements() {
         let mut t = MaxTracker::default();
@@ -1217,6 +1357,163 @@ mod tests {
         t.decrement(1);
         t.decrement(1);
         assert_eq!(t.max, 0);
+
+        // `shift` moves a slot in one step: from the untracked 0 ...
+        t.shift(0, 5);
+        t.shift(0, 2);
+        t.shift(0, 2);
+        assert_eq!(t.max, 5);
+        // ... above the max ...
+        t.shift(2, 9);
+        assert_eq!(t.max, 9);
+        // ... down from a unique max, to the next occupied value ...
+        t.shift(9, 1);
+        assert_eq!(t.max, 5);
+        t.shift(5, 3);
+        assert_eq!(t.max, 3);
+        // ... down from a shared max, which stays ...
+        t.shift(0, 3);
+        t.shift(3, 2);
+        assert_eq!(t.max, 3);
+        // ... and to 0, which drops the slot.
+        t.shift(3, 0);
+        assert_eq!(t.max, 2);
+        t.shift(2, 2);
+        assert_eq!(t.max, 2);
+        for v in [2, 2, 1] {
+            t.shift(v, 0);
+        }
+        assert_eq!(t.max, 0);
+        assert!(t.count.iter().all(|&c| c == 0));
+
+        // A random walk of shifts tracks the maximum of the slots' values.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut slots = [0u64; 12];
+        for _ in 0..2_000 {
+            let i = rng.gen_range(0..slots.len());
+            let to = rng.gen_range(0u64..20);
+            t.shift(slots[i], to);
+            slots[i] = to;
+            assert_eq!(t.max, *slots.iter().max().unwrap());
+        }
+    }
+
+    /// The grids the table tests sweep: mixed radices, a mesh, the
+    /// hypercube, and the single-edge length-2 torus dimensions.
+    fn table_grids() -> Vec<Grid> {
+        vec![
+            Grid::torus(shape(&[4, 2, 3])),
+            Grid::mesh(shape(&[3, 5])),
+            Grid::hypercube(4).unwrap(),
+            Grid::ring(2).unwrap(),
+            Grid::torus(shape(&[2, 2])),
+            Grid::ring(8).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn guest_edge_index_matches_the_coordinate_walk() {
+        let mut reference = Vec::new();
+        for guest in table_grids() {
+            let edges = GuestEdges::new(&guest);
+            // Edge ids follow the full sweep's order and orientation.
+            let sweep: Vec<(u64, u64)> = guest.edges().collect();
+            let ids: Vec<(u64, u64)> = (0..edges.len()).map(|e| edges.endpoints(e)).collect();
+            assert_eq!(ids, sweep, "{guest}");
+            for x in guest.nodes() {
+                reference.clear();
+                incident_edges_into(&guest, x, &mut reference);
+                reference.sort_unstable();
+                let mut indexed: Vec<(u64, u64)> = edges
+                    .incident(x)
+                    .iter()
+                    .map(|&e| edges.endpoints(e as usize))
+                    .collect();
+                indexed.sort_unstable();
+                assert_eq!(indexed, reference, "node {x} of {guest}");
+            }
+        }
+    }
+
+    #[test]
+    fn host_digit_table_matches_grid_coordinates_and_distances() {
+        for host in table_grids() {
+            let digits = HostDigits::new(&host);
+            for x in host.nodes() {
+                assert_eq!(
+                    digits.of(x),
+                    host.coord(x).unwrap().as_slice(),
+                    "{x} in {host}"
+                );
+                for y in host.nodes() {
+                    assert_eq!(
+                        digits.distance(x, y),
+                        host.distance_index(x, y).unwrap(),
+                        "{x} -> {y} in {host}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_pairs_are_rejected_before_any_table_is_built() {
+        // Q₃₀ has 2³⁰ nodes, within `to_table`'s limit, but 30·2³⁰ host
+        // links and 15·2³⁰ guest edges. Q₂₆ into the 2²⁶-ring fits the
+        // host's links and overflows only the guest's edge list.
+        let q30 = Grid::hypercube(30).unwrap();
+        let q26 = Grid::hypercube(26).unwrap();
+        let ring = Grid::ring(1 << 26).unwrap();
+        for (guest, host, size) in [(&q30, &q30, 30u64 << 30), (&q26, &ring, 13 << 26)] {
+            let too_large = |e: EmbeddingError| matches!(e, EmbeddingError::TooLarge { size: s, limit: LINK_LIMIT } if s == size);
+            assert!(CongestionObjective::new(guest, host).is_err_and(too_large));
+            assert!(WirelengthObjective::new(guest, host).is_err_and(too_large));
+            let weighted = WirelengthObjective::with_weights(guest, host, |_, _| {
+                unreachable!("weights are read only after the size check")
+            });
+            assert!(weighted.is_err_and(too_large));
+        }
+    }
+
+    #[test]
+    fn weighted_wirelength_matches_an_outside_sum_over_grid_edges() {
+        // The reference reads edges, weights and distances through `Grid`
+        // alone: Σ over `Grid::edges()` of w(t, h) · d(f(t), f(h)), with the
+        // max distance as the tie-breaker. A weight stored under the wrong
+        // edge id or orientation fails here even though incremental and
+        // rebuild, reading the same weight vector, would agree.
+        use rand::seq::SliceRandom;
+        let weight = |t: u64, h: u64| 1 + (3 * t + 5 * h) % 7;
+        let reference = |guest: &Grid, host: &Grid, table: &[u64]| {
+            let (mut total, mut max) = (0, 0);
+            for (t, h) in guest.edges() {
+                let d = host
+                    .distance_index(table[t as usize], table[h as usize])
+                    .unwrap();
+                total += weight(t, h) * d;
+                max = max.max(d);
+            }
+            Cost {
+                primary: total,
+                secondary: max,
+            }
+        };
+        for (guest, host) in [
+            (Grid::torus(shape(&[2, 3, 4])), Grid::mesh(shape(&[4, 6]))),
+            (Grid::hypercube(4).unwrap(), Grid::torus(shape(&[4, 4]))),
+            (Grid::mesh(shape(&[4, 6])), Grid::torus(shape(&[2, 3, 4]))),
+        ] {
+            let mut table: Vec<u64> = (0..guest.size()).collect();
+            table.shuffle(&mut StdRng::seed_from_u64(guest.size()));
+            let mut objective = WirelengthObjective::with_weights(&guest, &host, weight).unwrap();
+            let mut cost = objective.rebuild(&table);
+            assert_eq!(cost, reference(&guest, &host, &table), "{guest} -> {host}");
+            for (a, b) in random_swaps(guest.size(), 300, 41) {
+                table.swap(a as usize, b as usize);
+                cost = objective.apply_swap(&table, a, b);
+            }
+            assert_eq!(cost, reference(&guest, &host, &table), "{guest} -> {host}");
+        }
     }
 
     #[test]
