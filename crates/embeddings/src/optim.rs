@@ -27,11 +27,14 @@
 //!
 //! * [`Objective`] — the pluggable cost model. An objective owns whatever
 //!   incremental state it needs (for congestion: the flat per-link load
-//!   vector of [`crate::congestion`], plus a load-value histogram so the
-//!   maximum is maintained under ±1 updates). [`Objective::rebuild`] does a
-//!   full sweep; [`Objective::apply_swap`] updates the state for one
-//!   transposition in `O(degree × path length)` instead of re-sweeping every
-//!   guest edge.
+//!   vector of [`crate::congestion`], plus a histogram of committed load
+//!   values that prices the maximum from the links a move touched).
+//!   [`Objective::rebuild`] does a full sweep; [`Objective::apply_swap`]
+//!   updates the state for one transposition in `O(degree × path length)`
+//!   instead of re-sweeping every guest edge. An immediate repeat of the
+//!   last call is its undo, and the congestion and makespan objectives
+//!   answer it from state they saved for the move, without evaluating it
+//!   again.
 //! * Tables — the congestion and wirelength objectives read only two flat
 //!   tables after construction: the guest's edge list (tail and head arrays
 //!   in [`Grid::edges`] order, plus each node's incident edge ids in CSR
@@ -63,7 +66,9 @@
 //! table stays bijective; accepted and rejected moves alike keep the
 //! objective's incremental state exactly in sync with the table (rejection
 //! undoes the move by applying the involution again, or the inverse rotation
-//! for a k-cycle).
+//! for a k-cycle). The annealer rejects almost every move it proposes, so
+//! answering that repeat from saved state is where the congestion and
+//! makespan objectives save most of their time.
 //!
 //! The [`parallel`] submodule runs N independently-seeded copies of this
 //! walk on the `topology::parallel` fork–join pool and reduces to the
@@ -166,24 +171,29 @@ pub trait Objective {
     /// Updates the internal state for the transposition of the images of
     /// guest nodes `a` and `b`, and returns the new cost. `table` is the
     /// table *after* the swap; the pre-swap images are therefore
-    /// `table[b]`/`table[a]`. Calling `apply_swap` twice with the same pair
-    /// is a no-op (swaps are involutions), which is how rejected moves are
-    /// undone.
+    /// `table[b]`/`table[a]`.
+    ///
+    /// Swaps are involutions, so an immediate repeat of the last call — the
+    /// same pair right after it — is its undo, which is how rejected moves
+    /// are undone. An objective may answer that repeat from state it saved
+    /// for the last move instead of evaluating it again. Any other call
+    /// makes the last move final.
     fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost;
 
     /// Applies a compound move — a sequence of *pairwise-disjoint*
     /// transpositions (a segment reversal) — performing the swaps on
     /// `table` itself, and returns the cost of the final table. Disjoint
-    /// transpositions commute, so re-applying the same sequence undoes the
-    /// move exactly (the involution contract the optimizer's rejection path
-    /// relies on).
+    /// transpositions commute, so an immediate repeat of the same sequence
+    /// undoes the move exactly (the contract the optimizer's rejection path
+    /// relies on); as with [`Objective::apply_swap`], that repeat may be
+    /// answered from saved state, and any other call makes the move final.
     ///
     /// The default implementation applies one [`Objective::apply_swap`] at
-    /// a time, which is right for objectives whose evaluation is itself
-    /// incremental (congestion, dilation). Objectives that end every update
-    /// with an expensive global phase — the makespan objective re-arbitrates
-    /// the whole schedule — override this to update per-swap state for all
-    /// transpositions but pay the global phase once.
+    /// a time, which is right for objectives whose per-swap evaluation is
+    /// itself cheap (wirelength). Objectives that end every update with an
+    /// expensive global phase — the makespan objective re-arbitrates the
+    /// schedule — or that save a move's state to undo it — congestion —
+    /// override this to treat the whole batch as one move.
     fn apply_disjoint_swaps(&mut self, table: &mut [u64], swaps: &[(u64, u64)]) -> Cost {
         let mut cost = None;
         for &(a, b) in swaps {
@@ -253,36 +263,6 @@ impl MaxTracker {
             while self.max > 0 && self.count[self.max as usize] == 0 {
                 self.max -= 1;
             }
-        }
-    }
-
-    /// Records a slot moving from value `from` to value `from + 1`. The
-    /// congestion objective calls this and [`MaxTracker::decrement`] once
-    /// per routed hop; as calls to [`MaxTracker::shift`] its swaps measured
-    /// about 15% slower.
-    fn increment(&mut self, from: u64) {
-        let to = from + 1;
-        if self.count.len() <= to as usize {
-            self.count.resize(to as usize + 1, 0);
-        }
-        if from > 0 {
-            self.count[from as usize] -= 1;
-        }
-        self.count[to as usize] += 1;
-        if to > self.max {
-            self.max = to;
-        }
-    }
-
-    /// Records a slot moving from value `from` to value `from - 1`.
-    fn decrement(&mut self, from: u64) {
-        debug_assert!(from > 0, "cannot decrement an empty slot");
-        self.count[from as usize] -= 1;
-        if from > 1 {
-            self.count[from as usize - 1] += 1;
-        }
-        while self.max > 0 && self.count[self.max as usize] == 0 {
-            self.max -= 1;
         }
     }
 }
@@ -521,22 +501,53 @@ impl HostDigits {
 /// Tables: the guest's edge list with its incident-edge index and the
 /// host's node-major digit table, both built at construction. State: the
 /// same flat per-link load vector as [`crate::congestion::congestion`]
-/// (indexed by [`Grid::link_index`]) plus a `MaxTracker` histogram of load
-/// values. A swap re-routes only the `O(degree)` guest edges incident to
-/// the swapped nodes, found through the index and routed from coordinates
-/// read out of the digit table, and the maximum is maintained without
-/// scanning the load vector.
+/// (indexed by [`Grid::link_index`]), a `MaxTracker` histogram of the
+/// *committed* load values, and the last move's saved state. A move
+/// re-routes only the `O(degree)` guest edges incident to the swapped
+/// nodes, found through the index and routed from coordinates read out of
+/// the digit table, straight into the load vector. Each link it touches is
+/// stamped with the move's epoch and its committed load recorded, and the
+/// new maximum is priced from the touched links and the histogram without
+/// scanning the load vector. The move enters the histogram when the next
+/// call is not its undo; the undo writes the recorded loads back, with no
+/// routing.
 pub struct CongestionObjective {
     edges: GuestEdges,
     host: HostDigits,
     dims: Vec<usize>,
+    /// The load of every link under the current table, last move included.
     loads: Vec<u64>,
+    /// The histogram of the committed loads: the last move's links enter it
+    /// once the move is final, or earlier if pricing the move needs the
+    /// histogram's maximum.
     tracker: MaxTracker,
+    /// The maximum of `loads`.
+    max: u64,
     total_path_length: u64,
+    last: LastMove,
     /// Scratch route endpoints, refilled from the digit table per route
     /// (building two fresh `Coord`s per route measured ~10% slower swaps).
     current: Coord,
     target: Coord,
+}
+
+/// The last move a [`CongestionObjective`] priced, kept until the next call
+/// shows whether that call is the move's undo.
+#[derive(Debug)]
+struct LastMove {
+    /// Whether the fields below describe a move that can still be undone.
+    open: bool,
+    /// The move's transpositions, as the call passed them.
+    swaps: Vec<(u64, u64)>,
+    /// `stamp[slot] == epoch` marks a link the move touched.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Each link the move touched, with its committed load.
+    touched: Vec<(u32, u64)>,
+    /// Whether the touched links' new loads are in the histogram.
+    counted: bool,
+    /// The cost before the move.
+    before: Cost,
 }
 
 impl CongestionObjective {
@@ -550,58 +561,178 @@ impl CongestionObjective {
     /// table is allocated).
     pub fn new(guest: &Grid, host: &Grid) -> Result<Self> {
         check_pair(guest, host)?;
+        let links = host.link_count() as usize;
         Ok(CongestionObjective {
             edges: GuestEdges::new(guest),
             host: HostDigits::new(host),
             dims: (0..host.dim()).collect(),
-            loads: vec![0; host.link_count() as usize],
+            loads: vec![0; links],
             tracker: MaxTracker::default(),
+            max: 0,
             total_path_length: 0,
+            last: LastMove {
+                open: false,
+                swaps: Vec::new(),
+                stamp: vec![0; links],
+                epoch: 0,
+                touched: Vec::new(),
+                counted: false,
+                before: Cost {
+                    primary: 0,
+                    secondary: 0,
+                },
+            },
             current: Coord::zero(host.dim()).expect("host dimension within MAX_DIM"),
             target: Coord::zero(host.dim()).expect("host dimension within MAX_DIM"),
         })
     }
 
-    /// Routes `from → to` and applies `±1` to every traversed link.
-    fn route(&mut self, (from, to): (u64, u64), add: bool) {
-        // Destructure to split the borrows: the route expansion reads
-        // host/dims while the hop callback mutates
-        // loads/tracker/total_path_length.
+    fn cost(&self) -> Cost {
+        Cost {
+            primary: self.max,
+            secondary: self.total_path_length,
+        }
+    }
+
+    fn is_undo(&self, swaps: &[(u64, u64)]) -> bool {
+        self.last.open && self.last.swaps == swaps
+    }
+
+    /// Makes the last move final and opens a new one made of `swaps`.
+    fn begin(&mut self, swaps: &[(u64, u64)]) {
+        self.count_last();
+        let before = self.cost();
+        let last = &mut self.last;
+        last.open = true;
+        last.swaps.clear();
+        last.swaps.extend_from_slice(swaps);
+        last.touched.clear();
+        last.counted = false;
+        last.before = before;
+        last.epoch = last.epoch.wrapping_add(1);
+        if last.epoch == 0 {
+            // The epoch wrapped: clear the stamps so no old one matches.
+            last.stamp.fill(0);
+            last.epoch = 1;
+        }
+    }
+
+    /// Shifts the last move's links into the histogram, once.
+    fn count_last(&mut self) {
+        if !self.last.counted {
+            for &(slot, committed) in &self.last.touched {
+                self.tracker.shift(committed, self.loads[slot as usize]);
+            }
+            self.last.counted = true;
+        }
+    }
+
+    /// Moves the loads of the open move from the pre-swap to the post-swap
+    /// routes of the guest edges at `a` and `b`, both in the canonical
+    /// tail → head orientation the full sweep uses.
+    fn reroute(&mut self, table: &[u64], a: u64, b: u64) {
+        if a == b {
+            return;
+        }
         let CongestionObjective {
+            edges,
             host,
             dims,
             loads,
-            tracker,
             total_path_length,
+            last,
             current,
             target,
             ..
         } = self;
-        let grid = &host.grid;
-        for (j, (&u, &v)) in host.of(from).iter().zip(host.of(to)).enumerate() {
-            current.set(j, u);
-            target.set(j, v);
-        }
-        for_each_hop(grid, current, from, target, dims, |hop, before, after| {
-            let slot = link_slot_of_hop(grid, hop, before, after) as usize;
-            if add {
-                tracker.increment(loads[slot]);
-                loads[slot] += 1;
-                *total_path_length += 1;
-            } else {
-                tracker.decrement(loads[slot]);
-                loads[slot] -= 1;
-                *total_path_length -= 1;
+        let LastMove {
+            stamp,
+            epoch,
+            touched,
+            ..
+        } = last;
+        edges.for_each_affected(table, a, b, |_, pre, post| {
+            for (route, add) in [(pre, false), (post, true)] {
+                for_each_link(host, dims, current, target, route, |slot| {
+                    if stamp[slot] != *epoch {
+                        stamp[slot] = *epoch;
+                        touched.push((slot as u32, loads[slot]));
+                    }
+                    if add {
+                        loads[slot] += 1;
+                        *total_path_length += 1;
+                    } else {
+                        loads[slot] -= 1;
+                        *total_path_length -= 1;
+                    }
+                });
             }
         });
     }
 
-    fn cost(&self) -> Cost {
-        Cost {
-            primary: self.tracker.max,
-            secondary: self.total_path_length,
+    /// Prices the maximum after the open move. Untouched links still hold
+    /// their committed loads, all at most the histogram's maximum, so the
+    /// touched links decide it unless every link at that maximum was
+    /// touched and lowered; only then is the move counted into the
+    /// histogram to read the new maximum there.
+    fn price(&mut self) -> Cost {
+        let committed = self.tracker.max;
+        let mut high = 0;
+        let mut touched_at_max = 0;
+        for &(slot, load) in &self.last.touched {
+            high = high.max(self.loads[slot as usize]);
+            touched_at_max += u64::from(load == committed);
         }
+        self.max = if high >= committed {
+            high
+        } else if self.tracker.count[committed as usize] > touched_at_max {
+            committed
+        } else {
+            self.count_last();
+            self.tracker.max
+        };
+        self.cost()
     }
+
+    /// Undoes the open move from its saved state: writes the recorded loads
+    /// back (and out of the histogram, if the move was counted) and returns
+    /// the cost before the move.
+    fn undo(&mut self) -> Cost {
+        let last = &mut self.last;
+        for &(slot, committed) in &last.touched {
+            let load = &mut self.loads[slot as usize];
+            if last.counted {
+                self.tracker.shift(*load, committed);
+            }
+            *load = committed;
+        }
+        last.touched.clear();
+        last.open = false;
+        self.max = last.before.primary;
+        self.total_path_length = last.before.secondary;
+        last.before
+    }
+}
+
+/// Calls `visit` with the slot of every link on the dimension-ordered route
+/// `from → to`, filling the scratch endpoints `current` and `target` from
+/// the digit table.
+fn for_each_link(
+    host: &HostDigits,
+    dims: &[usize],
+    current: &mut Coord,
+    target: &mut Coord,
+    (from, to): (u64, u64),
+    mut visit: impl FnMut(usize),
+) {
+    for (j, (&u, &v)) in host.of(from).iter().zip(host.of(to)).enumerate() {
+        current.set(j, u);
+        target.set(j, v);
+    }
+    let grid = &host.grid;
+    for_each_hop(grid, current, from, target, dims, |hop, before, after| {
+        visit(link_slot_of_hop(grid, hop, before, after) as usize);
+    });
 }
 
 impl Objective for CongestionObjective {
@@ -610,31 +741,58 @@ impl Objective for CongestionObjective {
     }
 
     fn rebuild(&mut self, table: &[u64]) -> Cost {
-        self.loads.fill(0);
-        self.tracker.clear();
-        self.total_path_length = 0;
-        for e in 0..self.edges.len() {
-            let (tail, head) = self.edges.endpoints(e);
-            self.route((table[tail as usize], table[head as usize]), true);
+        self.last.open = false;
+        self.last.touched.clear();
+        let CongestionObjective {
+            edges,
+            host,
+            dims,
+            loads,
+            tracker,
+            current,
+            target,
+            ..
+        } = self;
+        loads.fill(0);
+        for e in 0..edges.len() {
+            let (tail, head) = edges.endpoints(e);
+            let route = (table[tail as usize], table[head as usize]);
+            for_each_link(host, dims, current, target, route, |slot| loads[slot] += 1);
         }
+        tracker.clear();
+        for &load in loads.iter() {
+            tracker.shift(0, load);
+        }
+        self.max = tracker.max;
+        self.total_path_length = loads.iter().sum();
         self.cost()
     }
 
     fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost {
-        if a == b {
-            return self.cost();
+        if self.is_undo(&[(a, b)]) {
+            return self.undo();
         }
-        // `route` borrows the whole objective, so the edge tables are
-        // moved out for the walk and put back after it.
-        let edges = std::mem::take(&mut self.edges);
-        edges.for_each_affected(table, a, b, |_, pre, post| {
-            // Remove the pre-swap route, add the post-swap route — both in
-            // the canonical tail → head orientation the full sweep uses.
-            self.route(pre, false);
-            self.route(post, true);
-        });
-        self.edges = edges;
-        self.cost()
+        self.begin(&[(a, b)]);
+        self.reroute(table, a, b);
+        self.price()
+    }
+
+    fn apply_disjoint_swaps(&mut self, table: &mut [u64], swaps: &[(u64, u64)]) -> Cost {
+        // The whole batch is one move, undone by one repeat of the batch.
+        if self.is_undo(swaps) {
+            for &(a, b) in swaps {
+                table.swap(a as usize, b as usize);
+            }
+            return self.undo();
+        }
+        self.begin(swaps);
+        for &(a, b) in swaps {
+            // Each transposition is routed against the table it produced,
+            // so the per-edge route changes chain exactly.
+            table.swap(a as usize, b as usize);
+            self.reroute(table, a, b);
+        }
+        self.price()
     }
 }
 
@@ -1248,7 +1406,9 @@ fn apply_move(
 /// Undoes a just-applied `proposal`, restoring the table and the
 /// objective's incremental state exactly. Involutions undo by re-applying;
 /// a rotation is undone by the inverse rotation — its two reversal batches
-/// applied in the opposite order.
+/// applied in the opposite order. Either way the first call repeats the
+/// move's last call, which an objective may answer from saved state; a
+/// rotation's second undo batch is evaluated again.
 fn undo_move(
     objective: &mut dyn Objective,
     table: &mut [u64],
@@ -1348,14 +1508,14 @@ mod tests {
     fn max_tracker_follows_increments_and_decrements() {
         let mut t = MaxTracker::default();
         assert_eq!(t.max, 0);
-        t.increment(0); // one slot at 1
-        t.increment(1); // that slot at 2
-        t.increment(0); // second slot at 1
+        t.shift(0, 1); // one slot at 1
+        t.shift(1, 2); // that slot at 2
+        t.shift(0, 1); // second slot at 1
         assert_eq!(t.max, 2);
-        t.decrement(2);
+        t.shift(2, 1);
         assert_eq!(t.max, 1);
-        t.decrement(1);
-        t.decrement(1);
+        t.shift(1, 0);
+        t.shift(1, 0);
         assert_eq!(t.max, 0);
 
         // `shift` moves a slot in one step: from the untracked 0 ...
@@ -1692,6 +1852,120 @@ mod tests {
         let after = objective.apply_swap(&table, 2, 7);
         assert_eq!(before, after);
         assert_eq!(loads_before, objective.loads);
+    }
+
+    /// The histogram's counts up to the highest occupied value, and its max.
+    fn histogram(tracker: &MaxTracker) -> (Vec<u64>, u64) {
+        let end = tracker
+            .count
+            .iter()
+            .rposition(|&c| c > 0)
+            .map_or(0, |v| v + 1);
+        (tracker.count[..end].to_vec(), tracker.max)
+    }
+
+    #[test]
+    fn undone_and_followed_swaps_match_rebuild_in_every_pricing_branch() {
+        // `price` finds the maximum after a move three ways: a touched link
+        // reaches the max; every link at the max was touched and lowered,
+        // so the move is counted into the histogram to read the new max;
+        // or an untouched link stays at the max. Probe a shuffled table's
+        // swaps for one of each, then check each swap against a rebuild and
+        // the independent congestion sweep, undo it, and follow it with a
+        // different move.
+        use rand::seq::SliceRandom;
+        let guest = Grid::torus(shape(&[4, 6]));
+        let host = Grid::mesh(shape(&[4, 6]));
+        let n = guest.size();
+        let mut start: Vec<u64> = (0..n).collect();
+        start.shuffle(&mut StdRng::seed_from_u64(11));
+        let fresh = |table: &[u64]| {
+            let mut objective = CongestionObjective::new(&guest, &host).unwrap();
+            let cost = objective.rebuild(table);
+            (cost, objective)
+        };
+        let swapped = |a: u64, b: u64| {
+            let mut table = start.clone();
+            table.swap(a as usize, b as usize);
+            table
+        };
+
+        let (initial, mut probe) = fresh(&start);
+        let (mut raise, mut lower, mut keep) = (None, None, None);
+        for a in 0..n {
+            for b in a + 1..n {
+                let table = swapped(a, b);
+                let cost = probe.apply_swap(&table, a, b);
+                let touched_high = probe
+                    .last
+                    .touched
+                    .iter()
+                    .map(|&(slot, _)| probe.loads[slot as usize])
+                    .max()
+                    .unwrap_or(0);
+                if touched_high >= initial.primary {
+                    if cost.primary > initial.primary {
+                        raise.get_or_insert((a, b));
+                    }
+                } else if probe.last.counted {
+                    assert!(cost.primary < initial.primary);
+                    lower.get_or_insert((a, b));
+                } else {
+                    assert_eq!(cost.primary, initial.primary);
+                    keep.get_or_insert((a, b));
+                }
+                assert_eq!(probe.apply_swap(&start, a, b), initial);
+            }
+        }
+
+        for (a, b) in [raise, lower, keep].map(|found| found.expect("every branch occurs")) {
+            let other = if (a, b) == (0, 1) { (2, 3) } else { (0, 1) };
+            let (before, mut objective) = fresh(&start);
+            let saved = (
+                objective.loads.clone(),
+                histogram(&objective.tracker),
+                objective.total_path_length,
+            );
+            let table = swapped(a, b);
+            let cost = objective.apply_swap(&table, a, b);
+            assert_eq!(cost, fresh(&table).0, "swap ({a}, {b})");
+            let embedding = Embedding::from_table(guest.clone(), host.clone(), "t", table.clone());
+            let report = congestion_sequential(&embedding.unwrap()).unwrap();
+            assert_eq!(cost.primary, report.max_congestion);
+            assert_eq!(cost.secondary, report.total_path_length);
+
+            // Apply + undo restores the loads, the histogram and the total.
+            assert_eq!(objective.apply_swap(&start, a, b), before);
+            let restored = (
+                objective.loads.clone(),
+                histogram(&objective.tracker),
+                objective.total_path_length,
+            );
+            assert_eq!(restored, saved, "undo of ({a}, {b})");
+
+            // A different move after the undo starts from the restored state.
+            let mut next = start.clone();
+            next.swap(other.0 as usize, other.1 as usize);
+            let cost = objective.apply_swap(&next, other.0, other.1);
+            let (expected, reference) = fresh(&next);
+            assert_eq!(cost, expected);
+            assert_eq!(objective.loads, reference.loads);
+
+            // Apply + a different move makes the first move final.
+            let (_, mut objective) = fresh(&start);
+            objective.apply_swap(&table, a, b);
+            let mut next = table.clone();
+            next.swap(other.0 as usize, other.1 as usize);
+            let cost = objective.apply_swap(&next, other.0, other.1);
+            let (expected, reference) = fresh(&next);
+            assert_eq!(cost, expected, "({a}, {b}) then {other:?}");
+            assert_eq!(objective.loads, reference.loads);
+            // Undoing the second move leaves the first one counted in full.
+            let (expected, reference) = fresh(&table);
+            assert_eq!(objective.apply_swap(&table, other.0, other.1), expected);
+            assert_eq!(objective.loads, reference.loads);
+            assert_eq!(histogram(&objective.tracker), histogram(&reference.tracker));
+        }
     }
 
     #[test]

@@ -35,17 +35,26 @@ fn small_grid() -> impl Strategy<Value = Grid> {
 /// rotations and dimension-aligned block swaps — decomposed into exactly the
 /// disjoint-transposition batches `Optimizer` issues. Roughly a third of the
 /// moves are undone again (the optimizer's rejection path), and every undo
-/// must restore the cost bit-exactly. Returns the final incremental cost for
-/// the caller to compare against a fresh rebuild.
+/// must restore the cost bit-exactly. Every cost the walk is handed, from a
+/// move, an undo or a rotation's first batch, must equal `fresh`'s rebuild
+/// of the table at that step. Returns the final incremental cost for the
+/// caller to compare against a fresh rebuild.
 fn compound_move_walk(
     objective: &mut dyn embeddings::optim::Objective,
+    fresh: &mut dyn embeddings::optim::Objective,
     guest: &Shape,
     table: &mut [u64],
     seed: u64,
     moves: usize,
 ) -> Result<embeddings::optim::Cost, TestCaseError> {
+    use embeddings::optim::Cost;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    let mut step = |cost: Cost, table: &[u64]| -> Result<Cost, TestCaseError> {
+        prop_assert_eq!(cost, fresh.rebuild(table), "incremental cost != rebuild");
+        Ok(cost)
+    };
 
     /// Fills `swaps` with the disjoint transpositions of `reverse(start..=end)`.
     fn reversal_batch(start: u64, end: u64, swaps: &mut Vec<(u64, u64)>) {
@@ -60,7 +69,7 @@ fn compound_move_walk(
 
     let n = table.len() as u64;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut cost = objective.rebuild(table);
+    let mut cost = step(objective.rebuild(table), table)?;
     let mut swaps: Vec<(u64, u64)> = Vec::new();
     let block_dims: Vec<usize> = (0..guest.dim()).filter(|&d| guest.radix(d) >= 2).collect();
     for _ in 0..moves {
@@ -85,7 +94,7 @@ fn compound_move_walk(
                     b += 1;
                 }
                 table.swap(a as usize, b as usize);
-                cost = objective.apply_swap(table, a, b);
+                cost = step(objective.apply_swap(table, a, b), table)?;
                 (a, b)
             }
             1 => {
@@ -93,7 +102,7 @@ fn compound_move_walk(
                 let start = rng.gen_range(0u64..=n - len);
                 let end = start + len - 1;
                 reversal_batch(start, end, &mut swaps);
-                cost = objective.apply_disjoint_swaps(table, &swaps);
+                cost = step(objective.apply_disjoint_swaps(table, &swaps), table)?;
                 (start, end)
             }
             2 => {
@@ -103,9 +112,9 @@ fn compound_move_walk(
                 let start = rng.gen_range(0u64..=n - len);
                 let end = start + len - 1;
                 reversal_batch(start, end, &mut swaps);
-                objective.apply_disjoint_swaps(table, &swaps);
+                step(objective.apply_disjoint_swaps(table, &swaps), table)?;
                 reversal_batch(start, end - 1, &mut swaps);
-                cost = objective.apply_disjoint_swaps(table, &swaps);
+                cost = step(objective.apply_disjoint_swaps(table, &swaps), table)?;
                 (start, end)
             }
             _ => {
@@ -128,7 +137,7 @@ fn compound_move_walk(
                     }
                     base += plane;
                 }
-                cost = objective.apply_disjoint_swaps(table, &swaps);
+                cost = step(objective.apply_disjoint_swaps(table, &swaps), table)?;
                 (0, 0)
             }
         };
@@ -139,23 +148,23 @@ fn compound_move_walk(
                 0 => {
                     let (a, b) = payload;
                     table.swap(a as usize, b as usize);
-                    cost = objective.apply_swap(table, a, b);
+                    cost = step(objective.apply_swap(table, a, b), table)?;
                 }
                 1 => {
                     let (start, end) = payload;
                     reversal_batch(start, end, &mut swaps);
-                    cost = objective.apply_disjoint_swaps(table, &swaps);
+                    cost = step(objective.apply_disjoint_swaps(table, &swaps), table)?;
                 }
                 2 => {
                     let (start, end) = payload;
                     reversal_batch(start, end - 1, &mut swaps);
-                    objective.apply_disjoint_swaps(table, &swaps);
+                    step(objective.apply_disjoint_swaps(table, &swaps), table)?;
                     reversal_batch(start, end, &mut swaps);
-                    cost = objective.apply_disjoint_swaps(table, &swaps);
+                    cost = step(objective.apply_disjoint_swaps(table, &swaps), table)?;
                 }
                 _ => {
                     // `swaps` still holds the block batch.
-                    cost = objective.apply_disjoint_swaps(table, &swaps);
+                    cost = step(objective.apply_disjoint_swaps(table, &swaps), table)?;
                 }
             }
             prop_assert_eq!(cost, before, "undone move must restore the cost");
@@ -357,17 +366,19 @@ proptest! {
     ) {
         // Differential pin for the congestion objective under the full move
         // repertoire: random swaps, reversals, k-cycle rotations and block
-        // swaps (some undone again) must leave the incremental state
-        // bit-exact against a full recompute.
+        // swaps (some undone again, from the objective's saved state) must
+        // price every step, and leave the incremental state, bit-exact
+        // against a full recompute.
         use embeddings::optim::{CongestionObjective, Objective};
         let guest = Grid::torus(shape.clone());
         let host = Grid::mesh(shape);
         let e = embed(&guest, &host).unwrap();
         let mut table = e.to_table().unwrap();
-        let mut objective = CongestionObjective::new(&guest, &host).unwrap();
-        let cost = compound_move_walk(&mut objective, guest.shape(), &mut table, seed, 40)?;
-        let mut fresh = CongestionObjective::new(&guest, &host).unwrap();
-        prop_assert_eq!(cost, fresh.rebuild(&table));
+        let build = || CongestionObjective::new(&guest, &host).unwrap();
+        let (mut objective, mut fresh) = (build(), build());
+        let cost =
+            compound_move_walk(&mut objective, &mut fresh, guest.shape(), &mut table, seed, 40)?;
+        prop_assert_eq!(cost, build().rebuild(&table));
     }
 
     #[test]
@@ -391,7 +402,9 @@ proptest! {
         };
         let mut table = e.to_table().unwrap();
         let mut objective = build().unwrap();
-        let cost = compound_move_walk(&mut objective, guest.shape(), &mut table, seed, 40)?;
+        let mut fresh = build().unwrap();
+        let cost =
+            compound_move_walk(&mut objective, &mut fresh, guest.shape(), &mut table, seed, 40)?;
         prop_assert_eq!(cost, build().unwrap().rebuild(&table));
     }
 
@@ -454,12 +467,13 @@ proptest! {
         let e = embed(&guest, &host).unwrap();
         let workload = Workload::from_task_graph(&guest);
         let mut table = e.to_table().unwrap();
-        let mut objective =
-            MakespanObjective::new(Network::new(host.clone()), workload.clone(), rounds).unwrap();
-        let cost = compound_move_walk(&mut objective, guest.shape(), &mut table, seed, 25)?;
-        let mut fresh =
-            MakespanObjective::new(Network::new(host), workload, rounds).unwrap();
-        prop_assert_eq!(cost, fresh.rebuild(&table));
+        let build = || {
+            MakespanObjective::new(Network::new(host.clone()), workload.clone(), rounds).unwrap()
+        };
+        let (mut objective, mut fresh) = (build(), build());
+        let cost =
+            compound_move_walk(&mut objective, &mut fresh, guest.shape(), &mut table, seed, 25)?;
+        prop_assert_eq!(cost, build().rebuild(&table));
     }
 
     #[test]

@@ -32,7 +32,13 @@
 //!   an order-preserving active list that drops delivered messages: no
 //!   hashing, no allocation after warm-up. A swap that touches no workload
 //!   pair (possible when the optimizer's guest has more nodes than the
-//!   workload has tasks) skips re-arbitration entirely.
+//!   workload has tasks) skips re-arbitration entirely;
+//! * **undo** costs neither half. A move puts the routes it replaces in a
+//!   saved list, builds the new ones in spare buffers, and copies the
+//!   per-message cycle cache before its replay. An immediate repeat of the
+//!   same call — the optimizer's rejection path — swaps the routes, the
+//!   cycle cache, the hop total and the cost back. Any other call, and
+//!   `rebuild`, drop the saved state.
 //!
 //! Skipping clean components is exact, not approximate: a component with no
 //! dirty slot contains only unchanged routes (a changed route's slots are
@@ -98,7 +104,7 @@ pub struct MakespanObjective {
     rounds: usize,
     dims: Vec<usize>,
     /// Cached route of each workload pair under the current table (hop
-    /// buffers keep their capacity across re-routes).
+    /// buffers are recycled through `spare`, keeping their capacity).
     routes: Vec<Vec<Hop>>,
     /// `task_pairs[t]` = indices of the workload pairs with source or
     /// destination task `t`.
@@ -129,6 +135,26 @@ pub struct MakespanObjective {
     root_epoch: Vec<u64>,
     /// Old + new slots of every route changed since the last arbitration.
     dirty_slots: Vec<u64>,
+    cost: Cost,
+    /// What the last move replaced, kept until the next call shows whether
+    /// that call is the move's undo.
+    saved: Saved,
+    /// Hop buffers of discarded routes, reused for new routes.
+    spare: Vec<Vec<Hop>>,
+}
+
+/// The state a [`MakespanObjective`] move replaced, enough to undo the
+/// move without routing, partitioning or arbitrating.
+struct Saved {
+    /// Whether the fields below describe a move that can still be undone.
+    open: bool,
+    /// The move's transpositions, as the call passed them.
+    swaps: Vec<(u64, u64)>,
+    /// The routes the move replaced, by pair index.
+    routes: Vec<(u32, Vec<Hop>)>,
+    /// The per-message cycle cache before the move's replay.
+    msg_cycles: Vec<u64>,
+    route_hops: u64,
     cost: Cost,
 }
 
@@ -198,24 +224,29 @@ impl MakespanObjective {
                 primary: 0,
                 secondary: 0,
             },
+            saved: Saved {
+                open: false,
+                swaps: Vec::new(),
+                routes: Vec::new(),
+                msg_cycles: Vec::new(),
+                route_hops: 0,
+                cost: Cost {
+                    primary: 0,
+                    secondary: 0,
+                },
+            },
+            spare: Vec::new(),
         })
     }
 
-    /// Re-expands the cached route of pair `pair` under `table`, keeping
-    /// `route_hops` in sync. Hops are stored with their directed claim slot
-    /// (`2 × canonical link slot + direction bit`) so arbitration needs no
-    /// coordinate math. Both the old and the new route's slots are appended
-    /// to `dirty_slots`, marking every contention component this change can
-    /// reach (the full evaluation of `rebuild` clears the list instead).
-    fn route_pair(&mut self, pair: usize, table: &[u64]) {
+    /// Fills `route` with the hops of pair `pair` under `table`. Hops are
+    /// stored with their directed claim slot (`2 × canonical link slot +
+    /// direction bit`) so arbitration needs no coordinate math.
+    fn expand_route(&self, pair: usize, table: &[u64], route: &mut Vec<Hop>) {
         let (src_task, dst_task) = self.workload.pairs()[pair];
         let from = table[src_task as usize];
         let to = table[dst_task as usize];
         let grid = self.network.grid();
-        let mut dirty = std::mem::take(&mut self.dirty_slots);
-        let route = &mut self.routes[pair];
-        self.route_hops -= route.len() as u64;
-        dirty.extend(route.iter().map(|&(_, slot)| slot));
         route.clear();
         let current = grid.coord(from).expect("placement node in range");
         let target = grid.coord(to).expect("placement node in range");
@@ -231,9 +262,22 @@ impl MakespanObjective {
                 route.push((after, slot));
             },
         );
-        dirty.extend(route.iter().map(|&(_, slot)| slot));
-        self.route_hops += route.len() as u64;
-        self.dirty_slots = dirty;
+    }
+
+    /// Replaces the cached route of pair `pair` with its route under
+    /// `table`, built in a spare buffer, and keeps `route_hops` in sync. The
+    /// replaced route goes to the saved state. Both routes' slots are
+    /// appended to `dirty_slots`, marking every contention component this
+    /// change can reach.
+    fn route_pair(&mut self, pair: usize, table: &[u64]) {
+        let mut route = self.spare.pop().unwrap_or_default();
+        self.expand_route(pair, table, &mut route);
+        let old = std::mem::replace(&mut self.routes[pair], route);
+        let new = &self.routes[pair];
+        self.route_hops = self.route_hops - old.len() as u64 + new.len() as u64;
+        self.dirty_slots
+            .extend(old.iter().chain(new).map(|&(_, slot)| slot));
+        self.saved.routes.push((pair as u32, old));
     }
 
     /// Replays the arbitration of [`crate::sim::simulate`] over the
@@ -367,11 +411,43 @@ impl MakespanObjective {
         self.finish_cost()
     }
 
-    /// The shared delta path: re-routes every workload pair touched by any
-    /// task in `touched` (deduplicated), then re-arbitrates the reachable
-    /// contention components once. Returns the cached cost untouched when
-    /// no pair is affected.
-    fn resync_touched(&mut self, table: &[u64], touched: &[u64]) -> Cost {
+    /// Drops the saved state of the last move, keeping its route buffers.
+    fn forget(&mut self) {
+        self.saved.open = false;
+        self.spare
+            .extend(self.saved.routes.drain(..).map(|(_, route)| route));
+    }
+
+    /// Undoes the last move from its saved state: swaps the replaced routes,
+    /// the cycle cache, `route_hops` and the cost back in.
+    fn restore(&mut self) -> Cost {
+        let MakespanObjective {
+            routes,
+            spare,
+            saved,
+            ..
+        } = self;
+        for (pair, route) in saved.routes.drain(..) {
+            spare.push(std::mem::replace(&mut routes[pair as usize], route));
+        }
+        std::mem::swap(&mut self.msg_cycles, &mut saved.msg_cycles);
+        self.route_hops = saved.route_hops;
+        self.cost = saved.cost;
+        saved.open = false;
+        self.cost
+    }
+
+    /// The shared delta path for the move `swaps`, already applied to
+    /// `table`: answers the move's undo from the saved state; otherwise
+    /// re-routes every workload pair touched by any task in `touched`
+    /// (deduplicated), then re-arbitrates the reachable contention
+    /// components once, saving what it replaces. Returns the cached cost
+    /// untouched when no pair is affected.
+    fn resync_touched(&mut self, table: &[u64], swaps: &[(u64, u64)], touched: &[u64]) -> Cost {
+        if self.saved.open && self.saved.swaps == swaps {
+            return self.restore();
+        }
+        self.forget();
         self.epoch += 1;
         let epoch = self.epoch;
         let mut affected = std::mem::take(&mut self.affected);
@@ -395,10 +471,17 @@ impl MakespanObjective {
             self.affected = affected;
             return self.cost;
         }
+        let saved = &mut self.saved;
+        saved.swaps.clear();
+        saved.swaps.extend_from_slice(swaps);
+        saved.route_hops = self.route_hops;
+        saved.cost = self.cost;
+        saved.msg_cycles.clone_from(&self.msg_cycles);
         for &pair in &affected {
             self.route_pair(pair as usize, table);
         }
         self.affected = affected;
+        self.saved.open = true;
         self.evaluate_incremental()
     }
 }
@@ -424,20 +507,20 @@ impl Objective for MakespanObjective {
                 );
             }
         }
+        self.forget();
+        self.route_hops = 0;
         for pair in 0..self.routes.len() {
-            self.route_pair(pair, table);
+            let mut route = std::mem::take(&mut self.routes[pair]);
+            self.expand_route(pair, table, &mut route);
+            self.route_hops += route.len() as u64;
+            self.routes[pair] = route;
         }
-        // Full evaluation re-arbitrates everything; the dirty-slot trail
-        // the re-routes left behind is moot.
-        self.dirty_slots.clear();
         self.evaluate_full()
     }
 
     fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost {
-        if a == b {
-            return self.cost;
-        }
-        self.resync_touched(table, &[a, b])
+        let touched: &[u64] = if a == b { &[] } else { &[a, b] };
+        self.resync_touched(table, &[(a, b)], touched)
     }
 
     fn apply_disjoint_swaps(&mut self, table: &mut [u64], swaps: &[(u64, u64)]) -> Cost {
@@ -455,7 +538,7 @@ impl Objective for MakespanObjective {
                 touched.push(b);
             }
         }
-        let cost = self.resync_touched(table, &touched);
+        let cost = self.resync_touched(table, swaps, &touched);
         self.touched = touched;
         cost
     }
@@ -642,6 +725,38 @@ mod tests {
         let rebuilt = objective.rebuild(&table);
         assert_eq!(rebuilt, full_cost(&network, &workload, 1, &table));
         assert_eq!(rebuilt.secondary, honest.secondary, "same routed hops");
+    }
+
+    #[test]
+    fn undo_restores_the_saved_schedule_instead_of_replaying() {
+        // White-box proof that an undo swaps the saved state back instead
+        // of routing and arbitrating again: corrupt the saved delivery
+        // cycle of a message the move replayed and undo the move. The
+        // corruption comes back with the restored cycle cache, and the next
+        // move, confined to the other cluster, reports it. A replay would
+        // recompute it — which is exactly what the final rebuild then does.
+        let (network, workload, mut table) = two_cluster_workload();
+        let mut objective =
+            MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
+                .unwrap();
+        let honest = objective.rebuild(&table);
+        // Swap two top-row placements: the top-row component replays.
+        table.swap(0, 1);
+        objective.apply_swap(&table, 0, 1);
+        // Message 0 is pair (0, 1), routed inside the top row.
+        objective.saved.msg_cycles[0] = 777;
+        table.swap(0, 1);
+        assert_eq!(objective.apply_swap(&table, 0, 1), honest);
+        assert_eq!(
+            objective.msg_cycles[0], 777,
+            "the undo replayed the move instead of restoring its saved state"
+        );
+        // Swap two bottom-row placements: the top-row component is clean,
+        // so the restored cycle carries over into the reported cost.
+        table.swap(12, 13);
+        assert_eq!(objective.apply_swap(&table, 12, 13).primary, 777);
+        let rebuilt = objective.rebuild(&table);
+        assert_eq!(rebuilt, full_cost(&network, &workload, 1, &table));
     }
 
     #[test]

@@ -140,11 +140,13 @@ proptest! {
         messages in 4usize..48,
         rounds in 1usize..3,
         seed in 0u64..1000,
-        swaps in proptest::collection::vec((0u64..128, 0u64..127), 1..40),
+        swaps in proptest::collection::vec((0u64..128, 0u64..127, 0u8..3), 1..40),
     ) {
         // The delta-aware MakespanObjective must report, after every
         // incremental swap, exactly the (cycles, total hops) a full
-        // re-simulation of the same table computes.
+        // re-simulation of the same table computes. About a third of the
+        // swaps are undone by applying the same pair again, the annealer's
+        // rejection path, which the objective answers from saved state.
         use embeddings::optim::{Cost, Objective};
         use netsim::MakespanObjective;
 
@@ -160,7 +162,7 @@ proptest! {
             Cost { primary: stats.cycles, secondary: stats.total_hops }
         };
         prop_assert_eq!(cost, full(&table));
-        for (raw_a, raw_b) in swaps {
+        for (raw_a, raw_b, undo) in swaps {
             let a = raw_a % n;
             let mut b = raw_b % (n - 1).max(1);
             if b >= a {
@@ -169,6 +171,11 @@ proptest! {
             table.swap(a as usize, b as usize);
             cost = objective.apply_swap(&table, a, b);
             prop_assert_eq!(cost, full(&table), "after swapping {} and {}", a, b);
+            if undo == 0 {
+                table.swap(a as usize, b as usize);
+                cost = objective.apply_swap(&table, a, b);
+                prop_assert_eq!(cost, full(&table), "after undoing {} and {}", a, b);
+            }
         }
     }
 
