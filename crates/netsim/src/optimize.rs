@@ -7,60 +7,71 @@
 //! as the task placement, with the total routed hop count as the
 //! tie-breaker — exactly the numbers [`crate::sim::simulate`] reports.
 //!
-//! Earlier revisions re-simulated the whole workload from scratch on every
-//! proposed move (route expansion, placement validation and a
-//! hash-set-arbitrated cycle loop per swap), which capped the objective at
-//! small step counts. This version makes makespan a first-class objective by
-//! splitting an evaluation into its two halves and making the first one
-//! incremental:
+//! An evaluation has two halves, routing and arbitration, and the objective
+//! makes both incremental:
 //!
-//! * **routes** are cached per workload pair as `(next node, directed link
-//!   slot)` hop lists. A swap of the images of tasks `a` and `b` re-routes
-//!   *only the message pairs whose source or destination is one of the two
-//!   moved tasks* (every simulated round injects the same pairs, so those
-//!   pairs cover every touched round) — `O(degree × path length)` instead of
-//!   re-expanding every route;
+//! * **routes** are cached per workload pair as lists of the directed link
+//!   slots they claim hop by hop (`2 × canonical link slot + direction
+//!   bit`; arbitration never needs the nodes a route visits). A swap of the
+//!   images of tasks `a` and `b` re-routes *only the message pairs whose
+//!   source or destination is one of the two moved tasks* (every simulated
+//!   round injects the same pairs, so those pairs cover every touched
+//!   round) — `O(degree × path length)` instead of re-expanding every
+//!   route;
 //! * **arbitration** is re-run only where a change can reach. Messages
-//!   interact exclusively through shared directed link slots, so the cached
-//!   routes partition into *contention components* (union–find over slots:
-//!   each route chains its own slots together, shared slots merge routes).
-//!   A re-routed pair dirties the slots of both its old and its new route;
-//!   only the components containing a dirty slot replay arbitration —
-//!   every other message keeps its cached delivery cycle, and the makespan
-//!   is the maximum over the per-message cycle cache. The replay runs on
-//!   flat, clock-stamped claim vectors indexed by directed link slot, with
-//!   an order-preserving active list that drops delivered messages: no
-//!   hashing, no allocation after warm-up. A swap that touches no workload
-//!   pair (possible when the optimizer's guest has more nodes than the
-//!   workload has tasks) skips re-arbitration entirely;
+//!   interact exclusively through shared directed link slots, so the
+//!   routes partition into *contention components* (union–find over
+//!   slots: each route chains its own slots together, shared slots merge
+//!   routes). The objective keeps that partition for the *committed*
+//!   routes only: `rebuild` computes it, and so does the first call after
+//!   a move that is not the move's undo — the call that makes the move
+//!   final. The annealer rejects and undoes almost every move it proposes,
+//!   and those moves never pay for a partition. A proposed move dirties
+//!   the slots of its changed routes, old and new; the committed
+//!   components holding a dirty slot replay arbitration, in a pass that
+//!   reads each pair's component root from the partition. Every other
+//!   message keeps its cached delivery cycle, and the makespan is the
+//!   maximum over the per-message cycle cache. The replay runs on flat,
+//!   clock-stamped claim vectors indexed by directed link slot, with an
+//!   order-preserving active list whose entries carry each message's pair
+//!   and route cursor; a claim writes the clock unconditionally (a slot
+//!   taken this cycle already holds it) and advances the cursor by whether
+//!   the slot was free. No hashing, no division and no allocation after
+//!   warm-up. A swap that touches no workload pair (possible when the
+//!   optimizer's guest has more nodes than the workload has tasks) skips
+//!   re-arbitration entirely;
 //! * **undo** costs neither half. A move puts the routes it replaces in a
 //!   saved list, builds the new ones in spare buffers, and copies the
 //!   per-message cycle cache before its replay. An immediate repeat of the
 //!   same call — the optimizer's rejection path — swaps the routes, the
-//!   cycle cache, the hop total and the cost back. Any other call, and
-//!   `rebuild`, drop the saved state.
+//!   cycle cache, the hop total and the cost back, and leaves the committed
+//!   partition as it is. Any other call, and `rebuild`, drop the saved
+//!   state.
 //!
-//! Skipping clean components is exact, not approximate: a component with no
-//! dirty slot contains only unchanged routes (a changed route's slots are
-//! all dirty), shares no slot with any changed or replayed message, and all
-//! messages inject at cycle 1 — so its schedule under full arbitration is
-//! bit-identical to its cached one. The replayed components' active list
-//! stays in ascending message-index order, replaying the exact priority
-//! rule of [`crate::sim::simulate`] (message-index order, one message per
-//! directed link per cycle, FIFO blocking) — `rebuild` recomputes
-//! everything from scratch and is the differential anchor, and the netsim
-//! tests plus the embeddings proptest wall check every incremental path
-//! against [`crate::sim::simulate`] on random walks.
+//! Skipping clean components is exact, not approximate. Call the union of
+//! the committed components that hold a dirty slot `U`. Every changed
+//! route lies in `U` (its old slots are dirty), and `U` is closed under
+//! slot sharing in the proposed routes: a route outside `U` is unchanged,
+//! so it lies in a committed component with no dirty slot; an unchanged
+//! route in `U` lies in another committed component, and a changed route's
+//! new slots are dirty, so neither can share a slot with it. Every
+//! proposed-route component that holds a dirty slot therefore lies inside
+//! `U`, and the messages outside `U` share no slot with any replayed
+//! message, before the move or after it. All messages inject at cycle 1,
+//! so their schedule under full arbitration is bit-identical to their
+//! cached one. The replayed messages' active list stays in ascending
+//! message-index order, replaying the exact priority rule of
+//! [`crate::sim::simulate`] (message-index order, one message per directed
+//! link per cycle, FIFO blocking) — `rebuild` recomputes everything from
+//! scratch and is the differential anchor, and the netsim tests plus the
+//! embeddings proptest wall check every incremental path against
+//! [`crate::sim::simulate`] on random walks.
 
 use embeddings::optim::{Cost, Objective};
 use topology::routing::{for_each_hop, link_slot_of_hop};
 
 use crate::network::Network;
 use crate::traffic::Workload;
-
-/// One cached hop: the node the message moves to and the directed-link claim
-/// slot the move occupies for one cycle.
-type Hop = (u64, u64);
 
 /// Why a [`MakespanObjective`] could not be constructed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,9 +114,11 @@ pub struct MakespanObjective {
     workload: Workload,
     rounds: usize,
     dims: Vec<usize>,
-    /// Cached route of each workload pair under the current table (hop
-    /// buffers are recycled through `spare`, keeping their capacity).
-    routes: Vec<Vec<Hop>>,
+    /// Cached route of each workload pair under the current table, as the
+    /// directed claim slots of its hops (buffers are recycled through
+    /// `spare`, keeping their capacity). Slots fit in `u32`: the claim
+    /// vector `stamp` would need 32 GiB before a slot index overflowed.
+    routes: Vec<Vec<u32>>,
     /// `task_pairs[t]` = indices of the workload pairs with source or
     /// destination task `t`.
     task_pairs: Vec<Vec<u32>>,
@@ -119,28 +132,43 @@ pub struct MakespanObjective {
     stamp: Vec<u64>,
     clock: u64,
     /// Arbitration scratch, reused across evaluations.
-    position: Vec<u32>,
-    active: Vec<u32>,
-    next_active: Vec<u32>,
+    active: Vec<Active>,
     affected: Vec<u32>,
     touched: Vec<u64>,
+    /// The pairs whose messages the current evaluation replays, ascending.
+    replay: Vec<u32>,
     /// Delivery cycle of each message (round-major index; 0 for empty
     /// routes). The makespan is the maximum; clean contention components
     /// keep their entries across incremental evaluations.
     msg_cycles: Vec<u64>,
-    /// Union–find parents over directed slots, rebuilt per incremental
-    /// evaluation to partition routes into contention components.
-    slot_parent: Vec<u32>,
-    /// `root_epoch[root] == epoch` marks a dirty component this evaluation.
+    /// The contention partition of the committed routes: the component
+    /// root of every directed slot.
+    slot_root: Vec<u32>,
+    /// The component root of each pair's committed route; `stamp.len()`,
+    /// a root no slot has, for empty routes.
+    pair_root: Vec<u32>,
+    /// `root_epoch[root] == epoch` marks a dirty component this evaluation
+    /// (one entry per slot, plus the empty routes' root, never marked).
     root_epoch: Vec<u64>,
     /// Old + new slots of every route changed since the last arbitration.
-    dirty_slots: Vec<u64>,
+    dirty_slots: Vec<u32>,
     cost: Cost,
     /// What the last move replaced, kept until the next call shows whether
     /// that call is the move's undo.
     saved: Saved,
-    /// Hop buffers of discarded routes, reused for new routes.
-    spare: Vec<Vec<Hop>>,
+    /// Slot buffers of discarded routes, reused for new routes.
+    spare: Vec<Vec<u32>>,
+}
+
+/// A message in flight during an arbitration replay.
+#[derive(Clone, Copy)]
+struct Active {
+    /// Round-major message index, into `msg_cycles`.
+    message: u32,
+    /// The workload pair whose route the message follows.
+    pair: u32,
+    /// How many hops of the route the message has taken.
+    cursor: u32,
 }
 
 /// The state a [`MakespanObjective`] move replaced, enough to undo the
@@ -151,7 +179,7 @@ struct Saved {
     /// The move's transpositions, as the call passed them.
     swaps: Vec<(u64, u64)>,
     /// The routes the move replaced, by pair index.
-    routes: Vec<(u32, Vec<Hop>)>,
+    routes: Vec<(u32, Vec<u32>)>,
     /// The per-message cycle cache before the move's replay.
     msg_cycles: Vec<u64>,
     route_hops: u64,
@@ -166,15 +194,6 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
         x = parent[x as usize];
     }
     x
-}
-
-/// Union–find merge of the components of `a` and `b`.
-fn union(parent: &mut [u32], a: u32, b: u32) {
-    let ra = find(parent, a);
-    let rb = find(parent, b);
-    if ra != rb {
-        parent[rb as usize] = ra;
-    }
 }
 
 impl MakespanObjective {
@@ -198,7 +217,7 @@ impl MakespanObjective {
             }
         }
         let dims = (0..network.grid().dim()).collect();
-        let stamp = vec![0; 2 * network.grid().link_count() as usize];
+        let slots = 2 * network.grid().link_count() as usize;
         Ok(MakespanObjective {
             network,
             workload,
@@ -209,16 +228,16 @@ impl MakespanObjective {
             route_hops: 0,
             pair_epoch: vec![0; pairs],
             epoch: 0,
-            stamp,
+            stamp: vec![0; slots],
             clock: 0,
-            position: Vec::new(),
             active: Vec::new(),
-            next_active: Vec::new(),
             affected: Vec::new(),
             touched: Vec::new(),
+            replay: Vec::new(),
             msg_cycles: Vec::new(),
-            slot_parent: Vec::new(),
-            root_epoch: Vec::new(),
+            slot_root: Vec::new(),
+            pair_root: Vec::new(),
+            root_epoch: vec![0; slots + 1],
             dirty_slots: Vec::new(),
             cost: Cost {
                 primary: 0,
@@ -239,10 +258,10 @@ impl MakespanObjective {
         })
     }
 
-    /// Fills `route` with the hops of pair `pair` under `table`. Hops are
-    /// stored with their directed claim slot (`2 × canonical link slot +
-    /// direction bit`) so arbitration needs no coordinate math.
-    fn expand_route(&self, pair: usize, table: &[u64], route: &mut Vec<Hop>) {
+    /// Fills `route` with the directed claim slots (`2 × canonical link
+    /// slot + direction bit`) of the hops of pair `pair` under `table`, so
+    /// arbitration needs no coordinate math.
+    fn expand_route(&self, pair: usize, table: &[u64], route: &mut Vec<u32>) {
         let (src_task, dst_task) = self.workload.pairs()[pair];
         let from = table[src_task as usize];
         let to = table[dst_task as usize];
@@ -258,8 +277,7 @@ impl MakespanObjective {
             &self.dims,
             |hop, before, after| {
                 let link = link_slot_of_hop(grid, hop, before, after);
-                let slot = 2 * link + u64::from(before < after);
-                route.push((after, slot));
+                route.push((2 * link + u64::from(before < after)) as u32);
             },
         );
     }
@@ -275,51 +293,90 @@ impl MakespanObjective {
         let old = std::mem::replace(&mut self.routes[pair], route);
         let new = &self.routes[pair];
         self.route_hops = self.route_hops - old.len() as u64 + new.len() as u64;
-        self.dirty_slots
-            .extend(old.iter().chain(new).map(|&(_, slot)| slot));
+        self.dirty_slots.extend(old.iter().chain(new));
         self.saved.routes.push((pair as u32, old));
     }
 
-    /// Replays the arbitration of [`crate::sim::simulate`] over the
-    /// messages currently in `active` (ascending message index — the
-    /// priority order of the full simulator; indices are round-major,
-    /// pair-minor, the order the full simulator builds its message list
-    /// in): every active message injects at cycle 1, each directed link
-    /// carries one message per cycle, blocked messages retry in place, and
-    /// each delivery records its cycle in `msg_cycles`. Callers must reset
-    /// `position` to 0 for every active message. Messages left out of
-    /// `active` keep their cached delivery cycles — exact whenever they
-    /// share no directed slot with any active message, because disjoint
-    /// slots never contend and all messages inject at cycle 1.
-    fn arbitrate_active(&mut self) {
+    /// Partitions the cached routes into contention components: each route
+    /// chains its own slots together and shared slots merge routes. The
+    /// union–find is flattened into `slot_root`, and `pair_root` reads each
+    /// pair's root off its first slot (a route's slots share one
+    /// component). Runs only on committed routes — see the module docs.
+    fn partition(&mut self) {
+        let slots = self.stamp.len();
+        let root = &mut self.slot_root;
+        root.clear();
+        root.extend(0..slots as u32);
+        for route in &self.routes {
+            if let Some((&first, rest)) = route.split_first() {
+                // Hang every slot's root under the first slot's root, which
+                // stays a root throughout.
+                let first = find(root, first);
+                for &slot in rest {
+                    let slot = find(root, slot);
+                    root[slot as usize] = first;
+                }
+            }
+        }
+        for slot in 0..slots as u32 {
+            root[slot as usize] = find(root, slot);
+        }
+        self.pair_root.clear();
+        self.pair_root.extend(self.routes.iter().map(|route| {
+            route
+                .first()
+                .map_or(slots as u32, |&slot| root[slot as usize])
+        }));
+    }
+
+    /// Replays the arbitration of [`crate::sim::simulate`] over every
+    /// round's message of the pairs in `replay` (ascending, non-empty
+    /// routes), in ascending message index — the priority order of the
+    /// full simulator; indices are round-major, pair-minor, the order the
+    /// full simulator builds its message list in. Every message injects at
+    /// cycle 1, each directed link carries one message per cycle, blocked
+    /// messages retry in place, and each delivery records its cycle in
+    /// `msg_cycles`. Messages left out keep their cached delivery cycles —
+    /// exact whenever they share no directed slot with any replayed
+    /// message, because disjoint slots never contend and all messages
+    /// inject at cycle 1. Returns the cost this leaves cached.
+    fn arbitrate_replay(&mut self) -> Cost {
         let pairs = self.routes.len();
+        self.active.clear();
+        // One base message index per round (`step_by` needs a non-zero
+        // step; with no pairs there are no messages).
+        for base in (0..self.msg_cycles.len() as u32).step_by(pairs.max(1)) {
+            self.active.extend(self.replay.iter().map(|&pair| Active {
+                message: base + pair,
+                pair,
+                cursor: 0,
+            }));
+        }
         let mut cycle = 0u64;
         while !self.active.is_empty() {
             cycle += 1;
             self.clock += 1;
-            self.next_active.clear();
-            for &m in &self.active {
-                let route = &self.routes[m as usize % pairs];
-                let (_, slot) = route[self.position[m as usize] as usize];
-                if self.stamp[slot as usize] != self.clock {
-                    self.stamp[slot as usize] = self.clock;
-                    self.position[m as usize] += 1;
-                    if (self.position[m as usize] as usize) < route.len() {
-                        self.next_active.push(m);
-                    } else {
-                        self.msg_cycles[m as usize] = cycle;
-                    }
-                } else {
-                    self.next_active.push(m);
-                }
+            let clock = self.clock;
+            // Compact the active list in place, without branches: every
+            // entry is written back and only the undelivered ones are kept,
+            // in order. A message's cycle is written while it is active, so
+            // the last write is its delivery cycle.
+            let mut kept = 0;
+            for index in 0..self.active.len() {
+                let entry = self.active[index];
+                let route = &self.routes[entry.pair as usize];
+                let slot = route[entry.cursor as usize] as usize;
+                // A slot taken this cycle already holds the clock, so the
+                // claim can write it whether or not it wins.
+                let free = self.stamp[slot] != clock;
+                self.stamp[slot] = clock;
+                let cursor = entry.cursor + u32::from(free);
+                self.msg_cycles[entry.message as usize] = cycle;
+                self.active[kept] = Active { cursor, ..entry };
+                kept += usize::from(cursor as usize != route.len());
             }
-            std::mem::swap(&mut self.active, &mut self.next_active);
+            self.active.truncate(kept);
         }
-    }
-
-    /// Caches and returns the cost implied by the current `msg_cycles` and
-    /// route lengths.
-    fn finish_cost(&mut self) -> Cost {
         self.cost = Cost {
             primary: self.msg_cycles.iter().copied().max().unwrap_or(0),
             secondary: self.route_hops * self.rounds as u64,
@@ -327,88 +384,36 @@ impl MakespanObjective {
         self.cost
     }
 
-    /// Recomputes the schedule from the cached routes, arbitrating every
-    /// message from scratch — the differential anchor for the incremental
-    /// path.
-    fn evaluate_full(&mut self) -> Cost {
-        let pairs = self.routes.len();
-        let total = pairs * self.rounds;
-        self.position.clear();
-        self.position.resize(total, 0);
-        self.msg_cycles.clear();
-        self.msg_cycles.resize(total, 0);
-        self.active.clear();
-        for m in 0..total {
-            if !self.routes[m % pairs].is_empty() {
-                self.active.push(m as u32);
-            }
-        }
-        self.arbitrate_active();
-        self.finish_cost()
-    }
-
-    /// Re-arbitrates only the contention components reachable from
-    /// `dirty_slots` (consumed here): union–find over the directed slots of
-    /// the *current* routes partitions messages into slot-sharing
-    /// components, and a component replays iff it contains a dirty slot.
-    /// Every other message keeps its cached delivery cycle — see the module
-    /// docs for why skipping clean components is bit-exact.
+    /// Re-arbitrates only the committed contention components that hold a
+    /// slot of `dirty_slots` (consumed here), reading each pair's component
+    /// from the committed partition. Every other message keeps its cached
+    /// delivery cycle — see the module docs for why that is bit-exact.
     fn evaluate_incremental(&mut self) -> Cost {
-        let pairs = self.routes.len();
-        let total = pairs * self.rounds;
         debug_assert_eq!(
             self.msg_cycles.len(),
-            total,
+            self.routes.len() * self.rounds,
             "rebuild must run before incremental evaluation"
         );
-
-        // Partition: chain each route's slots together; shared slots merge
-        // routes transitively.
-        let slots = self.stamp.len();
-        self.slot_parent.clear();
-        self.slot_parent.extend(0..slots as u32);
-        for route in &self.routes {
-            let mut hops = route.iter();
-            if let Some(&(_, first)) = hops.next() {
-                for &(_, slot) in hops {
-                    union(&mut self.slot_parent, first as u32, slot as u32);
-                }
-            }
+        // Dirty slots no committed route uses root singleton components
+        // with no pairs — harmless. The `epoch` stamp was bumped by
+        // `resync_touched`, so stale marks never match, and the empty
+        // routes' root is never marked: their cached cycle is 0 and stays
+        // valid (a route is empty iff its pair is a self-send, which no
+        // table change can alter).
+        let epoch = self.epoch;
+        for &slot in &self.dirty_slots {
+            self.root_epoch[self.slot_root[slot as usize] as usize] = epoch;
         }
-
-        // Mark the components holding any old or new slot of a changed
-        // route. Dirty slots no current route uses root singleton
-        // components with no messages — harmless. The `epoch` stamp was
-        // bumped by `resync_touched`, so stale marks never match.
-        self.root_epoch.resize(slots, 0);
-        let mut dirty = std::mem::take(&mut self.dirty_slots);
-        for &slot in &dirty {
-            let root = find(&mut self.slot_parent, slot as u32);
-            self.root_epoch[root as usize] = self.epoch;
-        }
-        dirty.clear();
-        self.dirty_slots = dirty;
-
-        // Replay exactly the messages of dirty components, in ascending
-        // message-index order. A route's slots all share one component, so
-        // its first slot's root classifies the whole message. Pairs with
-        // empty routes have no slots and never contend; their cached cycle
-        // is 0 and stays valid (a route is empty iff its pair is a
-        // self-send, which no table change can alter).
-        self.active.clear();
-        for m in 0..total {
-            let route = &self.routes[m % pairs];
-            let Some(&(_, first)) = route.first() else {
-                continue;
-            };
-            let root = find(&mut self.slot_parent, first as u32);
-            if self.root_epoch[root as usize] == self.epoch {
-                self.position[m] = 0;
-                self.active.push(m as u32);
-            }
-        }
-        self.arbitrate_active();
-        self.finish_cost()
+        self.dirty_slots.clear();
+        let root_epoch = &self.root_epoch;
+        self.replay.clear();
+        self.replay.extend(
+            (0u32..)
+                .zip(&self.pair_root)
+                .filter(|&(_, &root)| root_epoch[root as usize] == epoch)
+                .map(|(pair, _)| pair),
+        );
+        self.arbitrate_replay()
     }
 
     /// Drops the saved state of the last move, keeping its route buffers.
@@ -419,7 +424,8 @@ impl MakespanObjective {
     }
 
     /// Undoes the last move from its saved state: swaps the replaced routes,
-    /// the cycle cache, `route_hops` and the cost back in.
+    /// the cycle cache, `route_hops` and the cost back in. The committed
+    /// partition never saw the move, so it stays.
     fn restore(&mut self) -> Cost {
         let MakespanObjective {
             routes,
@@ -439,13 +445,17 @@ impl MakespanObjective {
 
     /// The shared delta path for the move `swaps`, already applied to
     /// `table`: answers the move's undo from the saved state; otherwise
+    /// makes the last move final (partitioning the routes it committed),
     /// re-routes every workload pair touched by any task in `touched`
     /// (deduplicated), then re-arbitrates the reachable contention
     /// components once, saving what it replaces. Returns the cached cost
     /// untouched when no pair is affected.
     fn resync_touched(&mut self, table: &[u64], swaps: &[(u64, u64)], touched: &[u64]) -> Cost {
-        if self.saved.open && self.saved.swaps == swaps {
-            return self.restore();
+        if self.saved.open {
+            if self.saved.swaps == swaps {
+                return self.restore();
+            }
+            self.partition();
         }
         self.forget();
         self.epoch += 1;
@@ -515,7 +525,19 @@ impl Objective for MakespanObjective {
             self.route_hops += route.len() as u64;
             self.routes[pair] = route;
         }
-        self.evaluate_full()
+        self.partition();
+        // The differential anchor for the incremental path: every message
+        // with a route arbitrates from scratch.
+        self.msg_cycles.clear();
+        self.msg_cycles.resize(self.routes.len() * self.rounds, 0);
+        self.replay.clear();
+        self.replay.extend(
+            (0u32..)
+                .zip(&self.routes)
+                .filter(|(_, route)| !route.is_empty())
+                .map(|(pair, _)| pair),
+        );
+        self.arbitrate_replay()
     }
 
     fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost {
@@ -633,8 +655,9 @@ mod tests {
     }
 
     /// Two four-task rings pinned to opposite rows of a 4×4 mesh, with the
-    /// middle rows unused: their routes share no directed slots, so the
-    /// contention partition always has (at least) two clean-able components.
+    /// middle rows unused: under the identity table their routes share no
+    /// directed slots, so the contention partition has (at least) two
+    /// clean-able components.
     fn two_cluster_workload() -> (Network, Workload, Vec<u64>) {
         let host = Grid::mesh(shape(&[4, 4]));
         let pairs = vec![
@@ -757,6 +780,92 @@ mod tests {
         assert_eq!(objective.apply_swap(&table, 12, 13).primary, 777);
         let rebuilt = objective.rebuild(&table);
         assert_eq!(rebuilt, full_cost(&network, &workload, 1, &table));
+    }
+
+    #[test]
+    fn undone_moves_keep_the_committed_partition() {
+        // White-box proof that only a move made final re-partitions. After a
+        // move and its undo, tamper with the stored partition so that a
+        // bottom-row pair looks like part of a top-row component, and plant
+        // a wrong cycle on that pair's message: the next top-row move
+        // replays it from the tampered partition and washes the plant out,
+        // where a fresh partition would skip the clean bottom row and report
+        // it (see `clean_components_are_skipped_not_replayed`). A bottom-row
+        // move re-routing that pair then makes the top-row move final: only
+        // a recomputed partition puts the pair back in a component its dirty
+        // slots mark, so only then is a second plant replayed away.
+        let (network, workload, mut table) = two_cluster_workload();
+        let mut objective =
+            MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
+                .unwrap();
+        let honest = objective.rebuild(&table);
+        table.swap(0, 1);
+        objective.apply_swap(&table, 0, 1);
+        table.swap(0, 1);
+        assert_eq!(objective.apply_swap(&table, 0, 1), honest);
+        // Pair 4 is (12, 13), routed inside the bottom row; pair 1 is (1, 2),
+        // which the next move re-routes, dirtying its component.
+        objective.pair_root[4] = objective.pair_root[1];
+        objective.msg_cycles[4] = 777;
+        table.swap(1, 2);
+        assert_eq!(
+            objective.apply_swap(&table, 1, 2),
+            full_cost(&network, &workload, 1, &table),
+            "the move recomputed the partition instead of using the stored one"
+        );
+        objective.msg_cycles[4] = 777;
+        table.swap(12, 13);
+        assert_eq!(
+            objective.apply_swap(&table, 12, 13),
+            full_cost(&network, &workload, 1, &table),
+            "the committed move kept the tampered partition"
+        );
+    }
+
+    #[test]
+    fn committed_moves_that_merge_and_split_components_match_full_resimulation() {
+        // The committed partition changes shape as moves become final.
+        // Trading top-row task 0 for bottom-row task 13 routes top-row pairs
+        // through the bottom row, merging components of the two rows; moves
+        // in each row (one of them undone) then price against the merged
+        // partition, and trading the tasks back splits it again. Every step
+        // is checked against a full re-simulation.
+        let (network, workload, mut table) = two_cluster_workload();
+        let rounds = 2;
+        let mut objective = MakespanObjective::new(
+            Network::new(network.grid().clone()),
+            workload.clone(),
+            rounds,
+        )
+        .unwrap();
+        objective.rebuild(&table);
+        // Pairs 0–3 are the top-row ring, pairs 4–7 the bottom-row one.
+        let merged = |objective: &MakespanObjective| {
+            (0..4).any(|top| {
+                (4..8).any(|bottom| objective.pair_root[top] == objective.pair_root[bottom])
+            })
+        };
+        assert!(!merged(&objective));
+        let steps = [(0, 13), (1, 2), (1, 2), (14, 15), (2, 3), (0, 13), (12, 15)];
+        for (step, &(a, b)) in steps.iter().enumerate() {
+            table.swap(a, b);
+            let cost = objective.apply_swap(&table, a as u64, b as u64);
+            assert_eq!(
+                cost,
+                full_cost(&network, &workload, rounds, &table),
+                "step {step}: swap {a},{b}"
+            );
+            match step {
+                // The first top-row move made the cross trade final.
+                1 => assert!(merged(&objective), "the cross trade merged no components"),
+                // The last move made the trade back final.
+                6 => assert!(!merged(&objective), "the trade back split no components"),
+                _ => {}
+            }
+        }
+        let mut fresh =
+            MakespanObjective::new(Network::new(network.grid().clone()), workload, rounds).unwrap();
+        assert_eq!(objective.cost, fresh.rebuild(&table));
     }
 
     #[test]

@@ -140,13 +140,17 @@ proptest! {
         messages in 4usize..48,
         rounds in 1usize..3,
         seed in 0u64..1000,
-        swaps in proptest::collection::vec((0u64..128, 0u64..127, 0u8..3), 1..40),
+        moves in proptest::collection::vec((0u64..128, 0u64..127, 0u8..3, 0u8..4), 1..40),
     ) {
         // The delta-aware MakespanObjective must report, after every
-        // incremental swap, exactly the (cycles, total hops) a full
-        // re-simulation of the same table computes. About a third of the
-        // swaps are undone by applying the same pair again, the annealer's
-        // rejection path, which the objective answers from saved state.
+        // incremental move, exactly the (cycles, total hops) a full
+        // re-simulation of the same table computes. About a quarter of the
+        // moves are segment reversals, passed as one batch of disjoint
+        // swaps; the rest are single swaps. About a third of the moves are
+        // undone by repeating the same call, the annealer's rejection path,
+        // which the objective answers from saved state; every other move
+        // becomes final, re-partitioning the committed routes. Sparse random
+        // traffic splits the schedule into many contention components.
         use embeddings::optim::{Cost, Objective};
         use netsim::MakespanObjective;
 
@@ -162,7 +166,21 @@ proptest! {
             Cost { primary: stats.cycles, secondary: stats.total_hops }
         };
         prop_assert_eq!(cost, full(&table));
-        for (raw_a, raw_b, undo) in swaps {
+        for (raw_a, raw_b, undo, kind) in moves {
+            if kind == 0 {
+                // Reverse a run of 2–6 tasks: one batch of disjoint swaps.
+                let len = (2 + raw_b % 5).min(n);
+                let start = raw_a % (n - len + 1);
+                let batch: Vec<(u64, u64)> =
+                    (0..len / 2).map(|i| (start + i, start + len - 1 - i)).collect();
+                cost = objective.apply_disjoint_swaps(&mut table, &batch);
+                prop_assert_eq!(cost, full(&table), "after reversing {:?}", &batch);
+                if undo == 0 {
+                    cost = objective.apply_disjoint_swaps(&mut table, &batch);
+                    prop_assert_eq!(cost, full(&table), "after undoing {:?}", &batch);
+                }
+                continue;
+            }
             let a = raw_a % n;
             let mut b = raw_b % (n - 1).max(1);
             if b >= a {
