@@ -18,10 +18,7 @@
 //! When a pair is covered by *more than one* construction with the same
 //! predicted dilation (e.g. a hypercube into a square mesh satisfies both
 //! the simple-reduction and the square conditions), [`embed`] keeps the
-//! paper's fixed precedence. [`embed_with_budget`] instead spends a small,
-//! seeded sharded-annealing budget on each tied candidate and returns the
-//! construction whose placement *optimizes* better — the measured-objective
-//! tie-break the optimizer subsystem makes affordable.
+//! paper's fixed precedence.
 
 use std::sync::Arc;
 
@@ -191,184 +188,6 @@ pub fn predicted_dilation(guest: &Grid, host: &Grid) -> Result<u64> {
     })
 }
 
-/// The optimizer budget [`embed_with_budget`] spends per tied construction:
-/// a small, seeded, sharded annealing run under the congestion objective.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TieBreakBudget {
-    /// Annealing steps per shard (keep small — the budget runs once per
-    /// tied candidate).
-    pub steps: u64,
-    /// Independently-seeded walks per candidate (reduced to the best by
-    /// [`crate::optim::parallel::optimize_sharded`]).
-    pub shards: u32,
-    /// The base seed; the tie-break is a pure function of
-    /// `(guest, host, budget)`.
-    pub seed: u64,
-}
-
-impl Default for TieBreakBudget {
-    fn default() -> Self {
-        TieBreakBudget {
-            steps: 300,
-            shards: 2,
-            seed: 0,
-        }
-    }
-}
-
-/// Like [`embed`], but when several constructions cover the pair with the
-/// same predicted dilation as the paper-precedence winner, refines each
-/// tied candidate's placement with the `budget` and returns the
-/// *constructive* embedding of the candidate that optimized to the
-/// lexicographically best congestion cost (ties keep the paper's precedence
-/// order). A pair without such a tie returns exactly what [`embed`] returns
-/// — the budget can arbitrate between equally-guaranteed constructions but
-/// never overrides the planner's choice.
-///
-/// With `budget = None`, or when at most one construction applies, this is
-/// exactly [`embed`]. The returned embedding is always the unrefined
-/// construction — its analytic dilation guarantee is untouched; callers who
-/// also want the refined placement can re-run the optimizer on the result
-/// (the tie-break is seeded, so the refinement reproduces bit-identically).
-///
-/// # Errors
-///
-/// Same error cases as [`embed`]. Pairs too large to materialize as a
-/// placement table fall back to the paper's precedence instead of erroring.
-pub fn embed_with_budget(
-    guest: &Grid,
-    host: &Grid,
-    budget: Option<TieBreakBudget>,
-) -> Result<Embedding> {
-    use crate::optim::parallel::{optimize_sharded, ShardedConfig};
-    use crate::optim::{CongestionObjective, Cost, OptimizerConfig};
-
-    let Some(budget) = budget else {
-        return embed(guest, host);
-    };
-    let candidates = tied_candidates(guest, host)?;
-    let mut tied: Vec<Embedding> = match candidates {
-        None => return embed(guest, host),
-        Some(tied) => tied,
-    };
-    if tied.len() < 2 {
-        return match tied.pop() {
-            Some(only) => Ok(only),
-            None => embed(guest, host),
-        };
-    }
-    let config = ShardedConfig {
-        base: OptimizerConfig {
-            seed: budget.seed,
-            steps: budget.steps,
-            ..OptimizerConfig::default()
-        },
-        shards: budget.shards,
-        workers: 0,
-        ..ShardedConfig::default()
-    };
-    let mut best: Option<(Cost, usize)> = None;
-    for index in 0..tied.len() {
-        let sharded = match optimize_sharded(
-            &tied[index],
-            || CongestionObjective::new(guest, host),
-            &config,
-        ) {
-            Ok(sharded) => sharded,
-            // Too large to table-ize: the tie-break cannot run; keep the
-            // paper's precedence (the first tied candidate).
-            Err(EmbeddingError::TooLarge { .. }) => return Ok(tied.swap_remove(0)),
-            Err(error) => return Err(error),
-        };
-        let cost = sharded.outcome.report.best;
-        if best.is_none_or(|(best_cost, _)| cost < best_cost) {
-            best = Some((cost, index));
-        }
-    }
-    let (_, winner) = best.expect("at least two candidates were scored");
-    Ok(tied.swap_remove(winner))
-}
-
-/// The constructions that apply to a dimension-changing pair, restricted to
-/// those tying with the paper-precedence winner's predicted dilation (the
-/// first applicable construction — exactly what [`embed`] returns), in the
-/// paper's precedence order. A later candidate with a *different* prediction
-/// is not a tie and is dropped, so a budget can only ever arbitrate between
-/// equally-guaranteed constructions, never silently override the paper's
-/// choice. Returns `None` for the regimes with a single prescribed
-/// construction (dimension-1 guests and equal dimensions), where no
-/// tie-break can arise.
-///
-/// # Errors
-///
-/// [`EmbeddingError::SizeMismatch`] on unequal sizes;
-/// [`EmbeddingError::Unsupported`] when no construction applies.
-fn tied_candidates(guest: &Grid, host: &Grid) -> Result<Option<Vec<Embedding>>> {
-    if guest.size() != host.size() {
-        return Err(EmbeddingError::SizeMismatch {
-            guest: guest.size(),
-            host: host.size(),
-        });
-    }
-    if guest.dim() == 1 || guest.dim() == host.dim() {
-        return Ok(None);
-    }
-    // (predicted dilation, construction) for every applicable case, in the
-    // precedence order of `embed`.
-    let mut candidates: Vec<(u64, Embedding)> = Vec::new();
-    if guest.dim() < host.dim() {
-        if is_expansion(guest.shape(), host.shape()) {
-            candidates.push((
-                predicted_dilation_increasing(guest, host)?,
-                embed_increasing(guest, host)?,
-            ));
-        }
-        if guest.is_square() && host.is_square() {
-            candidates.push((
-                predicted_dilation_square(guest, host)?,
-                embed_square(guest, host)?,
-            ));
-        }
-    } else {
-        if is_simple_reduction(guest.shape(), host.shape()) {
-            candidates.push((
-                predicted_dilation_simple_reduction(guest, host)?,
-                embed_simple_reduction(guest, host)?,
-            ));
-        }
-        if let Some(reduction) = find_general_reduction(guest.shape(), host.shape()) {
-            candidates.push((
-                predicted_dilation_general_reduction(guest, host, &reduction),
-                embed_general_reduction(guest, host)?,
-            ));
-        }
-        if guest.is_square() && host.is_square() {
-            candidates.push((
-                predicted_dilation_square(guest, host)?,
-                embed_square(guest, host)?,
-            ));
-        }
-    }
-    if candidates.is_empty() {
-        // No candidate applied: defer to `embed`, which reports the exact
-        // per-regime unsupported-pair message (and stays authoritative if
-        // its coverage ever grows beyond this list).
-        return Ok(None);
-    }
-    // Ties are measured against the precedence winner — the construction
-    // `embed` would return — not the minimum over all candidates: a later
-    // candidate with a lower prediction is a planner-precedence question,
-    // not a tie for the optimizer to break.
-    let reference = candidates[0].0;
-    Ok(Some(
-        candidates
-            .into_iter()
-            .filter(|(predicted, _)| *predicted == reference)
-            .map(|(_, embedding)| embedding)
-            .collect(),
-    ))
-}
-
 /// Replaces the guest graph of `embedding` by an equal-size dimension-1 guest
 /// of the caller's choosing (used so that `embed(ring, host)` reports the
 /// caller's ring rather than the internally constructed one).
@@ -516,82 +335,6 @@ mod tests {
         assert!(e.guest().is_ring());
         assert_eq!(e.guest().size(), 12);
         assert_eq!(e.dilation(), 1);
-    }
-
-    #[test]
-    fn tie_break_budget_is_deterministic_and_sound() {
-        // hypercube(4) -> (4,4)-mesh satisfies both the simple-reduction and
-        // the square conditions with the same predicted dilation — a genuine
-        // tie the budget can arbitrate.
-        let guest = Grid::hypercube(4).unwrap();
-        let host = Grid::mesh(shape(&[4, 4]));
-        let tied = tied_candidates(&guest, &host).unwrap().unwrap();
-        assert!(tied.len() >= 2, "expected a tie, got {}", tied.len());
-
-        let budget = Some(TieBreakBudget::default());
-        let first = embed_with_budget(&guest, &host, budget).unwrap();
-        let second = embed_with_budget(&guest, &host, budget).unwrap();
-        assert_eq!(first.name(), second.name(), "seeded tie-break");
-        assert!(first.is_injective());
-        // The winner keeps the analytic guarantee of the tied minimum.
-        let predicted = predicted_dilation(&guest, &host).unwrap();
-        assert!(first.dilation() <= predicted);
-        // The winner is one of the tied constructions.
-        assert!(tied.iter().any(|c| c.name() == first.name()));
-    }
-
-    #[test]
-    fn no_budget_means_plain_embed() {
-        for (guest, host) in [
-            (Grid::hypercube(4).unwrap(), Grid::mesh(shape(&[4, 4]))),
-            (
-                Grid::torus(shape(&[4, 6])),
-                Grid::mesh(shape(&[2, 2, 2, 3])),
-            ),
-            (Grid::ring(24).unwrap(), Grid::mesh(shape(&[4, 2, 3]))),
-        ] {
-            let plain = embed(&guest, &host).unwrap();
-            let unbudgeted = embed_with_budget(&guest, &host, None).unwrap();
-            assert_eq!(plain.name(), unbudgeted.name());
-        }
-    }
-
-    #[test]
-    fn untied_pairs_ignore_the_budget() {
-        // A pure expansion pair has a single applicable construction; the
-        // budget must not change the planner's choice.
-        let guest = Grid::torus(shape(&[4, 6]));
-        let host = Grid::mesh(shape(&[2, 2, 2, 3]));
-        let plain = embed(&guest, &host).unwrap();
-        let budgeted = embed_with_budget(&guest, &host, Some(TieBreakBudget::default())).unwrap();
-        assert_eq!(plain.name(), budgeted.name());
-        // Unsupported pairs keep erroring with the budget too.
-        let a = Grid::mesh(shape(&[6, 6]));
-        let b = Grid::mesh(shape(&[4, 3, 3]));
-        assert!(embed_with_budget(&a, &b, Some(TieBreakBudget::default())).is_err());
-    }
-
-    #[test]
-    fn budget_never_overrides_the_precedence_winner_on_untied_pairs() {
-        // Both simple and general reduction apply here, but with *different*
-        // predicted dilations — that is a precedence question, not a tie,
-        // and the budget must hand back exactly what `embed` chooses.
-        let guest = Grid::torus(shape(&[6, 6, 4, 3, 3]));
-        let host = Grid::mesh(shape(&[36, 6, 6]));
-        let tied = tied_candidates(&guest, &host).unwrap().unwrap();
-        assert_eq!(tied.len(), 1, "different predictions must not tie");
-        let plain = embed(&guest, &host).unwrap();
-        let budgeted = embed_with_budget(
-            &guest,
-            &host,
-            Some(TieBreakBudget {
-                steps: 20,
-                shards: 2,
-                seed: 0,
-            }),
-        )
-        .unwrap();
-        assert_eq!(plain.name(), budgeted.name());
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub use plan::{Plan, PlanError};
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::auto::{embed, embed_with_budget, predicted_dilation, TieBreakBudget};
+    pub use crate::auto::{embed, predicted_dilation};
     pub use crate::basic::{embed_line_in, embed_ring_in};
     pub use crate::chain::{ChainReport, ChainStep, EmbeddingChain};
     pub use crate::congestion::{

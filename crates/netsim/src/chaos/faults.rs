@@ -453,26 +453,24 @@ impl FaultMask {
 ///
 /// Panics if `a` and `b` are not adjacent in `grid`.
 pub fn link_slot_between(grid: &Grid, a: u64, b: u64) -> u64 {
-    let ca = grid.coord(a).expect("node indices are in range");
-    let cb = grid.coord(b).expect("node indices are in range");
+    // Adjacent indices differ by one dimension's stride, or on a torus by
+    // its wrap-around span `(l − 1) × stride`. Strides fall strictly with
+    // the dimension and each span lies below the next-lower dimension's
+    // stride, so the difference names the dimension without decoding
+    // either node; a radix-2 span equals its stride, and its two arcs are
+    // one link.
+    let shape = grid.shape();
+    let (up, difference) = if a < b { (true, b - a) } else { (false, a - b) };
     for dim in 0..grid.dim() {
-        let (da, db) = (ca.get(dim), cb.get(dim));
-        if da == db {
-            continue;
+        let stride = shape.weight(dim + 1);
+        let wrapped = grid.is_torus()
+            && difference != stride
+            && difference == u64::from(shape.radix(dim) - 1) * stride;
+        if difference == stride || wrapped {
+            // The forward step climbs to the higher index unless it wraps.
+            let tail = if up != wrapped { a } else { b };
+            return grid.link_index(tail, dim);
         }
-        let l = grid.shape().radix(dim);
-        let forward = if grid.is_torus() {
-            (da + 1) % l == db
-        } else {
-            da + 1 == db
-        };
-        let wrapped = forward && da + 1 == l;
-        let tail = if forward && !(wrapped && l == 2) {
-            a
-        } else {
-            b
-        };
-        return grid.link_index(tail, dim);
     }
     panic!("nodes {a} and {b} are not adjacent");
 }

@@ -20,10 +20,11 @@
 //!   returning [`RouteOutcome`] instead of panicking;
 //! * [`scenario`] — [`simulate_chaos`], the faulted counterpart of
 //!   [`crate::simulate`], reporting delivered/dropped/detour counters in
-//!   [`crate::SimStats`];
-//! * the adversarial traffic generators live in [`crate::traffic`]
-//!   ([`crate::traffic::zipf_hotspot`], [`crate::traffic::bursty_schedule`],
-//!   [`crate::traffic::multi_tenant`]).
+//!   [`crate::SimStats`]. Its routers' node paths become directed link
+//!   slots, and the crate's one contention engine arbitrates them exactly
+//!   as it arbitrates the pristine simulator's routes;
+//! * the adversarial multi-tenant workload lives in [`crate::traffic`]
+//!   ([`crate::traffic::multi_tenant`]).
 //!
 //! # Example
 //!
@@ -55,4 +56,4 @@ pub use faults::{
     link_slot_between, live_link_slots, FailAt, FaultError, FaultMask, FaultParseError, FaultPlan,
 };
 pub use reroute::{masked_distances_to, DetourRouter, RouteOutcome, TableRouter};
-pub use scenario::{simulate_chaos, simulate_chaos_schedule, ChaosRouting};
+pub use scenario::{simulate_chaos, ChaosRouting};

@@ -16,6 +16,7 @@
 
 use crate::chaos::faults::FaultPlan;
 use crate::chaos::reroute::{DetourRouter, RouteOutcome, TableRouter};
+use crate::engine;
 use crate::network::Network;
 use crate::sim::{Placement, SimStats};
 use crate::traffic::Workload;
@@ -46,8 +47,9 @@ impl ChaosRouting {
 /// # Panics
 ///
 /// Panics if the workload has more tasks than the placement, the placement
-/// references nodes outside the network, or the plan references links or
-/// nodes the network does not have.
+/// references nodes outside the network, the plan references links or
+/// nodes the network does not have, or more than `u32::MAX` messages are
+/// delivered.
 pub fn simulate_chaos(
     network: &Network,
     workload: &Workload,
@@ -56,30 +58,10 @@ pub fn simulate_chaos(
     plan: &FaultPlan,
     routing: ChaosRouting,
 ) -> SimStats {
-    let per_round: Vec<&Workload> = (0..rounds).map(|_| workload).collect();
-    simulate_chaos_schedule(network, &per_round, placement, plan, routing)
-}
-
-/// The per-round-schedule form of [`simulate_chaos`], for workloads that
-/// change from round to round (such as [`crate::traffic::bursty_schedule`]):
-/// round `r` injects the pairs of `schedule[r]`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_chaos`].
-pub fn simulate_chaos_schedule(
-    network: &Network,
-    schedule: &[&Workload],
-    placement: &Placement,
-    plan: &FaultPlan,
-    routing: ChaosRouting,
-) -> SimStats {
-    for workload in schedule {
-        assert!(
-            workload.tasks() <= placement.tasks(),
-            "workload has more tasks than the placement"
-        );
-    }
+    assert!(
+        workload.tasks() <= placement.tasks(),
+        "workload has more tasks than the placement"
+    );
     assert!(
         (0..placement.tasks()).all(|t| placement.node_of(t) < network.size()),
         "placement references nodes outside the network"
@@ -87,23 +69,16 @@ pub fn simulate_chaos_schedule(
     plan.validate(network.grid())
         .expect("fault plan must reference links and nodes of this network");
 
-    struct Message {
-        start: usize,
-        len: usize,
-        position: usize,
-        current: u64,
-    }
-
     let grid = network.grid();
-    let mut hops: Vec<u64> = Vec::new();
-    let mut messages: Vec<Message> = Vec::new();
+    // One route per delivered message, in injection order.
+    let mut routes: Vec<Vec<u32>> = Vec::new();
     let mut dropped = 0u64;
     let mut detour_hops = 0u64;
 
     // Rounds are processed in epochs between scheduled failures, so the
     // mask — and any routing state derived from it (the BFS table cache) —
     // is rebuilt only when an event actually fires.
-    let rounds = schedule.len() as u64;
+    let rounds = rounds as u64;
     let mut round = 0u64;
     while round < rounds {
         let mut epoch_end = round + 1;
@@ -113,8 +88,8 @@ pub fn simulate_chaos_schedule(
         let mask = plan.mask_at(grid, round);
         let detour = DetourRouter::new(network, &mask);
         let mut table = TableRouter::new(network, &mask);
-        for r in round..epoch_end {
-            for &(src_task, dst_task) in schedule[r as usize].pairs() {
+        for _ in round..epoch_end {
+            for &(src_task, dst_task) in workload.pairs() {
                 let src = placement.node_of(src_task);
                 let dst = placement.node_of(dst_task);
                 let outcome = match routing {
@@ -126,15 +101,10 @@ pub fn simulate_chaos_schedule(
                         path,
                         detour_hops: d,
                     } => {
-                        let start = hops.len();
-                        hops.extend_from_slice(&path);
+                        let mut route = Vec::with_capacity(path.len());
+                        engine::push_path_route(grid, src, &path, &mut route);
+                        routes.push(route);
                         detour_hops += d;
-                        messages.push(Message {
-                            start,
-                            len: path.len(),
-                            position: 0,
-                            current: src,
-                        });
                     }
                     RouteOutcome::Unreachable { .. } => dropped += 1,
                 }
@@ -143,40 +113,20 @@ pub fn simulate_chaos_schedule(
         round = epoch_end;
     }
 
-    let delivered = messages.len() as u64;
-    let total_hops: u64 = messages.iter().map(|m| m.len as u64).sum();
-    let max_hops: u64 = messages.iter().map(|m| m.len as u64).max().unwrap_or(0);
-
-    // The same cycle loop as the pristine simulator: one message per
-    // directed link per cycle, claimed in message (FIFO) order.
-    let mut cycles = 0u64;
-    let mut remaining: usize = messages.iter().filter(|m| m.position < m.len).count();
-    let mut claimed: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-    while remaining > 0 {
-        cycles += 1;
-        claimed.clear();
-        for message in &mut messages {
-            if message.position >= message.len {
-                continue;
-            }
-            let next = hops[message.start + message.position];
-            let link = (message.current, next);
-            if claimed.insert(link) {
-                message.current = next;
-                message.position += 1;
-                if message.position == message.len {
-                    remaining -= 1;
-                }
-            }
-        }
-    }
-
+    // The pristine simulator's contention rule, over one round whose
+    // messages are every delivered route in injection order.
+    let cycles = engine::cycles_to_deliver(grid, &routes, 1);
+    let delivered = routes.len() as u64;
     SimStats {
         messages: delivered + dropped,
         delivered,
         dropped,
-        total_hops,
-        max_hops,
+        total_hops: routes.iter().map(|route| route.len() as u64).sum(),
+        max_hops: routes
+            .iter()
+            .map(|route| route.len() as u64)
+            .max()
+            .unwrap_or(0),
         detour_hops,
         cycles,
     }
@@ -272,20 +222,6 @@ mod tests {
         assert_eq!(stats.dropped, 2, "both pairs touching node 4 are dropped");
         assert_eq!(stats.delivered, 1);
         assert!(stats.delivered_fraction() < 0.4);
-    }
-
-    #[test]
-    fn bursty_schedules_flow_through_the_schedule_form() {
-        let net = network(true, &[4, 4]);
-        let base = Workload::uniform_random(16, 32, 3);
-        let schedule = crate::traffic::bursty_schedule(&base, 6, 2, 2, 5);
-        let refs: Vec<&Workload> = schedule.iter().collect();
-        let injected: u64 = schedule.iter().map(|w| w.pairs().len() as u64).sum();
-        let placement = Placement::identity(16);
-        let plan = FaultPlan::random_link_percent(net.grid(), 5, 13);
-        let stats = simulate_chaos_schedule(&net, &refs, &placement, &plan, ChaosRouting::Detour);
-        assert_eq!(stats.messages, injected);
-        assert_eq!(stats.delivered + stats.dropped, injected);
     }
 
     #[test]

@@ -21,9 +21,7 @@ use embeddings::Embedding;
 use topology::Grid;
 
 use crate::network::Network;
-use crate::routing::RoutingAlgorithm;
-use crate::sim::Placement;
-use crate::stats::simulate_detailed;
+use crate::sim::{simulate, Placement};
 use crate::traffic::Workload;
 
 /// A cyclic order of the nodes of a network, used as the logical ring of a
@@ -183,13 +181,7 @@ fn simulate_ring_collective(network: &Network, order: &RingOrder, phases: u64) -
     let placement = Placement::identity(network.size());
     // Every phase sends the same pattern, so simulate one phase and scale;
     // the phase barrier makes phases independent.
-    let phase = simulate_detailed(
-        network,
-        &workload,
-        &placement,
-        RoutingAlgorithm::DimensionOrdered,
-        1,
-    );
+    let phase = simulate(network, &workload, &placement, 1);
     CollectiveStats {
         phases,
         total_cycles: phase.cycles * phases,

@@ -11,21 +11,23 @@
 //!
 //! Beyond the aggregate simulator ([`sim`]), the crate provides
 //!
-//! * [`routing`] — dimension-ordered routing (forward and reverse) and
-//!   Valiant's randomized two-phase routing;
 //! * [`patterns`] — classic permutation and collective traffic patterns
 //!   (transpose, bit reversal, bit complement, shuffle, shift, tornado,
 //!   hot spot, all-to-all, broadcast);
-//! * [`stats`] — detailed runs recording per-message latency distributions
-//!   and per-link loads;
 //! * [`optimize`] — a simulated-makespan [`embeddings::optim::Objective`],
 //!   so the local-search optimizer can refine placements against the
 //!   simulator itself;
 //! * [`collective`] — ring reduce-scatter / allreduce schedules built on the
 //!   paper's Hamiltonian-circuit embeddings (Corollaries 25 and 29);
 //! * [`chaos`] — fault injection ([`chaos::FaultPlan`] overlays), degraded
-//!   routing with typed [`chaos::RouteOutcome`]s, adversarial traffic
-//!   generators, and the faulted simulator [`chaos::simulate_chaos`].
+//!   routing with typed [`chaos::RouteOutcome`]s, and the faulted simulator
+//!   [`chaos::simulate_chaos`].
+//!
+//! Every simulator arbitrates links by one rule: each directed link carries
+//! one message per cycle, and the message injected first wins. [`simulate`],
+//! [`simulate_chaos`] and [`MakespanObjective`] all hand their routes, as
+//! directed link slots, to one crate-private contention engine that applies
+//! it.
 //!
 //! # Example
 //!
@@ -46,33 +48,28 @@
 
 pub mod chaos;
 pub mod collective;
+mod engine;
 pub mod network;
 pub mod optimize;
 pub mod patterns;
-pub mod routing;
 pub mod sim;
-pub mod stats;
 pub mod traffic;
 
 pub use chaos::{
-    simulate_chaos, simulate_chaos_schedule, ChaosRouting, DetourRouter, FaultMask, FaultPlan,
-    RouteOutcome, TableRouter,
+    simulate_chaos, ChaosRouting, DetourRouter, FaultMask, FaultPlan, RouteOutcome, TableRouter,
 };
 pub use collective::{
     simulate_ring_allreduce, simulate_ring_reduce_scatter, CollectiveStats, RingOrder,
 };
 pub use network::Network;
 pub use optimize::{MakespanError, MakespanObjective};
-pub use routing::{Router, RoutingAlgorithm};
 pub use sim::{simulate, simulate_embedding, Placement, PlacementError, SimStats};
-pub use stats::{simulate_detailed, DetailedStats, LatencySummary, LinkLoads};
-pub use traffic::{bursty_schedule, multi_tenant, zipf_hotspot, Workload, WorkloadError};
+pub use traffic::{multi_tenant, Workload, WorkloadError};
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::chaos::{
-        simulate_chaos, simulate_chaos_schedule, ChaosRouting, DetourRouter, FaultMask, FaultPlan,
-        RouteOutcome, TableRouter,
+        simulate_chaos, ChaosRouting, DetourRouter, FaultMask, FaultPlan, RouteOutcome, TableRouter,
     };
     pub use crate::collective::{
         simulate_ring_allreduce, simulate_ring_reduce_scatter, CollectiveStats, RingOrder,
@@ -80,10 +77,6 @@ pub mod prelude {
     pub use crate::network::Network;
     pub use crate::optimize::{MakespanError, MakespanObjective};
     pub use crate::patterns;
-    pub use crate::routing::{Router, RoutingAlgorithm};
     pub use crate::sim::{simulate, simulate_embedding, Placement, PlacementError, SimStats};
-    pub use crate::stats::{simulate_detailed, DetailedStats, LatencySummary, LinkLoads};
-    pub use crate::traffic::{
-        bursty_schedule, multi_tenant, zipf_hotspot, Workload, WorkloadError,
-    };
+    pub use crate::traffic::{multi_tenant, Workload, WorkloadError};
 }

@@ -79,24 +79,22 @@ impl Network {
     /// of routes into reused (or shared, flat) hop buffers never touches the
     /// allocator beyond the buffer's own growth.
     pub fn route_into(&self, from: u64, to: u64, out: &mut Vec<u64>) {
-        self.route_ordered_into(from, to, &self.forward_dims, out);
-    }
-
-    /// The one route-expansion loop shared by [`Network::route_into`] and
-    /// the `Router` variants: appends the hops from `from` to `to`
-    /// correcting dimensions in the order given by `dims`.
-    pub(crate) fn route_ordered_into(
-        &self,
-        from: u64,
-        to: u64,
-        dims: &[usize],
-        out: &mut Vec<u64>,
-    ) {
         let current = self.grid.coord(from).expect("node in range");
         let target = self.grid.coord(to).expect("node in range");
-        for_each_hop(&self.grid, &current, from, &target, dims, |_, _, after| {
-            out.push(after);
-        });
+        for_each_hop(
+            &self.grid,
+            &current,
+            from,
+            &target,
+            &self.forward_dims,
+            |_, _, after| out.push(after),
+        );
+    }
+
+    /// The dimension-correction order of dimension-ordered routing: every
+    /// dimension, lowest index first.
+    pub(crate) fn forward_dims(&self) -> &[usize] {
+        &self.forward_dims
     }
 
     /// The number of hops of the dimension-ordered route — equal to the

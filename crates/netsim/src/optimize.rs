@@ -31,13 +31,10 @@
 //!   components holding a dirty slot replay arbitration, in a pass that
 //!   reads each pair's component root from the partition. Every other
 //!   message keeps its cached delivery cycle, and the makespan is the
-//!   maximum over the per-message cycle cache. The replay runs on flat,
-//!   clock-stamped claim vectors indexed by directed link slot, with an
-//!   order-preserving active list whose entries carry each message's pair
-//!   and route cursor; a claim writes the clock unconditionally (a slot
-//!   taken this cycle already holds it) and advances the cursor by whether
-//!   the slot was free. No hashing, no division and no allocation after
-//!   warm-up. A swap that touches no workload pair (possible when the
+//!   maximum over the per-message cycle cache. The replay runs on the
+//!   crate's one contention engine, the same flat, clock-stamped arbiter
+//!   [`crate::sim::simulate`] runs, with its claim stamps kept across
+//!   evaluations. A swap that touches no workload pair (possible when the
 //!   optimizer's guest has more nodes than the workload has tasks) skips
 //!   re-arbitration entirely;
 //! * **undo** costs neither half. A move puts the routes it replaces in a
@@ -68,8 +65,8 @@
 //! [`crate::sim::simulate`] on random walks.
 
 use embeddings::optim::{Cost, Objective};
-use topology::routing::{for_each_hop, link_slot_of_hop};
 
+use crate::engine::{self, Arbiter};
 use crate::network::Network;
 use crate::traffic::Workload;
 
@@ -113,11 +110,9 @@ pub struct MakespanObjective {
     network: Network,
     workload: Workload,
     rounds: usize,
-    dims: Vec<usize>,
     /// Cached route of each workload pair under the current table, as the
     /// directed claim slots of its hops (buffers are recycled through
-    /// `spare`, keeping their capacity). Slots fit in `u32`: the claim
-    /// vector `stamp` would need 32 GiB before a slot index overflowed.
+    /// `spare`, keeping their capacity).
     routes: Vec<Vec<u32>>,
     /// `task_pairs[t]` = indices of the workload pairs with source or
     /// destination task `t`.
@@ -127,12 +122,9 @@ pub struct MakespanObjective {
     /// Dedup stamps so a pair touching both swapped tasks re-routes once.
     pair_epoch: Vec<u64>,
     epoch: u64,
-    /// Directed-link claim stamps: `stamp[slot] == clock` means the slot is
-    /// taken in the current cycle. Never reset — the clock only grows.
-    stamp: Vec<u64>,
-    clock: u64,
-    /// Arbitration scratch, reused across evaluations.
-    active: Vec<Active>,
+    /// The contention engine, its claim stamps reused across evaluations.
+    arbiter: Arbiter,
+    /// Re-routing scratch, reused across evaluations.
     affected: Vec<u32>,
     touched: Vec<u64>,
     /// The pairs whose messages the current evaluation replays, ascending.
@@ -144,7 +136,7 @@ pub struct MakespanObjective {
     /// The contention partition of the committed routes: the component
     /// root of every directed slot.
     slot_root: Vec<u32>,
-    /// The component root of each pair's committed route; `stamp.len()`,
+    /// The component root of each pair's committed route; the slot count,
     /// a root no slot has, for empty routes.
     pair_root: Vec<u32>,
     /// `root_epoch[root] == epoch` marks a dirty component this evaluation
@@ -158,17 +150,6 @@ pub struct MakespanObjective {
     saved: Saved,
     /// Slot buffers of discarded routes, reused for new routes.
     spare: Vec<Vec<u32>>,
-}
-
-/// A message in flight during an arbitration replay.
-#[derive(Clone, Copy)]
-struct Active {
-    /// Round-major message index, into `msg_cycles`.
-    message: u32,
-    /// The workload pair whose route the message follows.
-    pair: u32,
-    /// How many hops of the route the message has taken.
-    cursor: u32,
 }
 
 /// The state a [`MakespanObjective`] move replaced, enough to undo the
@@ -210,27 +191,25 @@ impl MakespanObjective {
             return Err(MakespanError::ScheduleTooLarge { pairs, rounds });
         }
         let mut task_pairs: Vec<Vec<u32>> = vec![Vec::new(); workload.tasks() as usize];
-        for (index, &(src, dst)) in workload.pairs().iter().enumerate() {
-            task_pairs[src as usize].push(index as u32);
+        // Pair indices fit in `u32`: the check above bounds the pairs too.
+        for (index, &(src, dst)) in (0u32..).zip(workload.pairs()) {
+            task_pairs[src as usize].push(index);
             if dst != src {
-                task_pairs[dst as usize].push(index as u32);
+                task_pairs[dst as usize].push(index);
             }
         }
-        let dims = (0..network.grid().dim()).collect();
-        let slots = 2 * network.grid().link_count() as usize;
+        let arbiter = Arbiter::new(network.grid());
+        let slots = arbiter.slots();
         Ok(MakespanObjective {
             network,
             workload,
             rounds,
-            dims,
             routes: vec![Vec::new(); pairs],
             task_pairs,
             route_hops: 0,
             pair_epoch: vec![0; pairs],
             epoch: 0,
-            stamp: vec![0; slots],
-            clock: 0,
-            active: Vec::new(),
+            arbiter,
             affected: Vec::new(),
             touched: Vec::new(),
             replay: Vec::new(),
@@ -258,27 +237,16 @@ impl MakespanObjective {
         })
     }
 
-    /// Fills `route` with the directed claim slots (`2 × canonical link
-    /// slot + direction bit`) of the hops of pair `pair` under `table`, so
-    /// arbitration needs no coordinate math.
+    /// Fills `route` with the directed claim slots of the hops of pair
+    /// `pair` under `table`, so arbitration needs no coordinate math.
     fn expand_route(&self, pair: usize, table: &[u64], route: &mut Vec<u32>) {
         let (src_task, dst_task) = self.workload.pairs()[pair];
-        let from = table[src_task as usize];
-        let to = table[dst_task as usize];
-        let grid = self.network.grid();
         route.clear();
-        let current = grid.coord(from).expect("placement node in range");
-        let target = grid.coord(to).expect("placement node in range");
-        for_each_hop(
-            grid,
-            &current,
-            from,
-            &target,
-            &self.dims,
-            |hop, before, after| {
-                let link = link_slot_of_hop(grid, hop, before, after);
-                route.push((2 * link + u64::from(before < after)) as u32);
-            },
+        engine::push_dor_route(
+            &self.network,
+            table[src_task as usize],
+            table[dst_task as usize],
+            route,
         );
     }
 
@@ -287,14 +255,14 @@ impl MakespanObjective {
     /// replaced route goes to the saved state. Both routes' slots are
     /// appended to `dirty_slots`, marking every contention component this
     /// change can reach.
-    fn route_pair(&mut self, pair: usize, table: &[u64]) {
+    fn route_pair(&mut self, pair: u32, table: &[u64]) {
         let mut route = self.spare.pop().unwrap_or_default();
-        self.expand_route(pair, table, &mut route);
-        let old = std::mem::replace(&mut self.routes[pair], route);
-        let new = &self.routes[pair];
+        self.expand_route(pair as usize, table, &mut route);
+        let old = std::mem::replace(&mut self.routes[pair as usize], route);
+        let new = &self.routes[pair as usize];
         self.route_hops = self.route_hops - old.len() as u64 + new.len() as u64;
         self.dirty_slots.extend(old.iter().chain(new));
-        self.saved.routes.push((pair as u32, old));
+        self.saved.routes.push((pair, old));
     }
 
     /// Partitions the cached routes into contention components: each route
@@ -303,10 +271,11 @@ impl MakespanObjective {
     /// pair's root off its first slot (a route's slots share one
     /// component). Runs only on committed routes — see the module docs.
     fn partition(&mut self) {
-        let slots = self.stamp.len();
+        // The empty routes' root, `slots`, must fit in `u32` too.
+        let slots = u32::try_from(self.arbiter.slots()).expect("directed link slots fit in u32");
         let root = &mut self.slot_root;
         root.clear();
-        root.extend(0..slots as u32);
+        root.extend(0..slots);
         for route in &self.routes {
             if let Some((&first, rest)) = route.split_first() {
                 // Hang every slot's root under the first slot's root, which
@@ -318,65 +287,29 @@ impl MakespanObjective {
                 }
             }
         }
-        for slot in 0..slots as u32 {
+        for slot in 0..slots {
             root[slot as usize] = find(root, slot);
         }
         self.pair_root.clear();
-        self.pair_root.extend(self.routes.iter().map(|route| {
-            route
-                .first()
-                .map_or(slots as u32, |&slot| root[slot as usize])
-        }));
+        self.pair_root.extend(
+            self.routes
+                .iter()
+                .map(|route| route.first().map_or(slots, |&slot| root[slot as usize])),
+        );
     }
 
     /// Replays the arbitration of [`crate::sim::simulate`] over every
     /// round's message of the pairs in `replay` (ascending, non-empty
-    /// routes), in ascending message index — the priority order of the
-    /// full simulator; indices are round-major, pair-minor, the order the
-    /// full simulator builds its message list in. Every message injects at
-    /// cycle 1, each directed link carries one message per cycle, blocked
-    /// messages retry in place, and each delivery records its cycle in
-    /// `msg_cycles`. Messages left out keep their cached delivery cycles —
-    /// exact whenever they share no directed slot with any replayed
-    /// message, because disjoint slots never contend and all messages
-    /// inject at cycle 1. Returns the cost this leaves cached.
+    /// routes) on the contention engine, in ascending message index — the
+    /// priority order of the full simulator; indices are round-major,
+    /// pair-minor, the order the full simulator injects in. Each delivery
+    /// records its cycle in `msg_cycles`; messages left out keep their
+    /// cached delivery cycles (see the module docs for why that is exact).
+    /// Returns the cost this leaves cached.
     fn arbitrate_replay(&mut self) -> Cost {
-        let pairs = self.routes.len();
-        self.active.clear();
-        // One base message index per round (`step_by` needs a non-zero
-        // step; with no pairs there are no messages).
-        for base in (0..self.msg_cycles.len() as u32).step_by(pairs.max(1)) {
-            self.active.extend(self.replay.iter().map(|&pair| Active {
-                message: base + pair,
-                pair,
-                cursor: 0,
-            }));
-        }
-        let mut cycle = 0u64;
-        while !self.active.is_empty() {
-            cycle += 1;
-            self.clock += 1;
-            let clock = self.clock;
-            // Compact the active list in place, without branches: every
-            // entry is written back and only the undelivered ones are kept,
-            // in order. A message's cycle is written while it is active, so
-            // the last write is its delivery cycle.
-            let mut kept = 0;
-            for index in 0..self.active.len() {
-                let entry = self.active[index];
-                let route = &self.routes[entry.pair as usize];
-                let slot = route[entry.cursor as usize] as usize;
-                // A slot taken this cycle already holds the clock, so the
-                // claim can write it whether or not it wins.
-                let free = self.stamp[slot] != clock;
-                self.stamp[slot] = clock;
-                let cursor = entry.cursor + u32::from(free);
-                self.msg_cycles[entry.message as usize] = cycle;
-                self.active[kept] = Active { cursor, ..entry };
-                kept += usize::from(cursor as usize != route.len());
-            }
-            self.active.truncate(kept);
-        }
+        self.arbiter
+            .queue_rounds(&self.replay, self.routes.len(), self.rounds);
+        self.arbiter.run(&self.routes, &mut self.msg_cycles);
         self.cost = Cost {
             primary: self.msg_cycles.iter().copied().max().unwrap_or(0),
             secondary: self.route_hops * self.rounds as u64,
@@ -488,7 +421,7 @@ impl MakespanObjective {
         saved.cost = self.cost;
         saved.msg_cycles.clone_from(&self.msg_cycles);
         for &pair in &affected {
-            self.route_pair(pair as usize, table);
+            self.route_pair(pair, table);
         }
         self.affected = affected;
         self.saved.open = true;
@@ -531,12 +464,7 @@ impl Objective for MakespanObjective {
         self.msg_cycles.clear();
         self.msg_cycles.resize(self.routes.len() * self.rounds, 0);
         self.replay.clear();
-        self.replay.extend(
-            (0u32..)
-                .zip(&self.routes)
-                .filter(|(_, route)| !route.is_empty())
-                .map(|(pair, _)| pair),
-        );
+        self.replay.extend(engine::nonempty_routes(&self.routes));
         self.arbitrate_replay()
     }
 

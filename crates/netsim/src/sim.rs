@@ -15,6 +15,7 @@
 
 use embeddings::Embedding;
 
+use crate::engine;
 use crate::network::Network;
 use crate::traffic::Workload;
 
@@ -163,8 +164,9 @@ impl SimStats {
 ///
 /// # Panics
 ///
-/// Panics if the workload has more tasks than the placement, or the placement
-/// references nodes outside the network.
+/// Panics if the workload has more tasks than the placement, the placement
+/// references nodes outside the network, or the schedule has more than
+/// `u32::MAX` messages.
 pub fn simulate(
     network: &Network,
     workload: &Workload,
@@ -180,80 +182,39 @@ pub fn simulate(
         "placement references nodes outside the network"
     );
 
-    // All routes live in one flat hop buffer (expanded with the shared,
-    // in-place next-hop primitive via `route_into`); messages are just
-    // (offset, length) views plus their traversal state. One round's routes
-    // are identical every round, so they are expanded once and the
-    // remaining rounds reference the same hops.
-    struct Message {
-        start: usize,
-        len: usize,
-        position: usize, // number of hops already taken
-        current: u64,
-    }
-
-    let pairs_per_round = workload.pairs().len();
-    let mut hops: Vec<u64> = Vec::new();
-    let mut messages: Vec<Message> = Vec::with_capacity(rounds * pairs_per_round);
-    if rounds > 0 {
-        for &(src_task, dst_task) in workload.pairs() {
-            let src = placement.node_of(src_task);
-            let dst = placement.node_of(dst_task);
-            let start = hops.len();
-            network.route_into(src, dst, &mut hops);
-            messages.push(Message {
-                start,
-                len: hops.len() - start,
-                position: 0,
-                current: src,
-            });
-        }
-    }
-    for _ in 1..rounds {
-        for i in 0..pairs_per_round {
-            let Message { start, len, .. } = messages[i];
-            messages.push(Message {
-                start,
-                len,
-                position: 0,
-                current: placement.node_of(workload.pairs()[i].0),
-            });
-        }
-    }
-
-    let total_messages = messages.len() as u64;
-    let total_hops: u64 = messages.iter().map(|m| m.len as u64).sum();
-    let max_hops: u64 = messages.iter().map(|m| m.len as u64).max().unwrap_or(0);
-
-    // Cycle loop with one-message-per-directed-link arbitration.
-    let mut cycles = 0u64;
-    let mut remaining: usize = messages.iter().filter(|m| m.position < m.len).count();
-    let mut claimed: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-    while remaining > 0 {
-        cycles += 1;
-        claimed.clear();
-        for message in &mut messages {
-            if message.position >= message.len {
-                continue;
-            }
-            let next = hops[message.start + message.position];
-            let link = (message.current, next);
-            if claimed.insert(link) {
-                message.current = next;
-                message.position += 1;
-                if message.position == message.len {
-                    remaining -= 1;
-                }
-            }
-        }
-    }
-
+    // Every round injects the same pairs along the same routes, so one
+    // round's routes are expanded once and the engine replays them.
+    let pairs = if rounds == 0 {
+        &[][..]
+    } else {
+        workload.pairs()
+    };
+    let routes: Vec<Vec<u32>> = pairs
+        .iter()
+        .map(|&(src_task, dst_task)| {
+            let mut route = Vec::new();
+            engine::push_dor_route(
+                network,
+                placement.node_of(src_task),
+                placement.node_of(dst_task),
+                &mut route,
+            );
+            route
+        })
+        .collect();
+    let cycles = engine::cycles_to_deliver(network.grid(), &routes, rounds);
+    let messages = (pairs.len() * rounds) as u64;
+    let round_hops: u64 = routes.iter().map(|route| route.len() as u64).sum();
     SimStats {
-        messages: total_messages,
-        delivered: total_messages,
+        messages,
+        delivered: messages,
         dropped: 0,
-        total_hops,
-        max_hops,
+        total_hops: round_hops * rounds as u64,
+        max_hops: routes
+            .iter()
+            .map(|route| route.len() as u64)
+            .max()
+            .unwrap_or(0),
         detour_hops: 0,
         cycles,
     }

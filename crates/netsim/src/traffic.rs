@@ -6,14 +6,12 @@
 //! simulator sends one message per pair per round after the tasks have been
 //! placed on network nodes by an embedding (or any other placement).
 //!
-//! Beyond task-graph and uniform-random traffic, this module provides the
-//! adversarial generators used by the `chaos` subsystem: Zipf-skewed hotspot
-//! destinations ([`zipf_hotspot`]), on/off bursty arrival schedules
-//! ([`bursty_schedule`]), and multi-tenant composition of several embedded
-//! guests onto one shared host ([`multi_tenant`]).
+//! Beyond task-graph and uniform-random traffic, this module composes the
+//! adversarial multi-tenant workload the `chaos` subsystem measures: several
+//! embedded guests placed onto one shared host ([`multi_tenant`]).
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use topology::Grid;
 
 use crate::sim::Placement;
@@ -165,95 +163,6 @@ impl Workload {
     }
 }
 
-/// A hotspot workload with Zipf-skewed destinations: `messages` pairs whose
-/// sources are uniform and whose destinations follow a Zipf law with exponent
-/// `skew` over a seeded random ranking of the tasks (so the hot task is not
-/// always task 0). `skew = 0` degenerates to uniform destinations; larger
-/// exponents concentrate traffic on ever fewer tasks. Self-pairs are
-/// filtered the same way [`Workload::uniform_random`] filters them.
-///
-/// # Panics
-///
-/// Panics if `tasks < 2` or `skew` is not finite and non-negative.
-pub fn zipf_hotspot(tasks: u64, messages: usize, skew: f64, seed: u64) -> Workload {
-    assert!(tasks >= 2, "need at least two tasks");
-    assert!(
-        skew.is_finite() && skew >= 0.0,
-        "skew must be finite and non-negative"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    // Rank → task: a seeded permutation, so rank 0 (the hottest
-    // destination) lands on an arbitrary task instead of always task 0.
-    let mut ranked: Vec<u64> = (0..tasks).collect();
-    use rand::seq::SliceRandom;
-    ranked.shuffle(&mut rng);
-
-    // Cumulative Zipf weights 1/(k+1)^skew over the ranks.
-    let mut cumulative = Vec::with_capacity(tasks as usize);
-    let mut total = 0.0f64;
-    for k in 0..tasks {
-        total += 1.0 / ((k + 1) as f64).powf(skew);
-        cumulative.push(total);
-    }
-
-    let mut pairs = Vec::with_capacity(messages);
-    for _ in 0..messages {
-        let a = rng.gen_range(0..tasks);
-        let b = loop {
-            // A uniform draw in [0, total), binary-searched against the
-            // cumulative weights: the first rank whose cumulative weight
-            // exceeds the draw.
-            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
-            let rank = cumulative.partition_point(|&c| c <= u);
-            let candidate = ranked[rank.min(ranked.len() - 1)];
-            if candidate != a {
-                break candidate;
-            }
-        };
-        pairs.push((a, b));
-    }
-    Workload { tasks, pairs }
-}
-
-/// An on/off bursty arrival schedule: one workload per round, where each
-/// source task of `base` transmits for `on` rounds and then stays silent for
-/// `off` rounds, with a seeded per-source phase offset so bursts are not
-/// globally synchronized. Round `r` keeps a pair of `base` exactly when its
-/// source is in the on-phase of its cycle.
-///
-/// # Panics
-///
-/// Panics if `on + off == 0`.
-pub fn bursty_schedule(
-    base: &Workload,
-    rounds: usize,
-    on: u32,
-    off: u32,
-    seed: u64,
-) -> Vec<Workload> {
-    let period = u64::from(on) + u64::from(off);
-    assert!(period > 0, "on + off must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let phases: Vec<u64> = (0..base.tasks())
-        .map(|_| rng.gen_range(0..period))
-        .collect();
-    (0..rounds as u64)
-        .map(|r| {
-            let pairs = base
-                .pairs()
-                .iter()
-                .copied()
-                .filter(|&(a, _)| (r + phases[a as usize]) % period < u64::from(on))
-                .collect();
-            Workload {
-                tasks: base.tasks(),
-                pairs,
-            }
-        })
-        .collect()
-}
-
 /// Composes `K` embedded guests' workloads onto one shared host: each guest
 /// pair `(a, b)` becomes the host-node pair `(P(a), P(b))` under that guest's
 /// placement, and the result is a host-level workload over `host_nodes`
@@ -346,61 +255,6 @@ mod tests {
             assert_eq!(w.pairs().len(), messages);
             assert!(w.pairs().iter().all(|&(a, b)| a != b));
         }
-    }
-
-    #[test]
-    fn zipf_hotspot_skews_destinations_and_is_reproducible() {
-        let a = zipf_hotspot(32, 2000, 1.2, 7);
-        let b = zipf_hotspot(32, 2000, 1.2, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.messages_per_round(), 2000);
-        assert!(a.pairs().iter().all(|&(x, y)| x != y && x < 32 && y < 32));
-
-        // The hottest destination of a skewed draw must receive far more
-        // than the uniform share (2000/32 ≈ 63 messages).
-        let mut counts = [0usize; 32];
-        for &(_, b) in a.pairs() {
-            counts[b as usize] += 1;
-        }
-        let hottest = counts.iter().max().copied().unwrap();
-        assert!(hottest > 250, "hottest destination got {hottest} messages");
-
-        // skew = 0 degenerates to (near-)uniform destinations.
-        let uniform = zipf_hotspot(32, 2000, 0.0, 7);
-        let mut flat = [0usize; 32];
-        for &(_, b) in uniform.pairs() {
-            flat[b as usize] += 1;
-        }
-        assert!(flat.iter().max().copied().unwrap() < 150);
-    }
-
-    #[test]
-    fn bursty_schedule_gates_sources_on_their_phase() {
-        let base = Workload::try_new(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let schedule = bursty_schedule(&base, 12, 2, 2, 11);
-        assert_eq!(schedule.len(), 12);
-        // Every round keeps a subset of the base pairs, and each source's
-        // on/off pattern repeats with period on + off = 4.
-        for (r, w) in schedule.iter().enumerate() {
-            assert_eq!(w.tasks(), base.tasks());
-            for pair in w.pairs() {
-                assert!(base.pairs().contains(pair));
-            }
-            if r + 4 < schedule.len() {
-                assert_eq!(w.pairs(), schedule[r + 4].pairs());
-            }
-        }
-        // Each source transmits in exactly half the rounds of each period.
-        for src in 0..4u64 {
-            let active = schedule
-                .iter()
-                .filter(|w| w.pairs().iter().any(|&(a, _)| a == src))
-                .count();
-            assert_eq!(active, 6, "source {src} active {active} rounds");
-        }
-        // Reproducible per seed.
-        let again = bursty_schedule(&base, 12, 2, 2, 11);
-        assert_eq!(schedule, again);
     }
 
     #[test]

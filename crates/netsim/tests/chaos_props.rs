@@ -1,11 +1,14 @@
 //! Property-based tests for the chaos subsystem: the detour router must
 //! agree with the BFS ground truth on reachability, its delivered paths must
-//! stay within the documented overhead bound, and a `FaultPlan` seed must
-//! reproduce bit-identical statistics.
+//! stay within the documented overhead bound, the faulted simulator must
+//! arbitrate its routers' paths exactly as the reference arbitration does,
+//! and a `FaultPlan` seed must reproduce bit-identical statistics.
+
+mod common;
 
 use netsim::chaos::{
-    masked_distances_to, simulate_chaos, ChaosRouting, DetourRouter, FaultPlan, RouteOutcome,
-    TableRouter,
+    live_link_slots, masked_distances_to, simulate_chaos, ChaosRouting, DetourRouter, FaultPlan,
+    RouteOutcome, TableRouter,
 };
 use netsim::{Network, Placement, Workload};
 use proptest::prelude::*;
@@ -125,6 +128,61 @@ proptest! {
                 prop_assert_eq!(stats.dropped, 0);
                 prop_assert_eq!(stats.detour_hops, 0);
             }
+        }
+    }
+
+    #[test]
+    fn faulted_simulations_match_the_reference_arbitration(
+        (network, plan) in faulted_network(),
+        messages in 1usize..48,
+        seed in 0u64..1000,
+        late_failure in (proptest::bool::ANY, 0usize..1000),
+    ) {
+        // Route every message of both rounds through the public routers,
+        // then deliver the node paths with the reference arbitration: the
+        // faulted simulator's link slots must reproduce it, detours and
+        // radix-2 tori included. Some cases fail one more link at round 1,
+        // so the two rounds route differently.
+        let n = network.size();
+        let grid = network.grid();
+        let workload = Workload::uniform_random(n, messages, seed);
+        let placement = Placement::identity(n);
+        let plan = match late_failure {
+            (true, pick) => {
+                let live = live_link_slots(grid);
+                plan.fail_at(1, live[pick % live.len()])
+            }
+            (false, _) => plan,
+        };
+        for routing in [ChaosRouting::Detour, ChaosRouting::BfsTable] {
+            let stats = simulate_chaos(&network, &workload, &placement, 2, &plan, routing);
+            let mut routed = Vec::new();
+            let (mut dropped, mut detour_hops) = (0u64, 0u64);
+            for round in 0..2 {
+                let mask = plan.mask_at(grid, round);
+                let detour = DetourRouter::new(&network, &mask);
+                let mut table = TableRouter::new(&network, &mask);
+                for &(src, dst) in workload.pairs() {
+                    let outcome = match routing {
+                        ChaosRouting::Detour => detour.route(src, dst),
+                        ChaosRouting::BfsTable => table.route(src, dst),
+                    };
+                    match outcome {
+                        RouteOutcome::Delivered { path, detour_hops: d } => {
+                            detour_hops += d;
+                            routed.push((src, path));
+                        }
+                        RouteOutcome::Unreachable { .. } => dropped += 1,
+                    }
+                }
+            }
+            let reference = common::arbitrate(&routed);
+            prop_assert_eq!(stats.cycles, reference.cycles, "{}", routing.name());
+            prop_assert_eq!(stats.delivered, routed.len() as u64);
+            prop_assert_eq!(stats.dropped, dropped);
+            prop_assert_eq!(stats.total_hops, reference.total_hops);
+            prop_assert_eq!(stats.max_hops, reference.max_hops);
+            prop_assert_eq!(stats.detour_hops, detour_hops);
         }
     }
 

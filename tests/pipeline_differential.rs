@@ -13,7 +13,7 @@ use embeddings::basic::{embed_line_in, embed_ring_in};
 use embeddings::congestion::{congestion_parallel, congestion_sequential};
 use embeddings::verify::{verify, verify_sequential};
 use embeddings::Embedding;
-use netsim::prelude::{Network, Router, RoutingAlgorithm};
+use netsim::prelude::Network;
 use topology::routing::next_hop_toward;
 use torus_mesh_embeddings::prelude::*;
 
@@ -90,7 +90,6 @@ fn congestion_path_lengths_equal_netsim_dor_hop_counts() {
     for embedding in fixtures() {
         let report = congestion_sequential(&embedding).unwrap();
         let network = Network::new(embedding.host().clone());
-        let router = Router::new(&network, RoutingAlgorithm::DimensionOrdered);
         let mut loads: HashMap<(u64, u64), u64> = HashMap::new();
         let mut simulated_total = 0u64;
         let mut simulated_edges = 0u64;
@@ -98,10 +97,10 @@ fn congestion_path_lengths_equal_netsim_dor_hop_counts() {
         for (a, b) in embedding.guest().edges() {
             let (from, to) = (embedding.map_index(a), embedding.map_index(b));
             route.clear();
-            router.route_into(&network, from, to, &mut route);
+            network.route_into(from, to, &mut route);
             assert_eq!(
                 route.len() as u64,
-                router.hops(&network, from, to),
+                network.hops(from, to),
                 "route/hops mismatch for guest edge ({a},{b})"
             );
             let mut current = from;
@@ -135,11 +134,10 @@ fn congestion_path_lengths_equal_netsim_dor_hop_counts() {
 #[test]
 fn even_radix_tie_break_is_identical_in_both_crates() {
     // Equidistant arcs on even-radius toruses must pick the forward arc in
-    // the shared rule, in netsim's Network, and in netsim's Router alike.
+    // the shared rule, in netsim's next hop, and in netsim's routes alike.
     for radices in [&[4][..], &[6, 6][..], &[2, 4][..]] {
         let grid = Grid::torus(shape(radices));
         let network = Network::new(grid.clone());
-        let router = Router::new(&network, RoutingAlgorithm::DimensionOrdered);
         let dims: Vec<usize> = (0..grid.dim()).collect();
         for from in grid.nodes() {
             for to in grid.nodes() {
@@ -147,7 +145,7 @@ fn even_radix_tie_break_is_identical_in_both_crates() {
                 let b = grid.coord(to).unwrap();
                 let shared = next_hop_toward(&grid, &a, &b, &dims).map(|c| grid.index(&c).unwrap());
                 assert_eq!(network.next_hop(from, to), shared, "{grid} {from}->{to}");
-                let route = router.route(&network, from, to);
+                let route = network.route(from, to);
                 assert_eq!(route.first().copied(), shared, "{grid} {from}->{to}");
             }
         }
