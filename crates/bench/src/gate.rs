@@ -3,10 +3,11 @@
 //!
 //! The workspace is offline (no serde), so this module carries a minimal
 //! recursive-descent JSON parser — just enough for the baseline files the
-//! repo checks in — plus the baseline-extraction and ratio-check logic the
-//! `benchgate` binary drives in CI. A measurement passes when it reaches at
-//! least `min_ratio` of its baseline (the CI default, 0.7, fails a >30%
-//! throughput regression).
+//! repo checks in — plus the `summary` lookup and ratio check the
+//! `benchgate` binary drives in CI. Which `summary` key gates which
+//! workload is a column of [`crate::workloads`]. A measurement passes when
+//! it reaches at least `min_ratio` of its baseline (the CI default, 0.7,
+//! fails a >30% throughput regression).
 
 use std::collections::BTreeMap;
 
@@ -77,10 +78,15 @@ pub enum GateError {
         /// A dotted path describing the missing field.
         field: String,
     },
-    /// The `benchmark` field names a benchmark the gate cannot measure.
+    /// The `benchmark` field names a benchmark no workload row measures.
     UnknownBenchmark {
         /// The offending name.
         name: String,
+    },
+    /// A gated baseline is zero, negative or not a number.
+    NotPositive {
+        /// A dotted path to the offending field.
+        field: String,
     },
 }
 
@@ -94,7 +100,10 @@ impl core::fmt::Display for GateError {
                 write!(f, "baseline is missing required field {field:?}")
             }
             GateError::UnknownBenchmark { name } => {
-                write!(f, "no gate measurement is defined for benchmark {name:?}")
+                write!(f, "no workload measures benchmark {name:?}")
+            }
+            GateError::NotPositive { field } => {
+                write!(f, "baseline field {field:?} is not a positive number")
             }
         }
     }
@@ -351,118 +360,50 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, GateError> {
     }
 }
 
-/// One gated throughput figure extracted from a baseline file. Units vary by
-/// benchmark (elements/s, trials/s, moves/s); the gate only ever compares a
+/// One gated figure a baseline file records. Units vary by benchmark
+/// (elements/s, trials/s, moves/s); the gate only ever compares a
 /// measurement against its own baseline, so the unit never crosses metrics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BaselineMetric {
     /// Which benchmark family the metric belongs to (the file's `benchmark`
     /// field).
     pub benchmark: String,
-    /// The metric's name within the family (e.g. `"verify_melem_per_s"`).
+    /// The file's `summary` key that records the metric (e.g.
+    /// `"moves_per_second"`).
     pub metric: String,
     /// The baseline throughput (higher is better).
     pub throughput: f64,
 }
 
-fn number_at(root: &Json, path: &[&str]) -> Result<f64, GateError> {
-    let mut value = root;
-    for key in path {
-        value = value.get(key).ok_or_else(|| GateError::Schema {
-            field: path.join("."),
-        })?;
-    }
-    value.as_f64().ok_or_else(|| GateError::Schema {
-        field: path.join("."),
-    })
-}
-
-/// Finds the element of `results` whose `group` field equals `group`.
-fn result_group<'a>(root: &'a Json, group: &str) -> Result<&'a Json, GateError> {
-    let results = root
-        .get("results")
-        .and_then(Json::as_array)
-        .ok_or_else(|| GateError::Schema {
-            field: "results".into(),
-        })?;
-    results
-        .iter()
-        .find(|r| r.get("group").and_then(Json::as_str) == Some(group))
-        .ok_or_else(|| GateError::Schema {
-            field: format!("results[group={group}]"),
-        })
-}
-
-/// Extracts the gated metrics of one parsed baseline file, dispatching on
-/// its `benchmark` field.
+/// The gated figure a baseline file of `benchmark` records under
+/// `summary.<key>`. It must be a positive number: a zero or negative
+/// baseline would let every measurement pass.
 ///
 /// # Errors
 ///
-/// Returns [`GateError::Schema`] when a required field is absent and
-/// [`GateError::UnknownBenchmark`] for files the gate cannot measure.
-pub fn extract_metrics(root: &Json) -> Result<Vec<BaselineMetric>, GateError> {
-    let benchmark = root
-        .get("benchmark")
-        .and_then(Json::as_str)
+/// [`GateError::Schema`] when the key is absent and
+/// [`GateError::NotPositive`] when its value is not a positive number.
+pub(crate) fn summary_baseline(
+    file: &Json,
+    benchmark: &str,
+    key: &str,
+) -> Result<BaselineMetric, GateError> {
+    let field = format!("summary.{key}");
+    let value = file
+        .get("summary")
+        .and_then(|summary| summary.get(key))
         .ok_or_else(|| GateError::Schema {
-            field: "benchmark".into(),
-        })?
-        .to_string();
-    let metric = |metric: &str, throughput: f64| BaselineMetric {
-        benchmark: benchmark.clone(),
-        metric: metric.to_string(),
+            field: field.clone(),
+        })?;
+    let throughput = value
+        .as_f64()
+        .filter(|number| *number > 0.0 && number.is_finite())
+        .ok_or(GateError::NotPositive { field })?;
+    Ok(BaselineMetric {
+        benchmark: benchmark.into(),
+        metric: key.into(),
         throughput,
-    };
-    match benchmark.as_str() {
-        "pipeline_throughput" => Ok(vec![
-            metric(
-                "verify_melem_per_s",
-                number_at(result_group(root, "verify")?, &["batched_melem_per_s"])?,
-            ),
-            metric(
-                "congestion_melem_per_s",
-                number_at(result_group(root, "congestion")?, &["batched_melem_per_s"])?,
-            ),
-            metric(
-                "soa_codec_melem_per_s",
-                number_at(
-                    result_group(root, "soa_codec")?,
-                    &["decode_range_melem_per_s"],
-                )?,
-            ),
-        ]),
-        "explab_throughput" => Ok(vec![metric(
-            "trials_per_s",
-            number_at(root, &["summary", "trials_per_second_single_worker"])?,
-        )]),
-        "optim_throughput" => Ok(vec![
-            metric(
-                "moves_per_s",
-                number_at(root, &["summary", "moves_per_second"])?,
-            ),
-            metric(
-                "wirelength_moves_per_s",
-                number_at(root, &["summary", "wirelength_moves_per_second"])?,
-            ),
-            metric(
-                "kcycle_moves_per_s",
-                number_at(root, &["summary", "kcycle_moves_per_second"])?,
-            ),
-        ]),
-        "shard_scaling" => Ok(vec![metric(
-            "sharded_moves_per_s",
-            number_at(root, &["summary", "sharded_moves_per_second"])?,
-        )]),
-        "embd_load" => Ok(vec![metric(
-            "queries_per_s",
-            number_at(root, &["summary", "queries_per_second"])?,
-        )]),
-        "chaos_routing" => Ok(vec![metric(
-            "chaos_routed_msgs_per_s",
-            number_at(root, &["summary", "routed_msgs_per_second"])?,
-        )]),
-        other => Err(GateError::UnknownBenchmark { name: other.into() }),
-    }
+    })
 }
 
 /// The verdict on one gated metric.
@@ -478,19 +419,15 @@ pub struct GateCheck {
     pub pass: bool,
 }
 
-/// Compares a measurement against its baseline: pass when `measured` is at
-/// least `min_ratio` of the baseline throughput.
+/// Compares a measurement against its baseline: pass when the baseline is
+/// positive and `measured` is at least `min_ratio` of it.
 pub fn check(baseline: BaselineMetric, measured: f64, min_ratio: f64) -> GateCheck {
-    let ratio = if baseline.throughput > 0.0 {
-        measured / baseline.throughput
-    } else {
-        f64::INFINITY
-    };
+    let ratio = measured / baseline.throughput;
     GateCheck {
+        pass: baseline.throughput > 0.0 && ratio >= min_ratio,
         baseline,
         measured,
         ratio,
-        pass: ratio >= min_ratio,
     }
 }
 
@@ -564,95 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_checked_in_baselines() {
-        for file in [
-            "BENCH_pipeline.json",
-            "BENCH_explab.json",
-            "BENCH_optim.json",
-            "BENCH_shards.json",
-            "BENCH_embd.json",
-            "BENCH_netsim.json",
-        ] {
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string() + file;
-            let text = std::fs::read_to_string(&path).expect(file);
-            let json = parse_json(&text).expect(file);
-            let metrics = extract_metrics(&json).expect(file);
-            assert!(!metrics.is_empty(), "{file}");
-            assert!(metrics.iter().all(|m| m.throughput > 0.0), "{file}");
-        }
-    }
-
-    #[test]
-    fn extraction_dispatches_on_benchmark_name() {
-        let doc = r#"{
-            "benchmark": "explab_throughput",
-            "summary": {"trials_per_second_single_worker": 24748}
-        }"#;
-        let metrics = extract_metrics(&parse_json(doc).unwrap()).unwrap();
-        assert_eq!(metrics.len(), 1);
-        assert_eq!(metrics[0].metric, "trials_per_s");
-        assert_eq!(metrics[0].throughput, 24748.0);
-
-        let shards = r#"{
-            "benchmark": "shard_scaling",
-            "summary": {"sharded_moves_per_second": 96795}
-        }"#;
-        let metrics = extract_metrics(&parse_json(shards).unwrap()).unwrap();
-        assert_eq!(metrics.len(), 1);
-        assert_eq!(metrics[0].metric, "sharded_moves_per_s");
-        assert_eq!(metrics[0].throughput, 96795.0);
-
-        let pipeline = r#"{
-            "benchmark": "pipeline_throughput",
-            "results": [
-                {"group": "verify", "batched_melem_per_s": 7.0},
-                {"group": "congestion", "batched_melem_per_s": 6.5},
-                {"group": "soa_codec", "decode_range_melem_per_s": 400.0}
-            ]
-        }"#;
-        let metrics = extract_metrics(&parse_json(pipeline).unwrap()).unwrap();
-        assert_eq!(metrics.len(), 3);
-        assert_eq!(metrics[2].metric, "soa_codec_melem_per_s");
-        assert_eq!(metrics[2].throughput, 400.0);
-
-        let chaos = r#"{
-            "benchmark": "chaos_routing",
-            "summary": {"routed_msgs_per_second": 120000}
-        }"#;
-        let metrics = extract_metrics(&parse_json(chaos).unwrap()).unwrap();
-        assert_eq!(metrics.len(), 1);
-        assert_eq!(metrics[0].metric, "chaos_routed_msgs_per_s");
-        assert_eq!(metrics[0].throughput, 120000.0);
-
-        let optim = r#"{
-            "benchmark": "optim_throughput",
-            "summary": {
-                "moves_per_second": 85630,
-                "wirelength_moves_per_second": 105086,
-                "kcycle_moves_per_second": 60000
-            }
-        }"#;
-        let metrics = extract_metrics(&parse_json(optim).unwrap()).unwrap();
-        assert_eq!(metrics.len(), 3);
-        assert_eq!(metrics[0].metric, "moves_per_s");
-        assert_eq!(metrics[1].metric, "wirelength_moves_per_s");
-        assert_eq!(metrics[1].throughput, 105086.0);
-        assert_eq!(metrics[2].metric, "kcycle_moves_per_s");
-        assert_eq!(metrics[2].throughput, 60000.0);
-
-        let unknown = r#"{"benchmark": "mystery"}"#;
-        assert!(matches!(
-            extract_metrics(&parse_json(unknown).unwrap()),
-            Err(GateError::UnknownBenchmark { .. })
-        ));
-        let missing = r#"{"benchmark": "optim_throughput", "summary": {}}"#;
-        assert!(matches!(
-            extract_metrics(&parse_json(missing).unwrap()),
-            Err(GateError::Schema { .. })
-        ));
-    }
-
-    #[test]
     fn ratio_check_applies_the_threshold() {
         let metric = BaselineMetric {
             benchmark: "optim_throughput".into(),
@@ -664,5 +512,17 @@ mod tests {
         let fail = check(metric, 699.0, 0.7);
         assert!(!fail.pass);
         assert!((fail.ratio - 0.699).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_non_positive_baseline_never_passes() {
+        for throughput in [0.0, -5.0] {
+            let metric = BaselineMetric {
+                benchmark: "optim_throughput".into(),
+                metric: "moves_per_second".into(),
+                throughput,
+            };
+            assert!(!check(metric, 1e9, 0.7).pass, "{throughput}");
+        }
     }
 }

@@ -1,38 +1,37 @@
-//! Measurement infrastructure: the criterion benchmark suite and the
-//! `benchgate` bench-regression gate.
+//! Measurement infrastructure: the workload table and the `benchgate`
+//! runner and bench-regression gate.
 //!
 //! This crate (`emb-bench`) is where the repository's performance claims
 //! live and are *enforced*:
 //!
-//! * **benches/** — eight criterion benchmarks, each backing a checked-in
-//!   `BENCH_*.json` baseline: the batched `verify`/`congestion` pipeline
-//!   (`pipeline_throughput`) and the digit-plane codec under it
-//!   (`soa_codec`), the sweep engine (`explab_throughput`), the annealing
-//!   optimizer and its objectives (`optim_throughput`,
-//!   `wirelength_throughput`, `move_mix`), sharded annealing and the
-//!   delta-aware makespan objective (`shard_scaling`), and degraded routing
-//!   (`chaos_routing`);
-//! * **`benchgate` bin** — the CI regression gate: re-measures the gated
-//!   figures recorded in the checked-in `BENCH_*.json` baselines
-//!   (best-of-N wall-clock, so one scheduler hiccup cannot fail the gate)
-//!   and exits non-zero when any metric drops below
-//!   `--min-ratio` × baseline (CI: 0.7). Its measured-throughput table is
-//!   uploaded as a per-run CI artifact, giving a cheap longitudinal perf
-//!   history without a dashboard service.
+//! * [`workloads`] — one table with a row for every group the checked-in
+//!   `BENCH_*.json` baselines record: the batched `verify`/`congestion`
+//!   pipeline and the digit-plane codec under it, the sweep engine, the
+//!   annealing objectives and move mixes, sharded annealing and the
+//!   delta-aware makespan objective, degraded routing, and `MAP` queries
+//!   over loopback TCP. Each row says what it counts, and may name the
+//!   baseline `summary` key that gates it;
+//! * **`benchgate` bin** — the only runner of that table, and the CI
+//!   regression gate: given baseline files, it times every row of those
+//!   files (best of three, so one scheduler hiccup cannot fail the gate)
+//!   and exits non-zero when a gated row drops below `--min-ratio` ×
+//!   baseline (default 0.7). Its table is uploaded as a per-run CI
+//!   artifact, a cheap longitudinal perf history without a dashboard
+//!   service.
 //!
-//! Library-side, [`gate`] is a minimal offline JSON parser (the workspace
-//! vendors no serde) plus the baseline-extraction and ratio-check logic
-//! `benchgate` drives.
+//! [`gate`] is a minimal offline JSON parser (the workspace vendors no
+//! serde) plus the baseline lookup and ratio check `benchgate` drives.
 //!
 //! Everything here measures; nothing here is measured. The crate is not
-//! published and exports no stability guarantees — benches and gates may
+//! published and exports no stability guarantees — workloads and gates may
 //! reshape freely as the hot paths move.
 
 pub mod gate;
+pub mod workloads;
 
 use topology::{Grid, Shape};
 
-/// Builds a shape from a slice, panicking on invalid input (benchmarks only
+/// Builds a shape from a slice, panicking on invalid input (workloads only
 /// use known-good shapes).
 fn shape(radices: &[u32]) -> Shape {
     Shape::new(radices.to_vec()).expect("valid shape")

@@ -494,8 +494,9 @@ impl SweepPlan {
     ///   by the CI smoke job;
     /// * `report` — the plan behind `lab report` / the checked-in
     ///   EXPERIMENTS.md;
-    /// * `bench` — the fixed small family measured by the
-    ///   `explab_throughput` criterion bench.
+    /// * `bench` — the fixed small family the `explab_throughput` rows of
+    ///   `emb_bench::workloads` time, and `benchgate BENCH_explab.json`
+    ///   gates.
     ///
     /// # Errors
     ///
@@ -605,7 +606,7 @@ impl SweepPlan {
                 // The bench plan feeds the `explab_throughput` baseline;
                 // keeping it optimizer-free (and chaos-free) keeps
                 // BENCH_explab.json comparable across PRs (the optimizer and
-                // the chaos router have their own benches).
+                // the chaos router have their own workload rows).
                 optimize: None,
                 wirelength: None,
                 chaos: None,
