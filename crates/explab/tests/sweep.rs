@@ -266,6 +266,27 @@ fn makespan_objective_runs_sharded_in_sweeps() {
     );
 }
 
+/// FNV-1a, 64-bit: a stable digest of a JSONL text.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn makespan_smoke_records_match_their_recorded_digest() {
+    // `plans/makespan_smoke.plan` is the one sweep that anneals the makespan
+    // objective, and comparing its runs at two worker counts cannot catch a
+    // change that moves every record alike. Its JSONL is pinned here: any
+    // change to the makespan objective's costs, the annealer's accept
+    // decisions or its RNG stream changes the digest.
+    let plan = SweepPlan::parse(include_str!("../../../plans/makespan_smoke.plan")).unwrap();
+    let jsonl = run(&plan, 2).to_jsonl();
+    assert_eq!(jsonl.lines().count(), 126);
+    assert_eq!(jsonl.len(), 170_967);
+    assert_eq!(fnv1a(&jsonl), 0x49c5_fac7_bcb2_0085);
+}
+
 #[test]
 fn wirelength_stage_respects_tangs_bound_on_every_swept_member() {
     // Satellite check for the cross-paper lab: sweep the whole
