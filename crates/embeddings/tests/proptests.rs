@@ -173,6 +173,33 @@ fn compound_move_walk(
     Ok(cost)
 }
 
+/// Forwards only the three methods every objective had before
+/// [`Objective::apply_bounded`](embeddings::optim::Objective::apply_bounded),
+/// so the wrapped objective sees every move through the exact default.
+struct ExactOnly(Box<dyn embeddings::optim::Objective>);
+
+impl embeddings::optim::Objective for ExactOnly {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn rebuild(&mut self, table: &[u64]) -> embeddings::optim::Cost {
+        self.0.rebuild(table)
+    }
+
+    fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> embeddings::optim::Cost {
+        self.0.apply_swap(table, a, b)
+    }
+
+    fn apply_disjoint_swaps(
+        &mut self,
+        table: &mut [u64],
+        swaps: &[(u64, u64)],
+    ) -> embeddings::optim::Cost {
+        self.0.apply_disjoint_swaps(table, swaps)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -474,6 +501,72 @@ proptest! {
         let cost =
             compound_move_walk(&mut objective, &mut fresh, guest.shape(), &mut table, seed, 25)?;
         prop_assert_eq!(cost, build().rebuild(&table));
+    }
+
+    #[test]
+    fn incremental_bounded_walks_match_exact_walks(
+        shape in proptest::collection::vec(2u32..=5, 1..=3)
+            .prop_filter("bounded size", |radices| {
+                let size: u64 = radices.iter().map(|&l| l as u64).product();
+                (4..=64).contains(&size)
+            })
+            .prop_map(|radices| Shape::new(radices).unwrap()),
+        torus_host in proptest::bool::ANY,
+        shuffled in proptest::bool::ANY,
+        seed in 0u64..(1 << 16),
+        objective in 0usize..3,
+        mix in 0usize..3,
+    ) {
+        // A walk whose objective may answer a move with a bound ends
+        // exactly where the same walk priced exactly ends: same table,
+        // same report. The exact walk runs through a wrapper that forwards
+        // only `rebuild`, `apply_swap` and `apply_disjoint_swaps`, so every
+        // move takes `apply_bounded`'s exact default.
+        use embeddings::optim::parallel::{shard_config, ShardStrategy};
+        use embeddings::optim::{
+            CongestionObjective, MoveMix, Objective, Optimizer, OptimizerConfig,
+            WirelengthObjective,
+        };
+        use embeddings::Embedding;
+        use netsim::optimize::MakespanObjective;
+        use netsim::{Network, Workload};
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        let guest = Grid::torus(shape.clone());
+        let host = if torus_host { Grid::torus(shape) } else { Grid::mesh(shape) };
+        let mut table = embed(&guest, &host).unwrap().to_table().unwrap();
+        if shuffled {
+            table.shuffle(&mut StdRng::seed_from_u64(seed));
+        }
+        let start = Embedding::from_table(guest.clone(), host.clone(), "start", table).unwrap();
+        let base = OptimizerConfig { seed, steps: 150, ..OptimizerConfig::default() };
+        let (block, style) = shard_config(&base, 2, ShardStrategy::Portfolio);
+        prop_assert_eq!(style, "block");
+        let config = OptimizerConfig {
+            mix: [MoveMix::pairwise(), MoveMix::compound(), block.mix][mix],
+            ..base
+        };
+        let build = || -> Box<dyn Objective> {
+            match objective {
+                0 => Box::new(CongestionObjective::new(&guest, &host).unwrap()),
+                1 => Box::new(WirelengthObjective::new(&guest, &host).unwrap()),
+                _ => Box::new(
+                    MakespanObjective::new(
+                        Network::new(host.clone()),
+                        Workload::from_task_graph(&guest),
+                        1 + (seed % 2) as usize,
+                    )
+                    .unwrap(),
+                ),
+            }
+        };
+        let optimizer = Optimizer::new(config);
+        let bounded = optimizer.optimize(&start, &mut build()).unwrap();
+        let exact = optimizer.optimize(&start, &mut ExactOnly(build())).unwrap();
+        prop_assert_eq!(&bounded.table, &exact.table);
+        prop_assert_eq!(&bounded.report, &exact.report);
     }
 
     #[test]

@@ -43,7 +43,22 @@
 //!   same call — the optimizer's rejection path — swaps the routes, the
 //!   cycle cache, the hop total and the cost back, and leaves the committed
 //!   partition as it is. Any other call, and `rebuild`, drop the saved
-//!   state.
+//!   state;
+//! * **a bound comes before arbitration** when the annealer passes its
+//!   acceptance test through [`Objective::apply_bounded`]. The objective
+//!   keeps a count of the cached routes through each directed slot. Once a
+//!   move's changed pairs are routed, no schedule can finish before the
+//!   longest changed route, nor before `rounds` times the heaviest count
+//!   on a changed route's slots: a message takes one cycle per hop, and a
+//!   slot passes one message per cycle. The bound pairs that makespan with
+//!   the exact hop total. When the limit rejects it, the objective returns
+//!   it without copying the cycle cache or arbitrating; the undo then swaps
+//!   the routes and counts back. Any other next call makes the bounded move
+//!   final by partitioning its routes and arbitrating every message, so it
+//!   prices exactly. The bound is componentwise at most the exact cost, so
+//!   the monotone acceptance test that rejects it rejects the exact cost
+//!   too, and every accept decision is the one exact pricing would make
+//!   (see [`embeddings::optim`]).
 //!
 //! Skipping clean components is exact, not approximate. Call the union of
 //! the committed components that hold a dirty slot `U`. Every changed
@@ -144,6 +159,9 @@ pub struct MakespanObjective {
     root_epoch: Vec<u64>,
     /// Old + new slots of every route changed since the last arbitration.
     dirty_slots: Vec<u32>,
+    /// The number of cached routes through each directed slot, last move
+    /// included: what bounds a move before it is arbitrated.
+    slot_count: Vec<u32>,
     cost: Cost,
     /// What the last move replaced, kept until the next call shows whether
     /// that call is the move's undo.
@@ -157,6 +175,9 @@ pub struct MakespanObjective {
 struct Saved {
     /// Whether the fields below describe a move that can still be undone.
     open: bool,
+    /// Whether the move returned a bound: its routes are in place, but its
+    /// messages were never arbitrated and the cycle cache was not copied.
+    bounded: bool,
     /// The move's transpositions, as the call passed them.
     swaps: Vec<(u64, u64)>,
     /// The routes the move replaced, by pair index.
@@ -218,12 +239,14 @@ impl MakespanObjective {
             pair_root: Vec::new(),
             root_epoch: vec![0; slots + 1],
             dirty_slots: Vec::new(),
+            slot_count: vec![0; slots],
             cost: Cost {
                 primary: 0,
                 secondary: 0,
             },
             saved: Saved {
                 open: false,
+                bounded: false,
                 swaps: Vec::new(),
                 routes: Vec::new(),
                 msg_cycles: Vec::new(),
@@ -251,18 +274,46 @@ impl MakespanObjective {
     }
 
     /// Replaces the cached route of pair `pair` with its route under
-    /// `table`, built in a spare buffer, and keeps `route_hops` in sync. The
-    /// replaced route goes to the saved state. Both routes' slots are
-    /// appended to `dirty_slots`, marking every contention component this
-    /// change can reach.
+    /// `table`, built in a spare buffer, and keeps `route_hops` and
+    /// `slot_count` in sync. The replaced route goes to the saved state.
+    /// Both routes' slots are appended to `dirty_slots`, marking every
+    /// contention component this change can reach.
     fn route_pair(&mut self, pair: u32, table: &[u64]) {
         let mut route = self.spare.pop().unwrap_or_default();
         self.expand_route(pair as usize, table, &mut route);
         let old = std::mem::replace(&mut self.routes[pair as usize], route);
         let new = &self.routes[pair as usize];
         self.route_hops = self.route_hops - old.len() as u64 + new.len() as u64;
+        recount(&mut self.slot_count, &old, new);
         self.dirty_slots.extend(old.iter().chain(new));
         self.saved.routes.push((pair, old));
+    }
+
+    /// The bound of the move that re-routed the pairs `changed`: the exact
+    /// hop total, and a makespan no schedule of the moved table can beat.
+    /// A message takes at least one cycle per hop, and a directed slot
+    /// passes one message per cycle, so the makespan is at least the
+    /// longest changed route and at least `rounds` times the routes through
+    /// any of its slots (no message at all with zero rounds).
+    fn bound(&self, changed: &[u32]) -> Cost {
+        let mut longest = 0;
+        let mut heaviest = 0;
+        for &pair in changed {
+            let route = &self.routes[pair as usize];
+            longest = longest.max(route.len() as u64);
+            for &slot in route {
+                heaviest = heaviest.max(self.slot_count[slot as usize]);
+            }
+        }
+        let rounds = self.rounds as u64;
+        Cost {
+            primary: if rounds == 0 {
+                0
+            } else {
+                longest.max(rounds * u64::from(heaviest))
+            },
+            secondary: self.route_hops * rounds,
+        }
     }
 
     /// Partitions the cached routes into contention components: each route
@@ -349,46 +400,75 @@ impl MakespanObjective {
         self.arbitrate_replay()
     }
 
+    /// Arbitrates every message with a route from scratch, over the cached
+    /// routes: the differential anchor for the incremental path.
+    fn arbitrate_all(&mut self) -> Cost {
+        self.msg_cycles.clear();
+        self.msg_cycles.resize(self.routes.len() * self.rounds, 0);
+        self.replay.clear();
+        self.replay.extend(engine::nonempty_routes(&self.routes));
+        self.arbitrate_replay()
+    }
+
     /// Drops the saved state of the last move, keeping its route buffers.
     fn forget(&mut self) {
         self.saved.open = false;
+        self.saved.bounded = false;
         self.spare
             .extend(self.saved.routes.drain(..).map(|(_, route)| route));
     }
 
-    /// Undoes the last move from its saved state: swaps the replaced routes,
-    /// the cycle cache, `route_hops` and the cost back in. The committed
-    /// partition never saw the move, so it stays.
+    /// Undoes the last move from its saved state: swaps the replaced routes
+    /// (and their slot counts), the cycle cache of an arbitrated move,
+    /// `route_hops` and the cost back in. The committed partition never saw
+    /// the move, so it stays.
     fn restore(&mut self) -> Cost {
         let MakespanObjective {
             routes,
             spare,
             saved,
+            slot_count,
             ..
         } = self;
         for (pair, route) in saved.routes.drain(..) {
-            spare.push(std::mem::replace(&mut routes[pair as usize], route));
+            let new = std::mem::replace(&mut routes[pair as usize], route);
+            recount(slot_count, &new, &routes[pair as usize]);
+            spare.push(new);
         }
-        std::mem::swap(&mut self.msg_cycles, &mut saved.msg_cycles);
+        if !saved.bounded {
+            std::mem::swap(&mut self.msg_cycles, &mut saved.msg_cycles);
+        }
         self.route_hops = saved.route_hops;
         self.cost = saved.cost;
         saved.open = false;
+        saved.bounded = false;
         self.cost
     }
 
     /// The shared delta path for the move `swaps`, already applied to
     /// `table`: answers the move's undo from the saved state; otherwise
-    /// makes the last move final (partitioning the routes it committed),
-    /// re-routes every workload pair touched by any task in `touched`
-    /// (deduplicated), then re-arbitrates the reachable contention
-    /// components once, saving what it replaces. Returns the cached cost
-    /// untouched when no pair is affected.
-    fn resync_touched(&mut self, table: &[u64], swaps: &[(u64, u64)], touched: &[u64]) -> Cost {
+    /// makes the last move final (partitioning the routes it committed,
+    /// and arbitrating every message if it was bounded), re-routes every
+    /// workload pair touched by any task in `touched` (deduplicated), then
+    /// re-arbitrates the reachable contention components once, saving what
+    /// it replaces. With `accepts`, the move's bound comes first, and a
+    /// bound `accepts` rejects is returned without arbitrating. Returns the
+    /// cached cost untouched when no pair is affected.
+    fn resync_touched(
+        &mut self,
+        table: &[u64],
+        swaps: &[(u64, u64)],
+        touched: &[u64],
+        accepts: Option<&dyn Fn(Cost) -> bool>,
+    ) -> Cost {
         if self.saved.open {
             if self.saved.swaps == swaps {
                 return self.restore();
             }
             self.partition();
+            if self.saved.bounded {
+                self.arbitrate_all();
+            }
         }
         self.forget();
         self.epoch += 1;
@@ -419,13 +499,58 @@ impl MakespanObjective {
         saved.swaps.extend_from_slice(swaps);
         saved.route_hops = self.route_hops;
         saved.cost = self.cost;
-        saved.msg_cycles.clone_from(&self.msg_cycles);
         for &pair in &affected {
             self.route_pair(pair, table);
         }
-        self.affected = affected;
         self.saved.open = true;
+        let bound = accepts.and_then(|accepts| {
+            let bound = self.bound(&affected);
+            (!accepts(bound)).then_some(bound)
+        });
+        self.affected = affected;
+        if let Some(bound) = bound {
+            self.saved.bounded = true;
+            self.dirty_slots.clear();
+            return bound;
+        }
+        self.saved.msg_cycles.clone_from(&self.msg_cycles);
         self.evaluate_incremental()
+    }
+
+    /// Applies the batch `swaps` to `table` and prices it as one move.
+    fn apply_batch(
+        &mut self,
+        table: &mut [u64],
+        swaps: &[(u64, u64)],
+        accepts: Option<&dyn Fn(Cost) -> bool>,
+    ) -> Cost {
+        // A compound move (segment reversal, k-cycle rotation batch, block
+        // swap) re-routes the pairs of *every* transposed task but pays the
+        // arbitration pass once — the override the default per-swap loop
+        // exists for, since arbitration dominates this objective's
+        // evaluation.
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        for &(a, b) in swaps {
+            table.swap(a as usize, b as usize);
+            if a != b {
+                touched.push(a);
+                touched.push(b);
+            }
+        }
+        let cost = self.resync_touched(table, swaps, &touched, accepts);
+        self.touched = touched;
+        cost
+    }
+}
+
+/// Moves the slot counts of one pair from route `old` to route `new`.
+fn recount(slot_count: &mut [u32], old: &[u32], new: &[u32]) {
+    for &slot in old {
+        slot_count[slot as usize] -= 1;
+    }
+    for &slot in new {
+        slot_count[slot as usize] += 1;
     }
 }
 
@@ -452,45 +577,34 @@ impl Objective for MakespanObjective {
         }
         self.forget();
         self.route_hops = 0;
+        self.slot_count.fill(0);
         for pair in 0..self.routes.len() {
             let mut route = std::mem::take(&mut self.routes[pair]);
             self.expand_route(pair, table, &mut route);
             self.route_hops += route.len() as u64;
+            recount(&mut self.slot_count, &[], &route);
             self.routes[pair] = route;
         }
         self.partition();
-        // The differential anchor for the incremental path: every message
-        // with a route arbitrates from scratch.
-        self.msg_cycles.clear();
-        self.msg_cycles.resize(self.routes.len() * self.rounds, 0);
-        self.replay.clear();
-        self.replay.extend(engine::nonempty_routes(&self.routes));
-        self.arbitrate_replay()
+        self.arbitrate_all()
     }
 
     fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost {
         let touched: &[u64] = if a == b { &[] } else { &[a, b] };
-        self.resync_touched(table, &[(a, b)], touched)
+        self.resync_touched(table, &[(a, b)], touched, None)
     }
 
     fn apply_disjoint_swaps(&mut self, table: &mut [u64], swaps: &[(u64, u64)]) -> Cost {
-        // A compound move (segment reversal, k-cycle rotation batch, block
-        // swap) re-routes the pairs of *every* transposed task but pays the
-        // arbitration pass once — the override the default per-swap loop
-        // exists for, since arbitration dominates this objective's
-        // evaluation.
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.clear();
-        for &(a, b) in swaps {
-            table.swap(a as usize, b as usize);
-            if a != b {
-                touched.push(a);
-                touched.push(b);
-            }
-        }
-        let cost = self.resync_touched(table, swaps, &touched);
-        self.touched = touched;
-        cost
+        self.apply_batch(table, swaps, None)
+    }
+
+    fn apply_bounded(
+        &mut self,
+        table: &mut [u64],
+        swaps: &[(u64, u64)],
+        accepts: &dyn Fn(Cost) -> bool,
+    ) -> Cost {
+        self.apply_batch(table, swaps, Some(accepts))
     }
 }
 
@@ -794,6 +908,147 @@ mod tests {
         let mut fresh =
             MakespanObjective::new(Network::new(network.grid().clone()), workload, rounds).unwrap();
         assert_eq!(objective.cost, fresh.rebuild(&table));
+    }
+
+    /// The walk's greedy limit: reject any cost worse than `before`.
+    fn reject_worse(before: Cost) -> impl Fn(Cost) -> bool {
+        move |cost| cost <= before
+    }
+
+    #[test]
+    fn bounded_makespan_moves_sit_below_the_exact_cost() {
+        // Every bounded return is componentwise at most the exact cost of
+        // the same move on a fresh objective, keeps its secondary, and is
+        // rejected by its limit; its undo restores the cost. Swaps and
+        // reversal batches from a shuffled start, one and two rounds, under
+        // the greedy limit and one that judges the makespan alone.
+        use rand::seq::SliceRandom;
+        let guest = Grid::torus(shape(&[4, 6]));
+        let host = Grid::mesh(shape(&[4, 6]));
+        let mut start = embed(&guest, &host).unwrap().to_table().unwrap();
+        start.shuffle(&mut StdRng::seed_from_u64(8));
+        let workload = Workload::from_task_graph(&guest);
+        let n = guest.size();
+        for rounds in [1, 2] {
+            let build = || {
+                MakespanObjective::new(Network::new(host.clone()), workload.clone(), rounds)
+                    .unwrap()
+            };
+            let mut objective = build();
+            let before = objective.rebuild(&start);
+            let greedy = reject_worse(before);
+            let makespan_only = |cost: Cost| cost.primary <= before.primary;
+            let mut rng = StdRng::seed_from_u64(31);
+            let (mut bounded, mut exact) = (0, 0);
+            for step in 0..300 {
+                let limit: &dyn Fn(Cost) -> bool = if step % 2 == 0 {
+                    &greedy
+                } else {
+                    &makespan_only
+                };
+                let a = rng.gen_range(0u64..n - 3);
+                let b = rng.gen_range(a + 1..n);
+                let swaps: Vec<(u64, u64)> = if rng.gen_bool(0.5) {
+                    vec![(a, b)]
+                } else {
+                    vec![(a, a + 3), (a + 1, a + 2)]
+                };
+                let mut table = start.clone();
+                let cost = objective.apply_bounded(&mut table, &swaps, limit);
+                let mut fresh = build();
+                fresh.rebuild(&start);
+                let truth = fresh.apply_disjoint_swaps(&mut start.clone(), &swaps);
+                if objective.saved.bounded {
+                    bounded += 1;
+                    assert!(!limit(cost), "the limit accepts the bound of {swaps:?}");
+                    assert!(cost.primary <= truth.primary, "{cost:?} > {truth:?}");
+                    assert_eq!(cost.secondary, truth.secondary);
+                } else {
+                    exact += 1;
+                    assert_eq!(cost, truth, "{swaps:?}");
+                }
+                assert_eq!(objective.apply_disjoint_swaps(&mut table, &swaps), before);
+                assert_eq!(table, start);
+            }
+            assert!(bounded > 0 && exact > 0, "{bounded} bounded, {exact} exact");
+            assert_eq!(objective.rebuild(&start), before);
+        }
+    }
+
+    #[test]
+    fn bounded_makespan_moves_arbitrate_nothing() {
+        // White-box proof that a bounded move neither replays nor copies
+        // the cycle cache: plant a wrong delivery cycle on a message whose
+        // route the move changes, as `clean_components_are_skipped_not_
+        // replayed` does. An arbitrated move would replay that message's
+        // component and wash the plant out; a bounded one leaves it through
+        // the move and its undo, and never fills the saved copy.
+        let (network, workload, mut table) = two_cluster_workload();
+        let mut objective =
+            MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
+                .unwrap();
+        let honest = objective.rebuild(&table);
+        // Message 0 is pair (0, 1); trading task 0 into the bottom row
+        // lengthens its route, so the greedy limit rejects the bound.
+        objective.msg_cycles[0] = 777;
+        let swaps = [(0u64, 12u64)];
+        let bound = objective.apply_bounded(&mut table, &swaps, &reject_worse(honest));
+        assert!(objective.saved.bounded, "the move must be bounded");
+        assert!(bound > honest);
+        assert_eq!(objective.msg_cycles[0], 777, "the bounded move arbitrated");
+        assert!(
+            objective.saved.msg_cycles.is_empty(),
+            "the cycle cache was copied"
+        );
+        assert_eq!(objective.apply_disjoint_swaps(&mut table, &swaps), honest);
+        assert_eq!(objective.msg_cycles[0], 777, "the undo arbitrated");
+        // A rebuild discards every cached cycle and restores the truth.
+        assert_eq!(objective.rebuild(&table), honest);
+        assert_eq!(honest, full_cost(&network, &workload, 1, &table));
+    }
+
+    #[test]
+    fn calls_after_a_bounded_makespan_move_that_do_not_undo_it_are_exact() {
+        // A bounded move followed by anything but its undo becomes final
+        // without ever being arbitrated; the next call arbitrates every
+        // message. Each follow-up — a swap, a batch, a bounded move — and
+        // its undo match a full re-simulation, and so does the walk after.
+        let (network, workload, start) = two_cluster_workload();
+        let rounds = 2;
+        let first = [(0u64, 12u64)];
+        let follow_ups = [vec![(1u64, 2u64)], vec![(13, 14), (12, 15)]];
+        for kind in 0..3 {
+            for second in &follow_ups {
+                let mut objective = MakespanObjective::new(
+                    Network::new(network.grid().clone()),
+                    workload.clone(),
+                    rounds,
+                )
+                .unwrap();
+                let honest = objective.rebuild(&start);
+                let mut table = start.clone();
+                objective.apply_bounded(&mut table, &first, &reject_worse(honest));
+                assert!(objective.saved.bounded, "the probe move must be bounded");
+                let moved = table.clone();
+                let cost = match kind {
+                    0 if second.len() == 1 => {
+                        let (a, b) = second[0];
+                        table.swap(a as usize, b as usize);
+                        objective.apply_swap(&table, a, b)
+                    }
+                    0 | 1 => objective.apply_disjoint_swaps(&mut table, second),
+                    _ => objective.apply_bounded(&mut table, second, &|_| true),
+                };
+                let expected = full_cost(&network, &workload, rounds, &table);
+                assert_eq!(cost, expected, "kind {kind}, {second:?}");
+                let undone = objective.apply_disjoint_swaps(&mut table, second);
+                assert_eq!(table, moved);
+                assert_eq!(undone, full_cost(&network, &workload, rounds, &moved));
+                table.swap(5, 9);
+                let next = objective.apply_swap(&table, 5, 9);
+                assert_eq!(next, full_cost(&network, &workload, rounds, &table));
+            }
+        }
     }
 
     #[test]
