@@ -85,6 +85,25 @@
 //! when the limit rejects it they return the bound without routing the
 //! congestion loads or arbitrating the makespan schedule.
 //!
+//! Congestion proves its bound, `(committed max, exact total path length)`,
+//! in one of two steps, both of which show that some link at the committed
+//! maximum keeps its load:
+//!
+//! * the *count test* needs no routing: the moved edges' old routes have
+//!   fewer hops than the histogram has links at the maximum;
+//! * where that fails on a block swap, whose thousands of old-route hops
+//!   it cannot cover, the *removal test* removes the old routes, work the
+//!   exact price needs anyway, and holds when they touched fewer links at
+//!   the maximum than the histogram has. If the limit then accepts the
+//!   bound, the move adds its new routes and is priced exactly. Every
+//!   other move keeps the single walk that removes and adds each edge's
+//!   routes in turn: for a reversal the removal test almost never holds.
+//!
+//! Both tests, and the exact price, see only what a block swap changes: it
+//! drops *twin* edges, pairs whose routes the swap merely exchanges, which
+//! are the edges inside its two hyperplanes (see
+//! `GuestEdges::collect_batch`).
+//!
 //! Accept decisions stay exact:
 //!
 //! * a bound is componentwise at most the exact cost and keeps the exact
@@ -333,6 +352,11 @@ impl MaxTracker {
         self.max = 0;
     }
 
+    /// How many tracked slots hold the maximum (none while it is 0).
+    fn at_max(&self) -> u64 {
+        self.count.get(self.max as usize).copied().unwrap_or(0)
+    }
+
     /// Records a slot moving from value `from` straight to value `to`.
     /// Value 0 is untracked, so `shift(0, v)` adds a slot and `shift(v, 0)`
     /// drops one. The new value is counted before the old one is released,
@@ -519,39 +543,82 @@ impl GuestEdges {
         }
     }
 
-    /// Collects every guest edge the batch of disjoint transpositions
-    /// `swaps` moves into `moved`, as its id and its `(tail, head)` images
-    /// under `table`, the table *before* the batch. An edge with both
-    /// endpoints in the batch is collected once: `stamp[e] == epoch` marks
-    /// edge `e` as taken, so the caller gives every batch a fresh epoch.
+    /// Collects every guest edge whose route the batch of disjoint
+    /// transpositions `swaps` changes into `moved`, as its id and its
+    /// `(tail, head)` images under `table`, the table *before* the batch.
+    /// `edge_stamp[e] == epoch` marks edge `e` as taken, and with `TWINS`,
+    /// `node_stamp[x] == (epoch, y)` marks node `x` as moved, trading
+    /// images with node `y`; the caller gives every batch a fresh epoch.
+    ///
+    /// An edge with both endpoints in the batch is collected once. With
+    /// `TWINS`, *twin* edges are not collected at all. Write σ for the
+    /// batch's permutation of guest nodes. If edge `(t, h)` has both ends
+    /// moved and `(σt, σh)` is a guest edge in the same canonical
+    /// orientation, each of the two takes over the other's route, so no
+    /// load moves. On a block swap these are all the edges inside either
+    /// hyperplane. Looking for twins only in batches of [`uniform_span`]
+    /// loses none the annealer can draw: a single transposition maps its
+    /// one edge with both ends moved onto itself reversed, and a reversal,
+    /// the batch of a rotation too, maps each such edge onto one that runs
+    /// backwards.
     ///
     /// The caller then applies the batch and moves each collected edge from
     /// its pre-batch route to its post-batch one, once. Re-routing each
     /// transposition against the table it produced would instead walk an
     /// edge with both endpoints in the batch twice, the second time from
     /// an intermediate placement.
-    fn collect_batch(
+    fn collect_batch<const TWINS: bool>(
         &self,
         table: &[u64],
         swaps: &[(u64, u64)],
-        stamp: &mut [u32],
+        edge_stamp: &mut [u32],
+        node_stamp: &mut [(u32, u32)],
         epoch: u32,
         moved: &mut Vec<MovedEdge>,
     ) {
         moved.clear();
+        if TWINS {
+            for &(a, b) in swaps {
+                node_stamp[a as usize] = (epoch, b as u32);
+                node_stamp[b as usize] = (epoch, a as u32);
+            }
+        }
         for &(a, b) in swaps {
             for node in [a, b] {
                 for &e in self.incident(node) {
-                    if stamp[e as usize] != epoch {
-                        stamp[e as usize] = epoch;
-                        moved.push(MovedEdge {
-                            id: e,
-                            pre: self.images(table, e),
-                        });
+                    if edge_stamp[e as usize] == epoch {
+                        continue;
                     }
+                    edge_stamp[e as usize] = epoch;
+                    let (tail, head) = self.endpoints(e as usize);
+                    let other = if tail == node { head } else { tail };
+                    if TWINS && node_stamp[other as usize].0 == epoch {
+                        let twin =
+                            self.find(node_stamp[tail as usize].1, node_stamp[head as usize].1);
+                        if let Some(twin) = twin {
+                            // The twin would find `e` in turn; taking it
+                            // now skips that lookup.
+                            edge_stamp[twin as usize] = epoch;
+                            continue;
+                        }
+                    }
+                    moved.push(MovedEdge {
+                        id: e,
+                        pre: (table[tail as usize], table[head as usize]),
+                    });
                 }
             }
         }
+    }
+
+    /// The id of the edge `tail → head` in its canonical orientation, if
+    /// the guest has one: one scan of `tail`'s incident edges, where the
+    /// head alone tells it apart (`tail ≠ head`).
+    fn find(&self, tail: u32, head: u32) -> Option<u32> {
+        self.incident(u64::from(tail))
+            .iter()
+            .copied()
+            .find(|&f| self.heads[f as usize] == head)
     }
 
     /// The `(tail, head)` images of edge `e` under `table`.
@@ -560,6 +627,16 @@ impl GuestEdges {
         let (tail, head) = self.endpoints(e as usize);
         (table[tail as usize], table[head as usize])
     }
+}
+
+/// Whether the batch `swaps` has several transpositions that all span one
+/// index distance, as a block swap's do. Only such a batch can hold twin
+/// edges among those the annealer draws (see [`GuestEdges::collect_batch`]),
+/// and only its old routes are long enough for the congestion objective's
+/// removal test to pay (see [`CongestionObjective`]).
+fn uniform_span(swaps: &[(u64, u64)]) -> bool {
+    let span = |&(a, b): &(u64, u64)| a.abs_diff(b);
+    swaps.len() > 1 && swaps.iter().all(|swap| span(swap) == span(&swaps[0]))
 }
 
 /// A guest edge a move re-places: its id and its `(tail, head)` images
@@ -648,23 +725,31 @@ impl HostDigits {
 /// re-routes only the `O(degree)` guest edges incident to the swapped
 /// nodes, found through the index and routed from coordinates read out of
 /// the digit table, straight into the load vector; a batch re-routes each
-/// distinct edge once, from its pre-batch route to its post-batch one.
-/// Each link a move touches is stamped with the move's epoch and its
-/// committed load recorded, and the new maximum is priced from the touched
-/// links and the histogram without scanning the load vector. The move
-/// enters the histogram when the next call is not its undo; the undo
-/// writes the recorded loads back, with no routing.
+/// distinct edge once, from its pre-batch route to its post-batch one, and
+/// a block swap skips twin edges, whose routes it only exchanges (its
+/// edges inside either hyperplane). Each link a move touches is stamped
+/// with the move's epoch and its committed load recorded, and the new
+/// maximum is priced from the touched links and the histogram without
+/// scanning the load vector. The move enters the histogram when the next
+/// call is not its undo; the undo writes the recorded loads back, with no
+/// routing.
 ///
 /// [`Objective::apply_bounded`] first prices a move without routing it.
 /// When the histogram holds more links at the committed maximum than the
 /// moved edges' old routes have hops, removing those routes cannot lower
 /// every such link, so `(committed max, exact total path length)` bounds
 /// the cost from below. Both route-length sums are digit-table distances,
-/// because dimension-ordered routes are shortest paths, and the count test
+/// because dimension-ordered routes are shortest paths, and this count test
 /// stops summing old lengths as soon as it fails. If the limit rejects the
-/// bound, the bound is returned with the loads untouched: the move's undo
-/// has nothing to restore, and any other next call rebuilds the state from
-/// the table.
+/// bound, the bound is returned with the loads untouched. Where the count
+/// test fails on a block swap (a batch whose transpositions all span one
+/// index distance), the move removes its old routes first; if they touched
+/// fewer links at the committed maximum than the histogram holds, an
+/// untouched one keeps that maximum, and the same bound is returned when
+/// the limit rejects it, before any new route is added. Otherwise the move
+/// adds its new routes and is priced exactly.
+/// Either bound's undo writes back the loads it recorded (none, after the
+/// count test), and any other next call rebuilds the state from the table.
 pub struct CongestionObjective {
     edges: GuestEdges,
     host: HostDigits,
@@ -699,6 +784,9 @@ struct LastMove {
     link_stamp: Vec<u32>,
     /// `edge_stamp[e] == epoch` marks a guest edge a batch moved.
     edge_stamp: Vec<u32>,
+    /// `node_stamp[x] == (epoch, y)` marks a guest node a block swap
+    /// moved, trading images with node `y`.
+    node_stamp: Vec<(u32, u32)>,
     epoch: u32,
     /// The guest edges the move re-places, with their images before it.
     moved: Vec<MovedEdge>,
@@ -738,6 +826,7 @@ impl CongestionObjective {
                 swaps: Vec::new(),
                 link_stamp: vec![0; links],
                 edge_stamp: vec![0; edge_count],
+                node_stamp: vec![(0, 0); guest.size() as usize],
                 epoch: 0,
                 moved: Vec::new(),
                 touched: Vec::new(),
@@ -780,6 +869,7 @@ impl CongestionObjective {
             // The epoch wrapped: clear the stamps so no old one matches.
             last.link_stamp.fill(0);
             last.edge_stamp.fill(0);
+            last.node_stamp.fill((0, 0));
             last.epoch = 1;
         }
     }
@@ -794,10 +884,12 @@ impl CongestionObjective {
         }
     }
 
-    /// Moves the loads of the open move's edges from their recorded
-    /// pre-move routes to their routes under `table`, both in the canonical
-    /// tail → head orientation the full sweep uses.
-    fn reroute(&mut self, table: &[u64]) {
+    /// Moves the loads of the open move's edges: with `REMOVE`, off their
+    /// recorded pre-move routes; with `ADD`, onto their routes under
+    /// `table`. Both run in the canonical tail → head orientation the full
+    /// sweep uses, and with both set each edge's two routes are walked in
+    /// turn.
+    fn reroute<const REMOVE: bool, const ADD: bool>(&mut self, table: &[u64]) {
         let CongestionObjective {
             edges,
             host,
@@ -819,6 +911,10 @@ impl CongestionObjective {
         for edge in moved.iter() {
             let post = edges.images(table, edge.id);
             for (route, add) in [(edge.pre, false), (post, true)] {
+                let wanted = if add { ADD } else { REMOVE };
+                if !wanted {
+                    continue;
+                }
                 for_each_link(host, dims, current, target, route, |slot| {
                     if link_stamp[slot] != *epoch {
                         link_stamp[slot] = *epoch;
@@ -836,22 +932,45 @@ impl CongestionObjective {
         }
     }
 
-    /// The bound `(committed max, exact total path length)` of the open
-    /// move, already applied to `table`, when it holds and `accepts`
-    /// rejects it (see the type docs); `None` sends the move to exact
-    /// pricing.
-    fn bound(&self, table: &[u64], accepts: &dyn Fn(Cost) -> bool) -> Option<Cost> {
-        let committed = self.tracker.max;
-        let at_max = self
-            .tracker
-            .count
-            .get(committed as usize)
-            .copied()
-            .unwrap_or(0);
-        let removed = self.last.moved.iter().try_fold(0, |removed, edge| {
+    /// The count test: the hop count of the open move's old routes, if it
+    /// is below the number of links the histogram holds at the committed
+    /// maximum. Summing the route lengths stops as soon as the test fails.
+    fn count_test(&self) -> Option<u64> {
+        let at_max = self.tracker.at_max();
+        self.last.moved.iter().try_fold(0, |removed, edge| {
             let removed = removed + self.host.distance(edge.pre.0, edge.pre.1);
             (removed < at_max).then_some(removed)
-        })?;
+        })
+    }
+
+    /// The removal test, once the open move's old routes are removed: the
+    /// bound when fewer links at the committed maximum were touched than
+    /// the histogram holds, and `accepts` rejects it.
+    fn removal_bound(&self, table: &[u64], accepts: &dyn Fn(Cost) -> bool) -> Option<Cost> {
+        let committed = self.tracker.max;
+        let touched_at_max = self
+            .last
+            .touched
+            .iter()
+            .filter(|&&(_, load)| load == committed)
+            .count();
+        if touched_at_max as u64 >= self.tracker.at_max() {
+            return None;
+        }
+        self.committed_bound(table, 0, accepts)
+    }
+
+    /// `(committed max, exact total path length)` for the open move, when
+    /// `accepts` rejects it. `removed` hops of old routes are still in the
+    /// total; the new route lengths are digit-table distances under
+    /// `table`.
+    #[inline]
+    fn committed_bound(
+        &self,
+        table: &[u64],
+        removed: u64,
+        accepts: &dyn Fn(Cost) -> bool,
+    ) -> Option<Cost> {
         let added: u64 = self
             .last
             .moved
@@ -862,7 +981,7 @@ impl CongestionObjective {
             })
             .sum();
         let bound = Cost {
-            primary: committed,
+            primary: self.tracker.max,
             secondary: self.total_path_length - removed + added,
         };
         (!accepts(bound)).then_some(bound)
@@ -883,7 +1002,7 @@ impl CongestionObjective {
         }
         self.max = if high >= committed {
             high
-        } else if self.tracker.count[committed as usize] > touched_at_max {
+        } else if self.tracker.at_max() > touched_at_max {
             committed
         } else {
             self.count_last();
@@ -894,7 +1013,9 @@ impl CongestionObjective {
 
     /// Undoes the open move from its saved state: writes the recorded loads
     /// back (and out of the histogram, if the move was counted) and returns
-    /// the cost before the move. A bounded move touched no load.
+    /// the cost before the move. A move bounded by the count test touched
+    /// no load; one bounded by the removal test touched only its old
+    /// routes' links.
     fn undo(&mut self) -> Cost {
         let last = &mut self.last;
         for &(slot, committed) in &last.touched {
@@ -930,20 +1051,74 @@ impl CongestionObjective {
             self.rebuild(table);
         }
         self.begin(swaps);
+        if uniform_span(swaps) {
+            return self.apply_block(table, swaps, accepts);
+        }
         let CongestionObjective { edges, last, .. } = self;
-        edges.collect_batch(
+        edges.collect_batch::<false>(
             table,
             swaps,
             &mut last.edge_stamp,
+            &mut last.node_stamp,
             last.epoch,
             &mut last.moved,
         );
         apply_swaps(table, swaps);
-        if let Some(bound) = accepts.and_then(|accepts| self.bound(table, accepts)) {
+        let bound = accepts.and_then(|accepts| {
+            let removed = self.count_test()?;
+            self.committed_bound(table, removed, accepts)
+        });
+        if let Some(bound) = bound {
             self.last.bounded = true;
             return bound;
         }
-        self.reroute(table);
+        self.reroute::<true, true>(table);
+        self.price()
+    }
+
+    /// The rest of [`CongestionObjective::apply_batch`] for a block swap
+    /// (see [`uniform_span`]): the batch drops its twin edges, and where
+    /// the count test fails the move removes its old routes first, for the
+    /// removal test. Kept out of line, so the path every other move takes
+    /// stays as small as it was.
+    #[inline(never)]
+    fn apply_block(
+        &mut self,
+        table: &mut [u64],
+        swaps: &[(u64, u64)],
+        accepts: Option<&dyn Fn(Cost) -> bool>,
+    ) -> Cost {
+        let CongestionObjective { edges, last, .. } = self;
+        edges.collect_batch::<true>(
+            table,
+            swaps,
+            &mut last.edge_stamp,
+            &mut last.node_stamp,
+            last.epoch,
+            &mut last.moved,
+        );
+        apply_swaps(table, swaps);
+        if let Some(accepts) = accepts {
+            // Both tests prove the same bound, so the removal test runs
+            // only where the count test fails.
+            if let Some(removed) = self.count_test() {
+                if let Some(bound) = self.committed_bound(table, removed, accepts) {
+                    self.last.bounded = true;
+                    return bound;
+                }
+            } else {
+                // Removing the old routes first is work the exact price
+                // needs anyway.
+                self.reroute::<true, false>(table);
+                if let Some(bound) = self.removal_bound(table, accepts) {
+                    self.last.bounded = true;
+                    return bound;
+                }
+                self.reroute::<false, true>(table);
+                return self.price();
+            }
+        }
+        self.reroute::<true, true>(table);
         self.price()
     }
 }
@@ -1019,7 +1194,7 @@ impl Objective for CongestionObjective {
                 last.moved.push(MovedEdge { id: e as u32, pre });
             });
         }
-        self.reroute(table);
+        self.reroute::<true, true>(table);
         self.price()
     }
 
@@ -2302,20 +2477,41 @@ mod tests {
         (guest, host, table)
     }
 
+    /// The number of links at the maximum of `loads`, counted from the
+    /// loads alone: the count test's threshold.
+    fn links_at_max(loads: &[u64]) -> u64 {
+        let max = loads.iter().copied().max().unwrap_or(0);
+        loads.iter().filter(|&&load| load == max && max > 0).count() as u64
+    }
+
+    /// The hops of the old routes of the edges `objective`'s last move
+    /// re-placed, measured as host distances.
+    fn old_route_hops(objective: &CongestionObjective) -> u64 {
+        let moved = &objective.last.moved;
+        moved
+            .iter()
+            .map(|edge| objective.host.distance(edge.pre.0, edge.pre.1))
+            .sum()
+    }
+
     #[test]
     fn bounded_congestion_moves_sit_below_the_exact_cost_and_touch_no_load() {
         // Every bounded return is componentwise at most the exact cost of
         // the same move on a fresh objective, keeps its secondary, and is
         // rejected by its limit — the annealer's acceptance test at three
-        // temperatures on a seeded draw. A bounded move leaves the loads as
-        // they were, and its undo restores the cost. Moves the bound does
-        // not settle are priced exactly.
+        // temperatures on a seeded draw. A move the count test bounds (its
+        // old routes have fewer hops than there are links at the maximum)
+        // leaves the loads as they were; a batch the removal test bounds
+        // instead is checked by `removal_bounds_undo_exactly`. Every undo
+        // restores the cost and the loads. Moves no bound settles are
+        // priced exactly.
         let (guest, host, start) = bound_pair();
         let mut objective = CongestionObjective::new(&guest, &host).unwrap();
         let before = objective.rebuild(&start);
         let loads = objective.loads.clone();
+        let at_max = links_at_max(&loads);
         let acceptance = Acceptance::new(before, guest.size());
-        let (mut bounded, mut exact) = ([0; 2], 0);
+        let (mut counted, mut exact) = ([0; 2], 0);
         for (index, swaps) in probe_batches(guest.shape(), 600, 7).iter().enumerate() {
             let draw = StdRng::seed_from_u64(index as u64);
             let temperature = [0.0, 0.01, 2.0][index % 3];
@@ -2327,11 +2523,18 @@ mod tests {
             fresh.rebuild(&start);
             let truth = fresh.apply_disjoint_swaps(&mut start.clone(), swaps);
             if objective.last.bounded {
-                bounded[usize::from(swaps.len() > 1)] += 1;
                 assert!(!limit(cost), "the limit accepts the bound of {swaps:?}");
                 assert!(cost.primary <= truth.primary, "{cost:?} > {truth:?}");
                 assert_eq!(cost.secondary, truth.secondary);
-                assert_eq!(objective.loads, loads, "a bounded move touched a load");
+                if old_route_hops(&objective) < at_max {
+                    counted[usize::from(swaps.len() > 1)] += 1;
+                    assert_eq!(objective.loads, loads, "a count-test bound touched a load");
+                } else {
+                    assert!(
+                        uniform_span(swaps),
+                        "{swaps:?} was bounded by the removal test"
+                    );
+                }
             } else {
                 exact += 1;
                 assert_eq!(cost, truth, "{swaps:?}");
@@ -2340,9 +2543,82 @@ mod tests {
             assert_eq!(table, start);
             assert_eq!(objective.loads, loads);
         }
-        assert!(bounded[0] > 0, "no swap was bounded");
-        assert!(bounded[1] > 0, "no batch was bounded");
+        assert!(counted[0] > 0, "no swap was bounded by the count test");
+        assert!(counted[1] > 0, "no batch was bounded by the count test");
         assert!(exact > 0, "every move was bounded");
+    }
+
+    #[test]
+    fn removal_bounds_undo_exactly() {
+        // A block swap whose old routes have too many hops for the count
+        // test removes them first. If fewer links at the committed maximum
+        // were touched than the histogram holds, an untouched one keeps
+        // that maximum, and the move returns `(committed max, exact total)`
+        // without adding its new routes. Such a bound is at most the exact
+        // cost with the exact secondary and is rejected by its limit; it
+        // leaves the loads at the committed loads minus exactly the old
+        // routes of the moved edges, whose new routes then give the loads
+        // after the move; its undo restores loads, histogram and cost to
+        // the bit; and any next call that is not its undo is priced exactly.
+        let (guest, host, start) = bound_pair();
+        let mut objective = CongestionObjective::new(&guest, &host).unwrap();
+        let before = objective.rebuild(&start);
+        let saved = (
+            objective.loads.clone(),
+            histogram(&objective.tracker),
+            objective.total_path_length,
+        );
+        let at_max = links_at_max(&saved.0);
+        let acceptance = Acceptance::new(before, guest.size());
+        let dims: Vec<usize> = (0..host.dim()).collect();
+        let mut current = Coord::zero(host.dim()).unwrap();
+        let mut target = Coord::zero(host.dim()).unwrap();
+        let mut bounded = Vec::new();
+        for (index, swaps) in probe_batches(guest.shape(), 600, 7).iter().enumerate() {
+            let draw = StdRng::seed_from_u64(index as u64);
+            let temperature = [0.0, 0.01, 2.0][index % 3];
+            let limit =
+                |cost: Cost| acceptance.accepts(cost, before, temperature, &mut draw.clone());
+            let mut table = start.clone();
+            let cost = objective.apply_bounded(&mut table, swaps, &limit);
+            if objective.last.bounded && old_route_hops(&objective) >= at_max {
+                let mut fresh = CongestionObjective::new(&guest, &host).unwrap();
+                fresh.rebuild(&start);
+                let mut moved_table = start.clone();
+                let truth = fresh.apply_disjoint_swaps(&mut moved_table, swaps);
+                assert!(!limit(cost), "the limit accepts the bound of {swaps:?}");
+                assert!(cost.primary <= truth.primary, "{cost:?} > {truth:?}");
+                assert_eq!(cost.secondary, truth.secondary);
+
+                let mut removed = saved.0.clone();
+                let mut added = objective.loads.clone();
+                for edge in &objective.last.moved {
+                    let new = objective.edges.images(&table, edge.id);
+                    let host = &objective.host;
+                    for_each_link(host, &dims, &mut current, &mut target, edge.pre, |slot| {
+                        removed[slot] -= 1;
+                    });
+                    for_each_link(host, &dims, &mut current, &mut target, new, |slot| {
+                        added[slot] += 1;
+                    });
+                }
+                assert_eq!(objective.loads, removed, "{swaps:?} left other loads");
+                assert_eq!(added, fresh.loads, "{swaps:?} moved the wrong edges");
+                bounded.push(swaps.clone());
+            }
+            assert_eq!(objective.apply_disjoint_swaps(&mut table, swaps), before);
+            assert_eq!(table, start);
+            let restored = (
+                objective.loads.clone(),
+                histogram(&objective.tracker),
+                objective.total_path_length,
+            );
+            assert_eq!(restored, saved, "undo of {swaps:?}");
+        }
+        assert!(bounded.len() >= 6, "{} removal bounds", bounded.len());
+
+        // Any next call that is not the undo prices exactly.
+        assert_calls_after_a_bounded_move_are_exact(&guest, &host, &start, &bounded[0]);
     }
 
     #[test]
@@ -2399,19 +2675,78 @@ mod tests {
     }
 
     #[test]
-    fn calls_after_a_bounded_congestion_move_that_do_not_undo_it_are_exact() {
-        // A bounded move followed by anything but its undo leaves its loads
-        // unrouted; the next call must price from scratch. Each follow-up —
-        // a swap, a batch, a bounded move — and its undo match a rebuild.
-        let (guest, host, start) = bound_pair();
-        let reject_worse = |before: Cost| move |cost: Cost| cost <= before;
-        let first = [(0u64, 37u64)];
+    fn removal_bounds_hold_for_every_block_swap_of_shuffled_tables() {
+        // The removal test makes the committed maximum a lower bound only
+        // while some link at it is left untouched by the old routes.
+        // Shuffled tables of small pairs have few links at their maximum,
+        // and block swaps that touch them all and lower it. Under a limit
+        // that rejects every cost at the committed maximum, each block swap
+        // that passes either test is bounded, so a removal test one link
+        // too lenient returns a bound above some exact cost here.
+        use rand::seq::SliceRandom;
+        let mut removal = 0;
+        for (guest, host) in [
+            (Grid::torus(shape(&[4, 6])), Grid::mesh(shape(&[4, 6]))),
+            (Grid::torus(shape(&[4, 4, 4])), Grid::mesh(shape(&[8, 8]))),
+            (Grid::mesh(shape(&[3, 4, 5])), Grid::torus(shape(&[6, 10]))),
+        ] {
+            let (n, radices) = (guest.size(), guest.shape());
+            for seed in 0..6 {
+                let mut start: Vec<u64> = (0..n).collect();
+                start.shuffle(&mut StdRng::seed_from_u64(seed));
+                let mut objective = CongestionObjective::new(&guest, &host).unwrap();
+                let mut exact = CongestionObjective::new(&guest, &host).unwrap();
+                let before = objective.rebuild(&start);
+                exact.rebuild(&start);
+                let at_max = links_at_max(&objective.loads);
+                let limit = |cost: Cost| cost.primary < before.primary;
+                let mut swaps = Vec::new();
+                for dim in 0..radices.dim() {
+                    let (stride, radix) = (radices.weight(dim + 1), u64::from(radices.radix(dim)));
+                    for low in 0..radix {
+                        for high in low + 1..radix {
+                            block_swaps(n, stride, radix, low, high, &mut swaps);
+                            let mut table = start.clone();
+                            let cost = objective.apply_bounded(&mut table, &swaps, &limit);
+                            let truth = exact.apply_disjoint_swaps(&mut start.clone(), &swaps);
+                            if objective.last.bounded {
+                                removal += u32::from(old_route_hops(&objective) >= at_max);
+                                assert_eq!(cost.secondary, truth.secondary);
+                                assert!(
+                                    cost.primary <= truth.primary,
+                                    "{guest} -> {host}, seed {seed}, planes {low} and {high} \
+                                     of dimension {dim}: bound {cost:?} above the exact {truth:?}"
+                                );
+                            } else {
+                                assert_eq!(cost, truth);
+                            }
+                            let restored = objective.apply_disjoint_swaps(&mut table, &swaps);
+                            assert_eq!(restored, before);
+                            assert_eq!(exact.apply_disjoint_swaps(&mut table, &swaps), before);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(removal > 0);
+    }
+
+    /// Applies the bounded move `first` to `start` under a limit that
+    /// rejects every worse cost, follows it with a call that is not its
+    /// undo — a swap, a batch, a bounded batch — and checks that call and
+    /// the follow-up's own undo against a rebuild.
+    fn assert_calls_after_a_bounded_move_are_exact(
+        guest: &Grid,
+        host: &Grid,
+        start: &[u64],
+        first: &[(u64, u64)],
+    ) {
         let follow_ups = [vec![(5u64, 60u64)], vec![(8, 15), (9, 14), (10, 13)]];
         for (kind, second) in (0..3).flat_map(|kind| follow_ups.iter().map(move |s| (kind, s))) {
-            let mut objective = CongestionObjective::new(&guest, &host).unwrap();
-            let before = objective.rebuild(&start);
-            let mut table = start.clone();
-            objective.apply_bounded(&mut table, &first, &reject_worse(before));
+            let mut objective = CongestionObjective::new(guest, host).unwrap();
+            let before = objective.rebuild(start);
+            let mut table = start.to_vec();
+            objective.apply_bounded(&mut table, first, &|cost| cost <= before);
             assert!(objective.last.bounded, "the probe move must be bounded");
             let moved = table.clone();
             let cost = match kind {
@@ -2423,7 +2758,7 @@ mod tests {
                 0 | 1 => objective.apply_disjoint_swaps(&mut table, second),
                 _ => objective.apply_bounded(&mut table, second, &|_| true),
             };
-            let mut fresh = CongestionObjective::new(&guest, &host).unwrap();
+            let mut fresh = CongestionObjective::new(guest, host).unwrap();
             assert_eq!(cost, fresh.rebuild(&table), "kind {kind}, {second:?}");
             assert_eq!(objective.loads, fresh.loads);
             // The follow-up's undo lands on the bounded move's exact cost.
@@ -2442,34 +2777,152 @@ mod tests {
     }
 
     #[test]
+    fn calls_after_a_bounded_congestion_move_that_do_not_undo_it_are_exact() {
+        // A bounded move followed by anything but its undo leaves its loads
+        // unrouted; the next call must price from scratch. Each follow-up —
+        // a swap, a batch, a bounded move — and its undo match a rebuild.
+        let (guest, host, start) = bound_pair();
+        assert_calls_after_a_bounded_move_are_exact(&guest, &host, &start, &[(0, 37)]);
+    }
+
+    /// The sorted ids of the edges `moved` holds.
+    fn moved_ids(moved: &[MovedEdge]) -> Vec<u32> {
+        let mut ids: Vec<u32> = moved.iter().map(|edge| edge.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
     fn move_epochs_wrap_without_matching_old_stamps() {
-        // The congestion objective's link and edge stamps ride on a `u32`
-        // move epoch that restarts at 1 when it wraps. Moves at epochs 1
-        // and 2 leave stale stamps; after a jump to the last epoch, a
-        // reversal prices at `u32::MAX`, and the same block swap and
-        // reversal price again at the wrapped epochs 1 and 2, where an
-        // uncleared stamp would hide their edges and links.
+        // The congestion objective's link, edge and node stamps ride on a
+        // `u32` move epoch that restarts at 1 when it wraps. Block swaps of
+        // planes 0 ↔ 1 and 1 ↔ 2 at epochs 1 and 2 leave stale stamps;
+        // after a jump to the last epoch, a reversal prices at `u32::MAX`,
+        // and the two block swaps price again in the other order at the
+        // wrapped epochs 1 and 2. There an uncleared stamp would hide edges
+        // and links, or mark a plane the batch does not move as moved, with
+        // a stale partner that pairs a crossing edge with a false twin.
+        // Each batch must move the edges a fresh objective moves, and match
+        // a rebuild.
         let (guest, host, mut table) = bound_pair();
-        let block = probe_batches(guest.shape(), 200, 3)
-            .into_iter()
-            .find(|swaps| swaps.len() > 4)
-            .expect("a block swap");
+        let (n, stride, radix) = (guest.size(), guest.shape().weight(1), 4);
+        let block = |low: u64, high: u64| {
+            let mut swaps = Vec::new();
+            block_swaps(n, stride, radix, low, high, &mut swaps);
+            swaps
+        };
+        let (first, second) = (block(0, 1), block(1, 2));
         let reversal = vec![(3u64, 9u64), (4, 8), (5, 7)];
-        let other = vec![(20u64, 26u64), (21, 25), (22, 24)];
         let mut congestion = CongestionObjective::new(&guest, &host).unwrap();
         congestion.rebuild(&table);
-        for (step, swaps) in [&block, &reversal, &other, &block, &reversal]
+        for (step, swaps) in [&first, &second, &reversal, &second, &first]
             .into_iter()
             .enumerate()
         {
             if step == 2 {
                 congestion.last.epoch = u32::MAX - 1;
             }
+            let mut reference = CongestionObjective::new(&guest, &host).unwrap();
+            reference.rebuild(&table);
+            reference.apply_disjoint_swaps(&mut table.clone(), swaps);
             let cost = congestion.apply_disjoint_swaps(&mut table, swaps);
             assert_eq!(congestion.last.epoch, [1, 2, u32::MAX, 1, 2][step]);
+            let moved = moved_ids(&congestion.last.moved);
+            assert_eq!(moved, moved_ids(&reference.last.moved), "step {step}");
             let mut fresh = CongestionObjective::new(&guest, &host).unwrap();
             assert_eq!(cost, fresh.rebuild(&table), "step {step}");
             assert_eq!(congestion.loads, fresh.loads, "step {step}");
+        }
+    }
+
+    #[test]
+    fn block_swap_twin_edges_move_no_load() {
+        // A block swap maps every edge inside one of its two hyperplanes
+        // onto its twin in the other, in the same orientation: the two
+        // trade routes, so neither is moved. Every block swap of a torus, a
+        // mesh and a guest with a radix-2 dimension (a ring of 2 has one
+        // canonical edge, which a swap of its two planes maps onto itself
+        // reversed) from a shuffled table moves exactly the edges that
+        // cross the two planes, and matches a rebuild. A reversal inside
+        // one row maps its edges onto edges that run backwards, so it
+        // keeps every edge it touches, with or without the twin search.
+        use rand::seq::SliceRandom;
+        for (guest, host) in [
+            (Grid::torus(shape(&[4, 3, 5])), Grid::mesh(shape(&[6, 10]))),
+            (Grid::mesh(shape(&[3, 4, 5])), Grid::torus(shape(&[6, 10]))),
+            (Grid::torus(shape(&[3, 2, 4])), Grid::mesh(shape(&[4, 6]))),
+        ] {
+            let (n, radices) = (guest.size(), guest.shape());
+            let mut start: Vec<u64> = (0..n).collect();
+            start.shuffle(&mut StdRng::seed_from_u64(n));
+            let mut objective = CongestionObjective::new(&guest, &host).unwrap();
+            let before = objective.rebuild(&start);
+            let check = |objective: &CongestionObjective, cost: Cost, table: &[u64]| {
+                let mut fresh = CongestionObjective::new(&guest, &host).unwrap();
+                assert_eq!(cost, fresh.rebuild(table), "{guest}");
+                assert_eq!(objective.loads, fresh.loads, "{guest}");
+            };
+            let mut swaps = Vec::new();
+            for dim in 0..radices.dim() {
+                let (stride, radix) = (radices.weight(dim + 1), u64::from(radices.radix(dim)));
+                let plane = |x: u64| x / stride % radix;
+                for (low, high) in
+                    (0..radix).flat_map(|low| (low + 1..radix).map(move |high| (low, high)))
+                {
+                    block_swaps(n, stride, radix, low, high, &mut swaps);
+                    let crossing: Vec<u32> = (0..objective.edges.len())
+                        .filter(|&e| {
+                            let (t, h) = objective.edges.endpoints(e);
+                            let swapped = |x: u64| plane(x) == low || plane(x) == high;
+                            (swapped(t) || swapped(h)) && plane(t) != plane(h)
+                        })
+                        .map(|e| e as u32)
+                        .collect();
+                    let mut table = start.clone();
+                    let cost = objective.apply_disjoint_swaps(&mut table, &swaps);
+                    let planes = format!("planes {low} and {high} of dimension {dim}");
+                    let moved = moved_ids(&objective.last.moved);
+                    assert_eq!(moved, crossing, "{guest}: {planes}");
+                    check(&objective, cost, &table);
+                    assert_eq!(objective.apply_disjoint_swaps(&mut table, &swaps), before);
+                }
+            }
+
+            let row = u64::from(radices.radix(radices.dim() - 1));
+            reversal_swaps(0, row - 1, &mut swaps);
+            let mut touched: Vec<u32> = swaps
+                .iter()
+                .flat_map(|&(a, b)| [a, b])
+                .flat_map(|x| objective.edges.incident(x).to_vec())
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let mut table = start.clone();
+            let cost = objective.apply_disjoint_swaps(&mut table, &swaps);
+            assert_eq!(
+                moved_ids(&objective.last.moved),
+                touched,
+                "{guest}: reversal of a row"
+            );
+            check(&objective, cost, &table);
+            // The twin search, which only block swaps take, drops none of
+            // the reversal's edges either.
+            let edges = &objective.edges;
+            let (mut edge_stamp, mut node_stamp) = (vec![0; edges.len()], vec![(0, 0); n as usize]);
+            let mut moved = Vec::new();
+            edges.collect_batch::<true>(
+                &start,
+                &swaps,
+                &mut edge_stamp,
+                &mut node_stamp,
+                1,
+                &mut moved,
+            );
+            assert_eq!(
+                moved_ids(&moved),
+                touched,
+                "{guest}: twins of a row's reversal"
+            );
         }
     }
 
