@@ -288,6 +288,28 @@ fn makespan_smoke_records_match_their_recorded_digest() {
 }
 
 #[test]
+fn smoke_records_match_their_recorded_digest() {
+    // The built-in smoke plan runs every stage once, netsim's `simulate` and
+    // `simulate_chaos` among them; its digest is the one perfbench records
+    // for the tiny sweep at seed 7.
+    let jsonl = run(&SweepPlan::builtin("smoke").unwrap(), 2).to_jsonl();
+    assert_eq!(jsonl.lines().count(), 133);
+    assert_eq!(jsonl.len(), 264_222);
+    assert_eq!(fnv1a(&jsonl), 0x5201_7d01_2457_b98d);
+}
+
+#[test]
+fn chaos_smoke_records_match_their_recorded_digest() {
+    // `plans/chaos_smoke.plan` is the sweep of faulted and multi-tenant
+    // simulations, so its JSONL pins `simulate_chaos` end to end.
+    let plan = SweepPlan::parse(include_str!("../../../plans/chaos_smoke.plan")).unwrap();
+    let jsonl = run(&plan, 2).to_jsonl();
+    assert_eq!(jsonl.lines().count(), 68);
+    assert_eq!(jsonl.len(), 88_268);
+    assert_eq!(fnv1a(&jsonl), 0x38d9_363f_7a9c_1c6d);
+}
+
+#[test]
 fn wirelength_stage_respects_tangs_bound_on_every_swept_member() {
     // Satellite check for the cross-paper lab: sweep the whole
     // hypercube_torus family and require every supported trial to carry a
