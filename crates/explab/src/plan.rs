@@ -16,7 +16,7 @@
 //! ```text
 //! name = my-sweep
 //! seed = 42
-//! rounds = 1
+//! rounds = 1                 # simulated rounds per workload, at most 1024
 //! workloads = neighbor, tornado, transpose
 //! optimize = congestion      # none (default) | congestion | dilation | wirelength | makespan
 //! optim_steps = 800          # annealing steps per shard
@@ -456,6 +456,12 @@ pub const DEFAULT_OPTIM_PORTFOLIO: bool = false;
 /// explicit `wirelength_shards`.
 pub const DEFAULT_WIRELENGTH_SHARDS: u32 = 1;
 
+/// The most simulated rounds a plan file may ask for: every round adds one
+/// message per workload pair to every simulation of every trial, so the
+/// parser refuses counts that would run without bound (the built-ins use 1
+/// round, the checked-in plans 2).
+const MAX_ROUNDS: usize = 1024;
+
 /// A declarative sweep: families × workloads, a seed, and a round count for
 /// the simulator.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -663,10 +669,16 @@ impl SweepPlan {
                     })?;
                 }
                 "rounds" => {
-                    plan.rounds = value.parse().map_err(|_| ExplabError::PlanParse {
-                        line,
-                        message: format!("rounds must be a usize, got {value:?}"),
-                    })?;
+                    plan.rounds = value
+                        .parse()
+                        .ok()
+                        .filter(|&rounds| rounds <= MAX_ROUNDS)
+                        .ok_or_else(|| ExplabError::PlanParse {
+                            line,
+                            message: format!(
+                                "rounds must be a count of at most {MAX_ROUNDS}, got {value:?}"
+                            ),
+                        })?;
                 }
                 "workloads" => {
                     let mut specs = Vec::new();
@@ -1121,6 +1133,8 @@ mod tests {
         assert!(matches!(err, ExplabError::PlanParse { line: 1, .. }));
         let err = SweepPlan::parse("workloads = warp\nfamily paper").unwrap_err();
         assert!(matches!(err, ExplabError::PlanParse { line: 1, .. }));
+        let err = SweepPlan::parse("family hypercube max_dim=3\nrounds = 1000000000").unwrap_err();
+        assert!(matches!(err, ExplabError::PlanParse { line: 2, .. }));
         let err = SweepPlan::parse("# only comments").unwrap_err();
         assert!(matches!(err, ExplabError::InvalidPlan { .. }));
     }

@@ -54,13 +54,30 @@ fn unknown_builtin_plan_prints_display_message() {
 
 #[test]
 fn plan_file_parse_failures_name_the_line_and_exit_one() {
-    let path = temp_file("bad-seed.plan", "seed = x\nfamily paper\n");
-    let out = lab(&["run", "--plan-file", path.to_str().unwrap()]);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = stderr_of(&out);
-    assert!(stderr.contains("line 1"), "{stderr}");
-    assert!(stderr.contains("seed must be a u64"), "{stderr}");
+    // A round count past the cap would otherwise overflow the contention
+    // engine's queue (a panic) or run without bound.
+    for (name, contents, line, message) in [
+        (
+            "bad-seed.plan",
+            "seed = x\nfamily paper\n",
+            1,
+            "seed must be a u64",
+        ),
+        (
+            "huge-rounds.plan",
+            "family hypercube max_dim=3\nrounds = 1000000000\n",
+            2,
+            "rounds must be a count of at most 1024",
+        ),
+    ] {
+        let path = temp_file(name, contents);
+        let out = lab(&["run", "--plan-file", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = stderr_of(&out);
+        assert!(stderr.contains(&format!("line {line}")), "{stderr}");
+        assert!(stderr.contains(message), "{stderr}");
+    }
 }
 
 #[test]

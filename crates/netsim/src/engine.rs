@@ -14,8 +14,10 @@
 //! [`Arbiter`] runs the cycle loop over queued messages: every message
 //! injects at cycle 1, each directed link carries one message per cycle, the
 //! message queued first wins a contested link, and a blocked message retries
-//! in place. [`crate::sim::simulate`], [`crate::chaos::simulate_chaos`] and
-//! [`crate::optimize::MakespanObjective`] all hand their routes to it.
+//! in place. The run's cycle count, the cycle of its last delivery, is the
+//! makespan: [`crate::sim::simulate`], [`crate::chaos::simulate_chaos`] and
+//! [`crate::optimize::MakespanObjective`] all hand their routes to it and
+//! read that count, so none of them tracks a message's own delivery.
 
 use topology::routing::{for_each_hop, link_slot_of_hop};
 use topology::Grid;
@@ -66,11 +68,10 @@ pub(crate) fn push_path_route(grid: &Grid, from: u64, path: &[u64], out: &mut Ve
     }
 }
 
-/// A queued message: its index, the route it follows, and how many hops of
-/// that route it has taken.
+/// A queued message: the route it follows, and how many hops of that route
+/// it has taken.
 #[derive(Clone, Copy)]
 struct Active {
-    message: u32,
     route: u32,
     cursor: u32,
 }
@@ -105,34 +106,31 @@ impl Arbiter {
 
     /// Queues `rounds` rounds of one message along each route in `routes`
     /// (ascending route indices, every route non-empty), behind anything
-    /// already queued. Message indices are round-major, route-minor:
-    /// `round × stride + route`, the order every simulator injects in, so
-    /// queue order is priority order.
+    /// already queued: round-major, route-minor, the order every simulator
+    /// injects in, so queue order is priority order.
     ///
     /// # Panics
     ///
-    /// Panics if `stride × rounds` overflows the `u32` message indices.
-    pub(crate) fn queue_rounds(&mut self, routes: &[u32], stride: usize, rounds: usize) {
-        let messages = stride
+    /// Panics if the rounds hold more than `u32::MAX` messages.
+    pub(crate) fn queue_rounds(&mut self, routes: &[u32], rounds: usize) {
+        let messages = routes
+            .len()
             .checked_mul(rounds)
-            .and_then(|messages| u32::try_from(messages).ok())
+            .filter(|&messages| u32::try_from(messages).is_ok())
             .expect("a schedule has at most u32::MAX messages");
-        for base in (0..messages).step_by(stride.max(1)) {
-            self.active.extend(routes.iter().map(|&route| Active {
-                message: base + route,
-                route,
-                cursor: 0,
-            }));
-        }
+        self.active.extend(
+            routes
+                .iter()
+                .cycle()
+                .take(messages)
+                .map(|&route| Active { route, cursor: 0 }),
+        );
     }
 
-    /// Runs every queued message to delivery over `routes`, writing each
-    /// message's delivery cycle to `cycles[message]`, and returns the cycles
-    /// the run took: the latest of those deliveries, or 0 when nothing was
-    /// queued. Messages that were not queued keep their entries — exact
-    /// whenever they share no slot with a queued message, since disjoint
-    /// slots never contend and every message injects at cycle 1.
-    pub(crate) fn run(&mut self, routes: &[Vec<u32>], cycles: &mut [u64]) -> u64 {
+    /// Runs every queued message to delivery over `routes` and returns the
+    /// cycles the run took: the cycle of the last delivery, or 0 when
+    /// nothing was queued.
+    pub(crate) fn run(&mut self, routes: &[Vec<u32>]) -> u64 {
         let mut cycle = 0u64;
         while !self.active.is_empty() {
             cycle += 1;
@@ -140,8 +138,7 @@ impl Arbiter {
             let clock = self.clock;
             // Compact the active list in place, without branches: every
             // entry is written back and only the undelivered ones are kept,
-            // in order. A message's cycle is written while it is active, so
-            // the last write is its delivery cycle.
+            // in order.
             let mut kept = 0;
             for index in 0..self.active.len() {
                 let entry = self.active[index];
@@ -152,13 +149,18 @@ impl Arbiter {
                 let free = self.stamp[slot] != clock;
                 self.stamp[slot] = clock;
                 let cursor = entry.cursor + u32::from(free);
-                cycles[entry.message as usize] = cycle;
                 self.active[kept] = Active { cursor, ..entry };
                 kept += usize::from(cursor as usize != route.len());
             }
             self.active.truncate(kept);
         }
         cycle
+    }
+
+    /// The claim clock: the number of cycles every run so far has taken.
+    #[cfg(test)]
+    pub(crate) fn clock(&self) -> u64 {
+        self.clock
     }
 }
 
@@ -178,13 +180,12 @@ pub(crate) fn nonempty_routes(routes: &[Vec<u32>]) -> impl Iterator<Item = u32> 
 ///
 /// # Panics
 ///
-/// Panics if the schedule has more than `u32::MAX` messages.
+/// Panics if the schedule has more than `u32::MAX` messages with a route.
 pub(crate) fn cycles_to_deliver(grid: &Grid, routes: &[Vec<u32>], rounds: usize) -> u64 {
     let queued: Vec<u32> = nonempty_routes(routes).collect();
     let mut arbiter = Arbiter::new(grid);
-    arbiter.queue_rounds(&queued, routes.len(), rounds);
-    let mut cycles = vec![0; routes.len() * rounds];
-    arbiter.run(routes, &mut cycles)
+    arbiter.queue_rounds(&queued, rounds);
+    arbiter.run(routes)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The simulated-makespan optimization objective, with delta-aware
-//! re-evaluation.
+//! re-routing.
 //!
 //! [`MakespanObjective`] plugs the store-and-forward simulator into the
 //! [`embeddings::optim`] local-search engine: the cost of a placement table
@@ -7,8 +7,7 @@
 //! as the task placement, with the total routed hop count as the
 //! tie-breaker — exactly the numbers [`crate::sim::simulate`] reports.
 //!
-//! An evaluation has two halves, routing and arbitration, and the objective
-//! makes both incremental:
+//! An evaluation has two halves, routing and arbitration:
 //!
 //! * **routes** are cached per workload pair as lists of the directed link
 //!   slots they claim hop by hop (`2 × canonical link slot + direction
@@ -18,32 +17,20 @@
 //!   round injects the same pairs, so those pairs cover every touched
 //!   round) — `O(degree × path length)` instead of re-expanding every
 //!   route;
-//! * **arbitration** is re-run only where a change can reach. Messages
-//!   interact exclusively through shared directed link slots, so the
-//!   routes partition into *contention components* (union–find over
-//!   slots: each route chains its own slots together, shared slots merge
-//!   routes). The objective keeps that partition for the *committed*
-//!   routes only: `rebuild` computes it, and so does the first call after
-//!   a move that is not the move's undo — the call that makes the move
-//!   final. The annealer rejects and undoes almost every move it proposes,
-//!   and those moves never pay for a partition. A proposed move dirties
-//!   the slots of its changed routes, old and new; the committed
-//!   components holding a dirty slot replay arbitration, in a pass that
-//!   reads each pair's component root from the partition. Every other
-//!   message keeps its cached delivery cycle, and the makespan is the
-//!   maximum over the per-message cycle cache. The replay runs on the
-//!   crate's one contention engine, the same flat, clock-stamped arbiter
+//! * **arbitration** queues every round's message of every non-empty route
+//!   on the crate's one contention engine, the clock-stamped arbiter
 //!   [`crate::sim::simulate`] runs, with its claim stamps kept across
-//!   evaluations. A swap that touches no workload pair (possible when the
+//!   evaluations, and takes the run's cycle count as the makespan. The
+//!   routes, the engine and the priority order (round-major, pair-minor)
+//!   are the simulator's, so every exact price is the simulator's by
+//!   construction. A swap that touches no workload pair (possible when the
 //!   optimizer's guest has more nodes than the workload has tasks) skips
-//!   re-arbitration entirely;
+//!   arbitration entirely;
 //! * **undo** costs neither half. A move puts the routes it replaces in a
-//!   saved list, builds the new ones in spare buffers, and copies the
-//!   per-message cycle cache before its replay. An immediate repeat of the
-//!   same call — the optimizer's rejection path — swaps the routes, the
-//!   cycle cache, the hop total and the cost back, and leaves the committed
-//!   partition as it is. Any other call, and `rebuild`, drop the saved
-//!   state;
+//!   saved list and builds the new ones in spare buffers. An immediate
+//!   repeat of the same call — the optimizer's rejection path — swaps the
+//!   routes, the hop total and the cost back. Any other call, and
+//!   `rebuild`, drop the saved state;
 //! * **a bound comes before arbitration** when the annealer passes its
 //!   acceptance test through [`Objective::apply_bounded`]. The objective
 //!   keeps a count of the cached routes through each directed slot. Once a
@@ -52,31 +39,15 @@
 //!   on a changed route's slots: a message takes one cycle per hop, and a
 //!   slot passes one message per cycle. The bound pairs that makespan with
 //!   the exact hop total. When the limit rejects it, the objective returns
-//!   it without copying the cycle cache or arbitrating; the undo then swaps
-//!   the routes and counts back. Any other next call makes the bounded move
-//!   final by partitioning its routes and arbitrating every message, so it
-//!   prices exactly. The bound is componentwise at most the exact cost, so
-//!   the monotone acceptance test that rejects it rejects the exact cost
-//!   too, and every accept decision is the one exact pricing would make
-//!   (see [`embeddings::optim`]).
+//!   it without arbitrating; the undo then swaps the routes and counts
+//!   back. Any other next call makes the bounded move final by arbitrating
+//!   it, so it prices exactly. The bound is componentwise at most the exact
+//!   cost, so the monotone acceptance test that rejects it rejects the
+//!   exact cost too, and every accept decision is the one exact pricing
+//!   would make (see [`embeddings::optim`]).
 //!
-//! Skipping clean components is exact, not approximate. Call the union of
-//! the committed components that hold a dirty slot `U`. Every changed
-//! route lies in `U` (its old slots are dirty), and `U` is closed under
-//! slot sharing in the proposed routes: a route outside `U` is unchanged,
-//! so it lies in a committed component with no dirty slot; an unchanged
-//! route in `U` lies in another committed component, and a changed route's
-//! new slots are dirty, so neither can share a slot with it. Every
-//! proposed-route component that holds a dirty slot therefore lies inside
-//! `U`, and the messages outside `U` share no slot with any replayed
-//! message, before the move or after it. All messages inject at cycle 1,
-//! so their schedule under full arbitration is bit-identical to their
-//! cached one. The replayed messages' active list stays in ascending
-//! message-index order, replaying the exact priority rule of
-//! [`crate::sim::simulate`] (message-index order, one message per directed
-//! link per cycle, FIFO blocking) — `rebuild` recomputes everything from
-//! scratch and is the differential anchor, and the netsim tests plus the
-//! embeddings proptest wall check every incremental path against
+//! `rebuild` routes every pair from scratch and is the differential anchor;
+//! the netsim tests and proptest walls check every incremental path against
 //! [`crate::sim::simulate`] on random walks.
 
 use embeddings::optim::{Cost, Objective};
@@ -88,11 +59,10 @@ use crate::traffic::Workload;
 /// Why a [`MakespanObjective`] could not be constructed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MakespanError {
-    /// The schedule is too large: the arbitration scratch indexes messages
-    /// (workload pairs × rounds) with `u32`, so an evaluation is capped at
-    /// `u32::MAX` messages. A request-supplied workload or round count that
-    /// blows past the cap is a typed error here rather than a silent index
-    /// truncation (and a meaningless schedule) later.
+    /// The schedule is too large: the contention engine queues at most
+    /// `u32::MAX` messages (workload pairs × rounds) per evaluation. A
+    /// request-supplied workload or round count that blows past the cap is
+    /// a typed error here rather than a panic in the middle of a walk.
     ScheduleTooLarge {
         /// The number of workload pairs.
         pairs: usize,
@@ -129,6 +99,10 @@ pub struct MakespanObjective {
     /// directed claim slots of its hops (buffers are recycled through
     /// `spare`, keeping their capacity).
     routes: Vec<Vec<u32>>,
+    /// The pairs with a non-empty route, ascending: the pairs whose messages
+    /// every arbitration queues. A route is empty exactly when its pair is a
+    /// self-send, which no injective table changes, so `rebuild` fixes it.
+    queued: Vec<u32>,
     /// `task_pairs[t]` = indices of the workload pairs with source or
     /// destination task `t`.
     task_pairs: Vec<Vec<u32>>,
@@ -142,23 +116,6 @@ pub struct MakespanObjective {
     /// Re-routing scratch, reused across evaluations.
     affected: Vec<u32>,
     touched: Vec<u64>,
-    /// The pairs whose messages the current evaluation replays, ascending.
-    replay: Vec<u32>,
-    /// Delivery cycle of each message (round-major index; 0 for empty
-    /// routes). The makespan is the maximum; clean contention components
-    /// keep their entries across incremental evaluations.
-    msg_cycles: Vec<u64>,
-    /// The contention partition of the committed routes: the component
-    /// root of every directed slot.
-    slot_root: Vec<u32>,
-    /// The component root of each pair's committed route; the slot count,
-    /// a root no slot has, for empty routes.
-    pair_root: Vec<u32>,
-    /// `root_epoch[root] == epoch` marks a dirty component this evaluation
-    /// (one entry per slot, plus the empty routes' root, never marked).
-    root_epoch: Vec<u64>,
-    /// Old + new slots of every route changed since the last arbitration.
-    dirty_slots: Vec<u32>,
     /// The number of cached routes through each directed slot, last move
     /// included: what bounds a move before it is arbitrated.
     slot_count: Vec<u32>,
@@ -171,31 +128,19 @@ pub struct MakespanObjective {
 }
 
 /// The state a [`MakespanObjective`] move replaced, enough to undo the
-/// move without routing, partitioning or arbitrating.
+/// move without routing or arbitrating.
 struct Saved {
     /// Whether the fields below describe a move that can still be undone.
     open: bool,
     /// Whether the move returned a bound: its routes are in place, but its
-    /// messages were never arbitrated and the cycle cache was not copied.
+    /// messages were never arbitrated.
     bounded: bool,
     /// The move's transpositions, as the call passed them.
     swaps: Vec<(u64, u64)>,
     /// The routes the move replaced, by pair index.
     routes: Vec<(u32, Vec<u32>)>,
-    /// The per-message cycle cache before the move's replay.
-    msg_cycles: Vec<u64>,
     route_hops: u64,
     cost: Cost,
-}
-
-/// Union–find `find` with path halving, as a free function so it can borrow
-/// the parent vector while other fields of the objective stay borrowed.
-fn find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        parent[x as usize] = parent[parent[x as usize] as usize];
-        x = parent[x as usize];
-    }
-    x
 }
 
 impl MakespanObjective {
@@ -205,7 +150,7 @@ impl MakespanObjective {
     /// # Errors
     ///
     /// [`MakespanError::ScheduleTooLarge`] when `pairs × rounds` exceeds the
-    /// `u32` message index space of the arbitration scratch.
+    /// `u32::MAX` messages the contention engine queues.
     pub fn new(network: Network, workload: Workload, rounds: usize) -> Result<Self, MakespanError> {
         let pairs = workload.pairs().len();
         if pairs as u128 * rounds.max(1) as u128 > u32::MAX as u128 {
@@ -226,6 +171,7 @@ impl MakespanObjective {
             workload,
             rounds,
             routes: vec![Vec::new(); pairs],
+            queued: Vec::new(),
             task_pairs,
             route_hops: 0,
             pair_epoch: vec![0; pairs],
@@ -233,12 +179,6 @@ impl MakespanObjective {
             arbiter,
             affected: Vec::new(),
             touched: Vec::new(),
-            replay: Vec::new(),
-            msg_cycles: Vec::new(),
-            slot_root: Vec::new(),
-            pair_root: Vec::new(),
-            root_epoch: vec![0; slots + 1],
-            dirty_slots: Vec::new(),
             slot_count: vec![0; slots],
             cost: Cost {
                 primary: 0,
@@ -249,7 +189,6 @@ impl MakespanObjective {
                 bounded: false,
                 swaps: Vec::new(),
                 routes: Vec::new(),
-                msg_cycles: Vec::new(),
                 route_hops: 0,
                 cost: Cost {
                     primary: 0,
@@ -276,8 +215,6 @@ impl MakespanObjective {
     /// Replaces the cached route of pair `pair` with its route under
     /// `table`, built in a spare buffer, and keeps `route_hops` and
     /// `slot_count` in sync. The replaced route goes to the saved state.
-    /// Both routes' slots are appended to `dirty_slots`, marking every
-    /// contention component this change can reach.
     fn route_pair(&mut self, pair: u32, table: &[u64]) {
         let mut route = self.spare.pop().unwrap_or_default();
         self.expand_route(pair as usize, table, &mut route);
@@ -285,7 +222,6 @@ impl MakespanObjective {
         let new = &self.routes[pair as usize];
         self.route_hops = self.route_hops - old.len() as u64 + new.len() as u64;
         recount(&mut self.slot_count, &old, new);
-        self.dirty_slots.extend(old.iter().chain(new));
         self.saved.routes.push((pair, old));
     }
 
@@ -316,98 +252,16 @@ impl MakespanObjective {
         }
     }
 
-    /// Partitions the cached routes into contention components: each route
-    /// chains its own slots together and shared slots merge routes. The
-    /// union–find is flattened into `slot_root`, and `pair_root` reads each
-    /// pair's root off its first slot (a route's slots share one
-    /// component). Runs only on committed routes — see the module docs.
-    fn partition(&mut self) {
-        // The empty routes' root, `slots`, must fit in `u32` too.
-        let slots = u32::try_from(self.arbiter.slots()).expect("directed link slots fit in u32");
-        let root = &mut self.slot_root;
-        root.clear();
-        root.extend(0..slots);
-        for route in &self.routes {
-            if let Some((&first, rest)) = route.split_first() {
-                // Hang every slot's root under the first slot's root, which
-                // stays a root throughout.
-                let first = find(root, first);
-                for &slot in rest {
-                    let slot = find(root, slot);
-                    root[slot as usize] = first;
-                }
-            }
-        }
-        for slot in 0..slots {
-            root[slot as usize] = find(root, slot);
-        }
-        self.pair_root.clear();
-        self.pair_root.extend(
-            self.routes
-                .iter()
-                .map(|route| route.first().map_or(slots, |&slot| root[slot as usize])),
-        );
-    }
-
-    /// Replays the arbitration of [`crate::sim::simulate`] over every
-    /// round's message of the pairs in `replay` (ascending, non-empty
-    /// routes) on the contention engine, in ascending message index — the
-    /// priority order of the full simulator; indices are round-major,
-    /// pair-minor, the order the full simulator injects in. Each delivery
-    /// records its cycle in `msg_cycles`; messages left out keep their
-    /// cached delivery cycles (see the module docs for why that is exact).
-    /// Returns the cost this leaves cached.
-    fn arbitrate_replay(&mut self) -> Cost {
-        self.arbiter
-            .queue_rounds(&self.replay, self.routes.len(), self.rounds);
-        self.arbiter.run(&self.routes, &mut self.msg_cycles);
+    /// Arbitrates every round's message of every non-empty route on the
+    /// contention engine, in the priority order of [`crate::sim::simulate`],
+    /// and caches the cost: the run's cycle count and the hop total.
+    fn arbitrate(&mut self) -> Cost {
+        self.arbiter.queue_rounds(&self.queued, self.rounds);
         self.cost = Cost {
-            primary: self.msg_cycles.iter().copied().max().unwrap_or(0),
+            primary: self.arbiter.run(&self.routes),
             secondary: self.route_hops * self.rounds as u64,
         };
         self.cost
-    }
-
-    /// Re-arbitrates only the committed contention components that hold a
-    /// slot of `dirty_slots` (consumed here), reading each pair's component
-    /// from the committed partition. Every other message keeps its cached
-    /// delivery cycle — see the module docs for why that is bit-exact.
-    fn evaluate_incremental(&mut self) -> Cost {
-        debug_assert_eq!(
-            self.msg_cycles.len(),
-            self.routes.len() * self.rounds,
-            "rebuild must run before incremental evaluation"
-        );
-        // Dirty slots no committed route uses root singleton components
-        // with no pairs — harmless. The `epoch` stamp was bumped by
-        // `resync_touched`, so stale marks never match, and the empty
-        // routes' root is never marked: their cached cycle is 0 and stays
-        // valid (a route is empty iff its pair is a self-send, which no
-        // table change can alter).
-        let epoch = self.epoch;
-        for &slot in &self.dirty_slots {
-            self.root_epoch[self.slot_root[slot as usize] as usize] = epoch;
-        }
-        self.dirty_slots.clear();
-        let root_epoch = &self.root_epoch;
-        self.replay.clear();
-        self.replay.extend(
-            (0u32..)
-                .zip(&self.pair_root)
-                .filter(|&(_, &root)| root_epoch[root as usize] == epoch)
-                .map(|(pair, _)| pair),
-        );
-        self.arbitrate_replay()
-    }
-
-    /// Arbitrates every message with a route from scratch, over the cached
-    /// routes: the differential anchor for the incremental path.
-    fn arbitrate_all(&mut self) -> Cost {
-        self.msg_cycles.clear();
-        self.msg_cycles.resize(self.routes.len() * self.rounds, 0);
-        self.replay.clear();
-        self.replay.extend(engine::nonempty_routes(&self.routes));
-        self.arbitrate_replay()
     }
 
     /// Drops the saved state of the last move, keeping its route buffers.
@@ -419,9 +273,7 @@ impl MakespanObjective {
     }
 
     /// Undoes the last move from its saved state: swaps the replaced routes
-    /// (and their slot counts), the cycle cache of an arbitrated move,
-    /// `route_hops` and the cost back in. The committed partition never saw
-    /// the move, so it stays.
+    /// (and their slot counts), `route_hops` and the cost back in.
     fn restore(&mut self) -> Cost {
         let MakespanObjective {
             routes,
@@ -435,9 +287,6 @@ impl MakespanObjective {
             recount(slot_count, &new, &routes[pair as usize]);
             spare.push(new);
         }
-        if !saved.bounded {
-            std::mem::swap(&mut self.msg_cycles, &mut saved.msg_cycles);
-        }
         self.route_hops = saved.route_hops;
         self.cost = saved.cost;
         saved.open = false;
@@ -447,13 +296,12 @@ impl MakespanObjective {
 
     /// The shared delta path for the move `swaps`, already applied to
     /// `table`: answers the move's undo from the saved state; otherwise
-    /// makes the last move final (partitioning the routes it committed,
-    /// and arbitrating every message if it was bounded), re-routes every
-    /// workload pair touched by any task in `touched` (deduplicated), then
-    /// re-arbitrates the reachable contention components once, saving what
-    /// it replaces. With `accepts`, the move's bound comes first, and a
-    /// bound `accepts` rejects is returned without arbitrating. Returns the
-    /// cached cost untouched when no pair is affected.
+    /// makes the last move final (arbitrating it if it was bounded),
+    /// re-routes every workload pair touched by any task in `touched`
+    /// (deduplicated), saving what it replaces, then arbitrates once. With
+    /// `accepts`, the move's bound comes first, and a bound `accepts`
+    /// rejects is returned without arbitrating. Returns the cached cost
+    /// untouched when no pair is affected.
     fn resync_touched(
         &mut self,
         table: &[u64],
@@ -465,9 +313,8 @@ impl MakespanObjective {
             if self.saved.swaps == swaps {
                 return self.restore();
             }
-            self.partition();
             if self.saved.bounded {
-                self.arbitrate_all();
+                self.arbitrate();
             }
         }
         self.forget();
@@ -510,11 +357,9 @@ impl MakespanObjective {
         self.affected = affected;
         if let Some(bound) = bound {
             self.saved.bounded = true;
-            self.dirty_slots.clear();
             return bound;
         }
-        self.saved.msg_cycles.clone_from(&self.msg_cycles);
-        self.evaluate_incremental()
+        self.arbitrate()
     }
 
     /// Applies the batch `swaps` to `table` and prices it as one move.
@@ -585,8 +430,9 @@ impl Objective for MakespanObjective {
             recount(&mut self.slot_count, &[], &route);
             self.routes[pair] = route;
         }
-        self.partition();
-        self.arbitrate_all()
+        self.queued.clear();
+        self.queued.extend(engine::nonempty_routes(&self.routes));
+        self.arbitrate()
     }
 
     fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost {
@@ -698,8 +544,7 @@ mod tests {
 
     /// Two four-task rings pinned to opposite rows of a 4×4 mesh, with the
     /// middle rows unused: under the identity table their routes share no
-    /// directed slots, so the contention partition has (at least) two
-    /// clean-able components.
+    /// directed slots, so the two rings' messages never contend.
     fn two_cluster_workload() -> (Network, Workload, Vec<u64>) {
         let host = Grid::mesh(shape(&[4, 4]));
         let pairs = vec![
@@ -719,11 +564,10 @@ mod tests {
 
     #[test]
     fn multi_component_walks_match_full_resimulation() {
-        // The sparse case the contention-component replay exists for: most
-        // swaps touch one cluster (or no cluster at all), so the other
-        // cluster's cached cycles must carry over bit-exactly while its
-        // component is skipped. Random swaps and reversal batches, checked
-        // against a full re-simulation at every step.
+        // A sparse schedule: most swaps touch one cluster (or no cluster at
+        // all), and some trade tasks between the clusters, so their messages
+        // start and stop contending. Random swaps and reversal batches,
+        // checked against a full re-simulation at every step.
         let (network, workload, mut table) = two_cluster_workload();
         let rounds = 2;
         let mut objective = MakespanObjective::new(
@@ -765,113 +609,46 @@ mod tests {
     }
 
     #[test]
-    fn clean_components_are_skipped_not_replayed() {
-        // White-box proof that the incremental path really skips clean
-        // components instead of recomputing them: corrupt the cached
-        // delivery cycle of a message in the *other* cluster, apply a swap
-        // confined to the first cluster, and watch the corruption survive
-        // into the reported cost. A full replay would wash it out — which
-        // is exactly what the final rebuild then does.
-        let (network, workload, mut table) = two_cluster_workload();
-        let mut objective =
-            MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
-                .unwrap();
-        let honest = objective.rebuild(&table);
-        // Message 4 is pair (12, 13): routed entirely inside the bottom row.
-        objective.msg_cycles[4] = 777;
-        // Swap two top-row placements: dirty slots stay in the top row.
-        table.swap(0, 1);
-        let tainted = objective.apply_swap(&table, 0, 1);
-        assert_eq!(
-            tainted.primary, 777,
-            "the bottom-row component was replayed, not skipped"
-        );
-        // A rebuild discards every cached cycle and restores the truth.
-        let rebuilt = objective.rebuild(&table);
-        assert_eq!(rebuilt, full_cost(&network, &workload, 1, &table));
-        assert_eq!(rebuilt.secondary, honest.secondary, "same routed hops");
-    }
-
-    #[test]
     fn undo_restores_the_saved_schedule_instead_of_replaying() {
         // White-box proof that an undo swaps the saved state back instead
-        // of routing and arbitrating again: corrupt the saved delivery
-        // cycle of a message the move replayed and undo the move. The
-        // corruption comes back with the restored cycle cache, and the next
-        // move, confined to the other cluster, reports it. A replay would
-        // recompute it — which is exactly what the final rebuild then does.
+        // of arbitrating again: every arbitration advances the arbiter's
+        // clock, so a move must advance it and the move's undo must leave it
+        // where the move did. The next move arbitrates again.
         let (network, workload, mut table) = two_cluster_workload();
         let mut objective =
             MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
                 .unwrap();
         let honest = objective.rebuild(&table);
-        // Swap two top-row placements: the top-row component replays.
+        let rebuilt_clock = objective.arbiter.clock();
         table.swap(0, 1);
-        objective.apply_swap(&table, 0, 1);
-        // Message 0 is pair (0, 1), routed inside the top row.
-        objective.saved.msg_cycles[0] = 777;
+        let moved = objective.apply_swap(&table, 0, 1);
+        assert_eq!(moved, full_cost(&network, &workload, 1, &table));
+        let moved_clock = objective.arbiter.clock();
+        assert!(moved_clock > rebuilt_clock, "the move was not arbitrated");
         table.swap(0, 1);
         assert_eq!(objective.apply_swap(&table, 0, 1), honest);
         assert_eq!(
-            objective.msg_cycles[0], 777,
-            "the undo replayed the move instead of restoring its saved state"
+            objective.arbiter.clock(),
+            moved_clock,
+            "the undo arbitrated instead of restoring its saved state"
         );
-        // Swap two bottom-row placements: the top-row component is clean,
-        // so the restored cycle carries over into the reported cost.
-        table.swap(12, 13);
-        assert_eq!(objective.apply_swap(&table, 12, 13).primary, 777);
-        let rebuilt = objective.rebuild(&table);
-        assert_eq!(rebuilt, full_cost(&network, &workload, 1, &table));
-    }
-
-    #[test]
-    fn undone_moves_keep_the_committed_partition() {
-        // White-box proof that only a move made final re-partitions. After a
-        // move and its undo, tamper with the stored partition so that a
-        // bottom-row pair looks like part of a top-row component, and plant
-        // a wrong cycle on that pair's message: the next top-row move
-        // replays it from the tampered partition and washes the plant out,
-        // where a fresh partition would skip the clean bottom row and report
-        // it (see `clean_components_are_skipped_not_replayed`). A bottom-row
-        // move re-routing that pair then makes the top-row move final: only
-        // a recomputed partition puts the pair back in a component its dirty
-        // slots mark, so only then is a second plant replayed away.
-        let (network, workload, mut table) = two_cluster_workload();
-        let mut objective =
-            MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
-                .unwrap();
-        let honest = objective.rebuild(&table);
-        table.swap(0, 1);
-        objective.apply_swap(&table, 0, 1);
-        table.swap(0, 1);
-        assert_eq!(objective.apply_swap(&table, 0, 1), honest);
-        // Pair 4 is (12, 13), routed inside the bottom row; pair 1 is (1, 2),
-        // which the next move re-routes, dirtying its component.
-        objective.pair_root[4] = objective.pair_root[1];
-        objective.msg_cycles[4] = 777;
-        table.swap(1, 2);
-        assert_eq!(
-            objective.apply_swap(&table, 1, 2),
-            full_cost(&network, &workload, 1, &table),
-            "the move recomputed the partition instead of using the stored one"
-        );
-        objective.msg_cycles[4] = 777;
         table.swap(12, 13);
         assert_eq!(
             objective.apply_swap(&table, 12, 13),
-            full_cost(&network, &workload, 1, &table),
-            "the committed move kept the tampered partition"
+            full_cost(&network, &workload, 1, &table)
         );
+        assert!(objective.arbiter.clock() > moved_clock);
+        let rebuilt = objective.rebuild(&table);
+        assert_eq!(rebuilt, full_cost(&network, &workload, 1, &table));
     }
 
     #[test]
     fn committed_moves_that_merge_and_split_components_match_full_resimulation() {
-        // The committed partition changes shape as moves become final.
         // Trading top-row task 0 for bottom-row task 13 routes top-row pairs
-        // through the bottom row, merging components of the two rows; moves
-        // in each row (one of them undone) then price against the merged
-        // partition, and trading the tasks back splits it again. Every step
-        // is checked against a full re-simulation.
+        // through the bottom row, so the two rings' messages contend; moves
+        // in each row (one of them undone) then price the merged schedule,
+        // and trading the tasks back splits it again. Every step is checked
+        // against a full re-simulation.
         let (network, workload, mut table) = two_cluster_workload();
         let rounds = 2;
         let mut objective = MakespanObjective::new(
@@ -881,13 +658,6 @@ mod tests {
         )
         .unwrap();
         objective.rebuild(&table);
-        // Pairs 0–3 are the top-row ring, pairs 4–7 the bottom-row one.
-        let merged = |objective: &MakespanObjective| {
-            (0..4).any(|top| {
-                (4..8).any(|bottom| objective.pair_root[top] == objective.pair_root[bottom])
-            })
-        };
-        assert!(!merged(&objective));
         let steps = [(0, 13), (1, 2), (1, 2), (14, 15), (2, 3), (0, 13), (12, 15)];
         for (step, &(a, b)) in steps.iter().enumerate() {
             table.swap(a, b);
@@ -897,13 +667,6 @@ mod tests {
                 full_cost(&network, &workload, rounds, &table),
                 "step {step}: swap {a},{b}"
             );
-            match step {
-                // The first top-row move made the cross trade final.
-                1 => assert!(merged(&objective), "the cross trade merged no components"),
-                // The last move made the trade back final.
-                6 => assert!(!merged(&objective), "the trade back split no components"),
-                _ => {}
-            }
         }
         let mut fresh =
             MakespanObjective::new(Network::new(network.grid().clone()), workload, rounds).unwrap();
@@ -977,33 +740,33 @@ mod tests {
 
     #[test]
     fn bounded_makespan_moves_arbitrate_nothing() {
-        // White-box proof that a bounded move neither replays nor copies
-        // the cycle cache: plant a wrong delivery cycle on a message whose
-        // route the move changes, as `clean_components_are_skipped_not_
-        // replayed` does. An arbitrated move would replay that message's
-        // component and wash the plant out; a bounded one leaves it through
-        // the move and its undo, and never fills the saved copy.
+        // White-box proof that a bounded move does not arbitrate: every
+        // arbitration advances the arbiter's clock, so the bounded move and
+        // its undo must leave it where `rebuild` did.
         let (network, workload, mut table) = two_cluster_workload();
         let mut objective =
             MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
                 .unwrap();
         let honest = objective.rebuild(&table);
-        // Message 0 is pair (0, 1); trading task 0 into the bottom row
-        // lengthens its route, so the greedy limit rejects the bound.
-        objective.msg_cycles[0] = 777;
+        let clock = objective.arbiter.clock();
+        // Trading task 0 into the bottom row lengthens the route of pair
+        // (0, 1), so the greedy limit rejects the bound.
         let swaps = [(0u64, 12u64)];
         let bound = objective.apply_bounded(&mut table, &swaps, &reject_worse(honest));
         assert!(objective.saved.bounded, "the move must be bounded");
         assert!(bound > honest);
-        assert_eq!(objective.msg_cycles[0], 777, "the bounded move arbitrated");
-        assert!(
-            objective.saved.msg_cycles.is_empty(),
-            "the cycle cache was copied"
+        assert_eq!(
+            objective.arbiter.clock(),
+            clock,
+            "the bounded move arbitrated"
         );
         assert_eq!(objective.apply_disjoint_swaps(&mut table, &swaps), honest);
-        assert_eq!(objective.msg_cycles[0], 777, "the undo arbitrated");
-        // A rebuild discards every cached cycle and restores the truth.
+        assert_eq!(objective.arbiter.clock(), clock, "the undo arbitrated");
         assert_eq!(objective.rebuild(&table), honest);
+        assert!(
+            objective.arbiter.clock() > clock,
+            "rebuild did not arbitrate"
+        );
         assert_eq!(honest, full_cost(&network, &workload, 1, &table));
     }
 

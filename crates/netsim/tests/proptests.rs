@@ -135,8 +135,8 @@ proptest! {
         // swaps; the rest are single swaps. About a third of the moves are
         // undone by repeating the same call, the annealer's rejection path,
         // which the objective answers from saved state; every other move
-        // becomes final, re-partitioning the committed routes. Sparse random
-        // traffic splits the schedule into many contention components.
+        // becomes final. Sparse random traffic leaves many messages that
+        // share no link with the moved ones.
         use embeddings::optim::{Cost, Objective};
         use netsim::MakespanObjective;
 
