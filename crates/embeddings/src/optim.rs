@@ -2628,8 +2628,9 @@ mod tests {
         // from every link at it. Shuffled tables of small pairs have few
         // links at their maximum and many swaps that lower it. Under a limit
         // that rejects every cost at the committed maximum, each swap that
-        // passes the count test is bounded, so a count test one hop too
-        // lenient returns a bound above some exact cost here.
+        // passes the count test is bounded and checked against its exact
+        // cost. These tables hold no swap that a count test one hop too
+        // lenient bounds above the exact cost; the next test pins one.
         use rand::seq::SliceRandom;
         let mut bounded = 0;
         for (guest, host) in [
@@ -2672,6 +2673,36 @@ mod tests {
             }
         }
         assert!(bounded > 0);
+    }
+
+    #[test]
+    fn the_count_test_never_bounds_a_swap_above_its_exact_cost() {
+        // The swap's old routes have exactly as many hops as the table has
+        // links at the committed maximum of 3, and they cross every one of
+        // them, so the swap lowers the maximum to 2. A count test that let
+        // `removed == at_max` pass would return the committed maximum, a
+        // bound above the exact cost. Found by a brute-force search over
+        // the swaps of shuffled tables of small pairs.
+        let guest = Grid::line(16).unwrap();
+        let host = Grid::mesh(shape(&[4, 4]));
+        let start = vec![11, 7, 15, 4, 8, 12, 14, 3, 2, 0, 13, 1, 9, 6, 10, 5];
+        let swap = [(0, 13)];
+        let mut objective = CongestionObjective::new(&guest, &host).unwrap();
+        let before = objective.rebuild(&start);
+        assert_eq!(before.primary, 3);
+        let mut exact = CongestionObjective::new(&guest, &host).unwrap();
+        exact.rebuild(&start);
+        let truth = exact.apply_disjoint_swaps(&mut start.clone(), &swap);
+        assert_eq!(truth.primary, 2);
+        let limit = |cost: Cost| cost.primary < before.primary;
+        let mut table = start.clone();
+        let cost = objective.apply_bounded(&mut table, &swap, &limit);
+        assert!(
+            cost.primary <= truth.primary,
+            "bound {cost:?} above the exact {truth:?}"
+        );
+        assert_eq!(cost.secondary, truth.secondary);
+        assert_eq!(objective.apply_disjoint_swaps(&mut table, &swap), before);
     }
 
     #[test]

@@ -462,6 +462,21 @@ pub const DEFAULT_WIRELENGTH_SHARDS: u32 = 1;
 /// round, the checked-in plans 2).
 const MAX_ROUNDS: usize = 1024;
 
+/// The largest `max_size` a plan file's family may ask for: families
+/// enumerate shapes of every node count up to it, so an unbounded value
+/// would run without end before the first trial. At the caps `lab expand`
+/// lists the largest family (`torus_to_mesh`, 194,241 trials) in 0.7 s on
+/// a 2-core VM; the built-ins and checked-in plans stop at 40 nodes.
+const MAX_FAMILY_SIZE: u64 = 1024;
+
+/// The largest `max_dim` a plan file's family may ask for: a hypercube of
+/// this dimension has `MAX_FAMILY_SIZE` nodes (the built-ins stop at 6).
+const MAX_FAMILY_DIM: u64 = 10;
+
+/// The most pairs a plan file's `random` family may draw (the built-ins
+/// draw 24).
+const MAX_FAMILY_COUNT: u64 = 1024;
+
 /// A declarative sweep: families × workloads, a seed, and a round count for
 /// the simulator.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -913,13 +928,26 @@ fn parse_family(body: &str, line: usize) -> Result<Family> {
         })?;
         args.push((key, value));
     }
+    // Every bound is capped before anything is enumerated.
     let get = |key: &str, default: u64| -> Result<u64> {
+        let cap = match key {
+            "max_size" => MAX_FAMILY_SIZE,
+            "max_dim" => MAX_FAMILY_DIM,
+            _ => MAX_FAMILY_COUNT,
+        };
         match args.iter().find(|(k, _)| *k == key) {
             None => Ok(default),
-            Some((_, value)) => value.parse().map_err(|_| ExplabError::PlanParse {
-                line,
-                message: format!("family argument {key}={value:?} is not an integer"),
-            }),
+            Some((_, value)) => value
+                .parse()
+                .ok()
+                .filter(|&bound| bound <= cap)
+                .ok_or_else(|| ExplabError::PlanParse {
+                    line,
+                    message: format!(
+                        "family argument {key} must be an integer of at most {cap}, \
+                         got {value:?}"
+                    ),
+                }),
         }
     };
     let family = match name {
@@ -1135,6 +1163,32 @@ mod tests {
         assert!(matches!(err, ExplabError::PlanParse { line: 1, .. }));
         let err = SweepPlan::parse("family hypercube max_dim=3\nrounds = 1000000000").unwrap_err();
         assert!(matches!(err, ExplabError::PlanParse { line: 2, .. }));
+        // Family bounds past their caps would enumerate without end, or
+        // build one trial of tens of millions of nodes.
+        for (plan, key) in [
+            ("family paper\nfamily hypercube max_dim=70", "max_dim"),
+            (
+                "family paper\nfamily same_shape max_size=4000000000",
+                "max_size",
+            ),
+            (
+                "family paper\nfamily random count=1 max_size=100000000",
+                "max_size",
+            ),
+            ("family paper\nfamily random count=100000", "count"),
+        ] {
+            let err = SweepPlan::parse(plan).unwrap_err();
+            assert!(
+                matches!(err, ExplabError::PlanParse { line: 2, .. }),
+                "{plan}"
+            );
+            assert!(err.to_string().contains(key), "{err}");
+        }
+        let edge = format!(
+            "family same_shape max_size={MAX_FAMILY_SIZE} max_dim={MAX_FAMILY_DIM}\n\
+             family random count={MAX_FAMILY_COUNT}"
+        );
+        assert!(SweepPlan::parse(&edge).is_ok(), "the caps themselves parse");
         let err = SweepPlan::parse("# only comments").unwrap_err();
         assert!(matches!(err, ExplabError::InvalidPlan { .. }));
     }

@@ -54,8 +54,8 @@ fn unknown_builtin_plan_prints_display_message() {
 
 #[test]
 fn plan_file_parse_failures_name_the_line_and_exit_one() {
-    // A round count past the cap would otherwise overflow the contention
-    // engine's queue (a panic) or run without bound.
+    // A round count or family bound past its cap would otherwise run
+    // without bound, or build one trial of tens of millions of nodes.
     for (name, contents, line, message) in [
         (
             "bad-seed.plan",
@@ -68,6 +68,24 @@ fn plan_file_parse_failures_name_the_line_and_exit_one() {
             "family hypercube max_dim=3\nrounds = 1000000000\n",
             2,
             "rounds must be a count of at most 1024",
+        ),
+        (
+            "huge-dimension.plan",
+            "family paper\nfamily hypercube max_dim=70\n",
+            2,
+            "max_dim must be an integer of at most 10",
+        ),
+        (
+            "huge-size.plan",
+            "family paper\nfamily same_shape max_size=4000000000\n",
+            2,
+            "max_size must be an integer of at most 1024",
+        ),
+        (
+            "huge-random.plan",
+            "family random count=1 max_size=100000000\n",
+            1,
+            "max_size must be an integer of at most 1024",
         ),
     ] {
         let path = temp_file(name, contents);

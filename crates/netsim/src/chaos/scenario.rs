@@ -47,9 +47,8 @@ impl ChaosRouting {
 /// # Panics
 ///
 /// Panics if the workload has more tasks than the placement, the placement
-/// references nodes outside the network, the plan references links or
-/// nodes the network does not have, or more than `u32::MAX` messages are
-/// delivered.
+/// references nodes outside the network, or the plan references links or
+/// nodes the network does not have.
 pub fn simulate_chaos(
     network: &Network,
     workload: &Workload,

@@ -7,20 +7,45 @@
 //! direction bit is whether the hop moves to a higher node index. Two hops
 //! claim the same slot exactly when they cross the same link from the same
 //! node, so arbitration never needs the nodes a route visits.
-//! [`push_dor_route`] expands a dimension-ordered route straight into slots;
+//! [`DorRoutes`] expands a dimension-ordered route straight into slots,
+//! reading both endpoints from the network's per-node digit table;
 //! [`push_path_route`] maps a fault-aware router's node path to the same
 //! slots.
 //!
-//! [`Arbiter`] runs the cycle loop over queued messages: every message
-//! injects at cycle 1, each directed link carries one message per cycle, the
-//! message queued first wins a contested link, and a blocked message retries
-//! in place. The run's cycle count, the cycle of its last delivery, is the
-//! makespan: [`crate::sim::simulate`], [`crate::chaos::simulate_chaos`] and
-//! [`crate::optimize::MakespanObjective`] all hand their routes to it and
-//! read that count, so none of them tracks a message's own delivery.
+//! The rule: every message injects at cycle 1, each directed link carries
+//! one message per cycle, the message queued first wins a contested link,
+//! and a blocked message retries in place. The run's cycle count, the cycle
+//! of its last delivery, is the makespan: [`crate::sim::simulate`],
+//! [`crate::chaos::simulate_chaos`] and
+//! [`crate::optimize::MakespanObjective`] all hand their routes to this
+//! module and read that count.
+//!
+//! Under that rule a message's schedule depends only on the messages queued
+//! before it: a later message never takes a link from an earlier one. So
+//! the engine walks messages one at a time, in queue order, with no list of
+//! messages in flight. [`CycleSets`] keeps one bitset of cycles per directed
+//! slot; a message's hop takes the first clear bit at or after the cycle it
+//! arrives in — one bit scan, however long it waits — and sets it. That is
+//! exactly the schedule the rule gives when played out cycle by cycle, at a
+//! cost per hop, not per cycle a message waits. The rows widen with the
+//! makespan.
+//!
+//! The same dependence lets [`Schedule`] keep a committed walk and replay
+//! a change only from its first changed message `k`: every message before
+//! `k` keeps its cycles, so the replay starts from their latest delivery.
+//! From `k` on, a message that was not re-routed and crosses no slot whose
+//! claims the change has altered sees what it saw when committed, so it
+//! keeps its cycles without a walk. The replay walks the others, and a
+//! walked message sees a committed claim on an unaltered slot as free
+//! exactly when its claimant sits at or after its own position. The running
+//! maximum of deliveries only grows as the replay goes on, so every value
+//! it takes is a makespan no schedule of the changed routes can beat, and a
+//! replay under a limit can stop at the first one the limit rejects.
+
+use std::ops::Range;
 
 use topology::routing::{for_each_hop, link_slot_of_hop};
-use topology::Grid;
+use topology::{Coord, Grid};
 
 use crate::chaos::faults::link_slot_between;
 use crate::network::Network;
@@ -29,29 +54,52 @@ use crate::network::Network;
 /// canonical slot `link`.
 fn claim_slot(link: u64, before: u64, after: u64) -> u32 {
     u32::try_from(2 * link + u64::from(before < after))
-        .expect("directed link slots fit in u32: the claim stamps would need 32 GiB first")
+        .expect("directed link slots fit in u32: the cycle bitsets would need 32 GiB first")
 }
 
-/// Appends the claim slots of the dimension-ordered route from `from` to
-/// `to` — the route [`Network::route_into`] expands as nodes — to `out`.
-pub(crate) fn push_dor_route(network: &Network, from: u64, to: u64, out: &mut Vec<u32>) {
-    let grid = network.grid();
-    let current = grid.coord(from).expect("placement node in range");
-    let target = grid.coord(to).expect("placement node in range");
-    for_each_hop(
-        grid,
-        &current,
-        from,
-        &target,
-        network.forward_dims(),
-        |hop, before, after| {
-            out.push(claim_slot(
-                link_slot_of_hop(grid, hop, before, after),
-                before,
-                after,
-            ))
-        },
-    );
+/// Expands dimension-ordered routes — the routes [`Network::route_into`]
+/// expands as nodes — straight into claim slots. Both endpoints are read
+/// from the network's per-node digit table into two reused coordinates, so
+/// an expansion neither decodes a node index nor builds a coordinate.
+pub(crate) struct DorRoutes {
+    current: Coord,
+    target: Coord,
+}
+
+impl DorRoutes {
+    /// Expansion scratch for routes on `network`.
+    pub(crate) fn new(network: &Network) -> Self {
+        let zero = Coord::zero(network.grid().dim()).expect("grid dimensions fit a Coord");
+        DorRoutes {
+            current: zero,
+            target: zero,
+        }
+    }
+
+    /// Appends the claim slots of the dimension-ordered route from `from`
+    /// to `to` on `network` to `out`.
+    pub(crate) fn push(&mut self, network: &Network, from: u64, to: u64, out: &mut Vec<u32>) {
+        let grid = network.grid();
+        let ends = network.digits(from).iter().zip(network.digits(to));
+        for (j, (&u, &v)) in ends.enumerate() {
+            self.current.set(j, u);
+            self.target.set(j, v);
+        }
+        for_each_hop(
+            grid,
+            &self.current,
+            from,
+            &self.target,
+            network.forward_dims(),
+            |hop, before, after| {
+                out.push(claim_slot(
+                    link_slot_of_hop(grid, hop, before, after),
+                    before,
+                    after,
+                ))
+            },
+        );
+    }
 }
 
 /// Appends the claim slots of the node path `path` (excluding its source
@@ -68,124 +116,550 @@ pub(crate) fn push_path_route(grid: &Grid, from: u64, path: &[u64], out: &mut Ve
     }
 }
 
-/// A queued message: the route it follows, and how many hops of that route
-/// it has taken.
-#[derive(Clone, Copy)]
-struct Active {
-    route: u32,
-    cursor: u32,
+/// The number of directed claim slots of `grid`.
+pub(crate) fn slots(grid: &Grid) -> usize {
+    usize::try_from(2 * grid.link_count()).expect("directed link slots fit in memory")
 }
 
-/// Flat, clock-stamped claim state plus the queue of messages in flight.
-/// No hashing, no division and no allocation after warm-up.
-pub(crate) struct Arbiter {
-    /// `stamp[slot] == clock` means the slot is claimed in the current
-    /// cycle. Never reset: the clock only grows.
-    stamp: Vec<u64>,
-    clock: u64,
-    /// The messages in flight, in priority order.
-    active: Vec<Active>,
+/// One bitset of cycles per directed slot: bit `c` of a slot's row is set
+/// when a message holds the slot in cycle `c` (cycle 0 is never claimed).
+/// Rows are `width` words, slot-major, and all widen together when a claim
+/// runs past the last word, so the width follows the makespan:
+/// `slots × ⌈(makespan + 1) / 64⌉` words, rounded up to a power of two.
+#[derive(Clone, Debug)]
+pub(crate) struct CycleSets {
+    width: usize,
+    bits: Vec<u64>,
 }
 
-impl Arbiter {
-    /// An arbiter over the directed links of `grid`, with nothing queued.
-    pub(crate) fn new(grid: &Grid) -> Self {
-        let slots =
-            usize::try_from(2 * grid.link_count()).expect("directed link slots fit in memory");
-        Arbiter {
-            stamp: vec![0; slots],
-            clock: 0,
-            active: Vec::new(),
+impl CycleSets {
+    /// Empty rows, one word wide, for `slots` slots.
+    pub(crate) fn new(slots: usize) -> Self {
+        CycleSets {
+            width: 1,
+            bits: vec![0; slots],
         }
     }
 
-    /// The number of directed claim slots.
-    pub(crate) fn slots(&self) -> usize {
-        self.stamp.len()
+    /// The row of `slot`.
+    pub(crate) fn row(&self, slot: usize) -> &[u64] {
+        &self.bits[slot * self.width..][..self.width]
     }
 
-    /// Queues `rounds` rounds of one message along each route in `routes`
-    /// (ascending route indices, every route non-empty), behind anything
-    /// already queued: round-major, route-minor, the order every simulator
-    /// injects in, so queue order is priority order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rounds hold more than `u32::MAX` messages.
-    pub(crate) fn queue_rounds(&mut self, routes: &[u32], rounds: usize) {
-        let messages = routes
-            .len()
-            .checked_mul(rounds)
-            .filter(|&messages| u32::try_from(messages).is_ok())
-            .expect("a schedule has at most u32::MAX messages");
-        self.active.extend(
-            routes
-                .iter()
-                .cycle()
-                .take(messages)
-                .map(|&route| Active { route, cursor: 0 }),
-        );
+    /// The row of `slot`, mutably.
+    pub(crate) fn row_mut(&mut self, slot: usize) -> &mut [u64] {
+        &mut self.bits[slot * self.width..][..self.width]
     }
 
-    /// Runs every queued message to delivery over `routes` and returns the
-    /// cycles the run took: the cycle of the last delivery, or 0 when
-    /// nothing was queued.
-    pub(crate) fn run(&mut self, routes: &[Vec<u32>]) -> u64 {
-        let mut cycle = 0u64;
-        while !self.active.is_empty() {
-            cycle += 1;
-            self.clock += 1;
-            let clock = self.clock;
-            // Compact the active list in place, without branches: every
-            // entry is written back and only the undelivered ones are kept,
-            // in order.
-            let mut kept = 0;
-            for index in 0..self.active.len() {
-                let entry = self.active[index];
-                let route = &routes[entry.route as usize];
-                let slot = route[entry.cursor as usize] as usize;
-                // A slot taken this cycle already holds the clock, so the
-                // claim can write it whether or not it wins.
-                let free = self.stamp[slot] != clock;
-                self.stamp[slot] = clock;
-                let cursor = entry.cursor + u32::from(free);
-                self.active[kept] = Active { cursor, ..entry };
-                kept += usize::from(cursor as usize != route.len());
+    /// Widens every row to at least `width` words, keeping its bits.
+    pub(crate) fn widen(&mut self, width: usize) {
+        if width <= self.width {
+            return;
+        }
+        let slots = self.bits.len() / self.width;
+        let mut bits = vec![0; slots * width];
+        for (wide, narrow) in bits
+            .chunks_exact_mut(width)
+            .zip(self.bits.chunks_exact(self.width))
+        {
+            wide[..narrow.len()].copy_from_slice(narrow);
+        }
+        self.width = width;
+        self.bits = bits;
+    }
+
+    /// The width a claim from cycle `from` may need: double the current
+    /// one, and enough to hold `from` itself.
+    fn wider(&self, from: u64) -> usize {
+        (2 * self.width)
+            .max(from as usize / 64 + 1)
+            .next_power_of_two()
+    }
+
+    /// Sets the first clear bit at or after cycle `from` in `slot`'s row
+    /// and returns its cycle, or `None` when the row has no such bit.
+    #[inline]
+    fn take_first_clear(&mut self, slot: usize, from: u64) -> Option<u64> {
+        let row = &mut self.bits[slot * self.width..][..self.width];
+        let mut word = (from / 64) as usize;
+        let mut clear = !*row.get(word)? & (!0u64 << (from % 64));
+        loop {
+            if clear != 0 {
+                let bit = clear.trailing_zeros();
+                row[word] |= 1 << bit;
+                return Some(word as u64 * 64 + u64::from(bit));
             }
-            self.active.truncate(kept);
+            word += 1;
+            clear = !*row.get(word)?;
         }
-        cycle
     }
 
-    /// The claim clock: the number of cycles every run so far has taken.
-    #[cfg(test)]
-    pub(crate) fn clock(&self) -> u64 {
-        self.clock
+    /// Claims `slot` in the first cycle at or after `from` that no earlier
+    /// message holds, widening the rows if needed, and returns that cycle.
+    #[inline]
+    pub(crate) fn claim(&mut self, slot: usize, from: u64) -> u64 {
+        loop {
+            if let Some(cycle) = self.take_first_clear(slot, from) {
+                return cycle;
+            }
+            self.widen(self.wider(from));
+        }
     }
-}
 
-/// The indices of the non-empty routes in `routes`, ascending: the routes
-/// whose messages take part in arbitration.
-pub(crate) fn nonempty_routes(routes: &[Vec<u32>]) -> impl Iterator<Item = u32> + '_ {
-    routes
-        .iter()
-        .enumerate()
-        .filter(|(_, route)| !route.is_empty())
-        .map(|(index, _)| u32::try_from(index).expect("route indices fit in u32"))
+    /// Sets bit `cycle` of `slot`'s row; the row must be wide enough.
+    pub(crate) fn set(&mut self, slot: usize, cycle: u64) {
+        self.row_mut(slot)[(cycle / 64) as usize] |= 1 << (cycle % 64);
+    }
+
+    /// Clears bit `cycle` of `slot`'s row; the row must be wide enough.
+    pub(crate) fn unset(&mut self, slot: usize, cycle: u64) {
+        self.row_mut(slot)[(cycle / 64) as usize] &= !(1 << (cycle % 64));
+    }
+
+    /// Walks one message along `route` behind every message already
+    /// claimed: each hop claims its slot in the first free cycle after the
+    /// previous hop's, from cycle 1, and is reported to `claimed` as
+    /// `(slot, cycle)`. Returns the delivery cycle (0 for an empty route).
+    #[inline]
+    pub(crate) fn walk(&mut self, route: &[u32], mut claimed: impl FnMut(u32, u64)) -> u64 {
+        route.iter().fold(0, |cycle, &slot| {
+            let cycle = self.claim(slot as usize, cycle + 1);
+            claimed(slot, cycle);
+            cycle
+        })
+    }
 }
 
 /// The cycles needed to deliver `rounds` rounds of one message along each
 /// route of `routes` on a network over `grid` — the makespan both
-/// simulators report.
-///
-/// # Panics
-///
-/// Panics if the schedule has more than `u32::MAX` messages with a route.
+/// simulators report. Messages queue round-major, route-minor; an empty
+/// route delivers at cycle 0 and claims nothing.
 pub(crate) fn cycles_to_deliver(grid: &Grid, routes: &[Vec<u32>], rounds: usize) -> u64 {
-    let queued: Vec<u32> = nonempty_routes(routes).collect();
-    let mut arbiter = Arbiter::new(grid);
-    arbiter.queue_rounds(&queued, rounds);
-    arbiter.run(routes)
+    let mut sets = CycleSets::new(slots(grid));
+    let mut makespan = 0;
+    for _ in 0..rounds {
+        for route in routes {
+            makespan = makespan.max(sets.walk(route, |_, _| {}));
+        }
+    }
+    makespan
+}
+
+/// A committed schedule as tests compare it: each slot's claims; the route
+/// and cycle logs, the deliveries and `reach`; and each slot's claimed
+/// cycles as the bitsets hold them.
+#[cfg(test)]
+pub(crate) struct Snapshot {
+    pub(crate) claims: Vec<Vec<(u32, u32)>>,
+    pub(crate) logs: Vec<Vec<u32>>,
+    pub(crate) bits: Vec<Vec<u64>>,
+}
+
+/// How a [`Schedule::replay`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Replay {
+    /// The replay went through the whole queue: the makespan.
+    Exact(u64),
+    /// The limit rejected this running maximum, a makespan no schedule of
+    /// the replayed routes can beat; the replay went no further.
+    Stopped(u64),
+}
+
+/// A committed message-order schedule that a change replays only from its
+/// first changed message.
+///
+/// Queue position `p` is round `p / queued` and queue index `p % queued`.
+/// The committed schedule keeps the cycle bitsets of every claim, each
+/// slot's claims as `(queue position, cycle)` in queue order, the route of
+/// every queue index and the cycles of every position's hops, both laid
+/// out in queue order, each position's delivery, and `reach`, the latest
+/// delivery before each position.
+///
+/// Because a message's schedule depends only on the messages queued before
+/// it, a change whose first changed message sits at position `k` leaves
+/// every message before `k` as committed, and [`Schedule::replay`] starts
+/// at `k`, from `reach[k]`. A slot turns *dirty* once the replay's claims
+/// on it differ from the committed ones, and every later message whose
+/// committed route crosses it is queued to be walked, as is every
+/// re-routed message. Any other message sees exactly what it saw when
+/// committed, so it keeps its cycles and its delivery, and the replay only
+/// takes the maximum of the deliveries between two walked messages. A
+/// walked message claims, at each hop, the first free cycle at or after its
+/// arrival: a dirty slot's row holds every claim the replay has made there,
+/// and a clean slot's row is its committed row at the message's position,
+/// where a committed claim is free exactly when its claimant sits at or
+/// after that position. A re-routed message first turns the slots of its
+/// old route dirty, from its own position. The running maximum only grows,
+/// so under a limit the replay stops at the first one the limit rejects.
+/// Dropping a replay costs nothing; [`Schedule::commit`] rewrites the
+/// walked messages' claims.
+///
+/// State: the two cycle bitsets (`slots × width` words each) and one entry
+/// per committed claim, per walked hop, per route hop and per queue
+/// position — within `O(rounds × total hops + slots × makespan / 64)`
+/// words.
+pub(crate) struct Schedule {
+    /// The bits of every committed claim.
+    committed: CycleSets,
+    /// Each slot's committed claims, `(queue position, cycle)`, in queue
+    /// order.
+    claims: Vec<Vec<(u32, u32)>>,
+    /// The committed route of queue index `q` is
+    /// `route_log[route_start[q]..route_start[q + 1]]`.
+    route_log: Vec<u32>,
+    route_start: Vec<u32>,
+    /// The committed cycle of every hop of every position, in queue order:
+    /// position `p` starts at `(p / queued) × hops + route_start[p % queued]`,
+    /// with `hops` the hops of one round.
+    cycle_log: Vec<u32>,
+    /// The committed delivery of every position.
+    delivery: Vec<u32>,
+    /// `reach[p]`: the latest committed delivery among the positions before
+    /// `p`, so `reach[messages]` is the committed makespan.
+    reach: Vec<u32>,
+    /// The replay's rows, as wide as `committed`; a slot's row holds the
+    /// replay's claims while `dirty[slot] == replay`.
+    work: CycleSets,
+    dirty: Vec<u64>,
+    /// `moved[q] == replay`: queue index `q` was re-routed by the change.
+    moved: Vec<u64>,
+    /// One bit per queue position: the positions the replay must walk.
+    pending: Vec<u64>,
+    replay: u64,
+    /// The walked positions, each with where its cycles start in `cycles`.
+    walked: Vec<(u32, u32)>,
+    cycles: Vec<u32>,
+    /// Scratch for the rewritten tail of `cycle_log`.
+    tail: Vec<u32>,
+    /// The positions every replay so far has walked.
+    #[cfg(test)]
+    pub(crate) replayed: u64,
+}
+
+impl Schedule {
+    /// An empty schedule over `slots` directed slots for a queue of at most
+    /// `queue` routes, with no message.
+    pub(crate) fn new(slots: usize, queue: usize) -> Self {
+        Schedule {
+            committed: CycleSets::new(slots),
+            claims: vec![Vec::new(); slots],
+            route_log: Vec::new(),
+            route_start: vec![0],
+            cycle_log: Vec::new(),
+            delivery: Vec::new(),
+            reach: vec![0],
+            work: CycleSets::new(slots),
+            dirty: vec![0; slots],
+            moved: vec![0; queue],
+            pending: Vec::new(),
+            replay: 0,
+            walked: Vec::new(),
+            cycles: Vec::new(),
+            tail: Vec::new(),
+            #[cfg(test)]
+            replayed: 0,
+        }
+    }
+
+    /// Commits the walk of every message: `rounds` rounds of the routes
+    /// `queued` picks from `routes`, in queue order, on empty rows.
+    pub(crate) fn rebuild(&mut self, routes: &[Vec<u32>], queued: &[u32], rounds: usize) {
+        let slots = self.claims.len();
+        self.committed = CycleSets::new(slots);
+        for claims in &mut self.claims {
+            claims.clear();
+        }
+        self.route_log.clear();
+        self.route_start.truncate(1);
+        for &route in queued {
+            self.route_log.extend_from_slice(&routes[route as usize]);
+            let end = u32::try_from(self.route_log.len()).expect("route hops fit in u32");
+            self.route_start.push(end);
+        }
+        let messages = queued.len() * rounds;
+        self.cycle_log.clear();
+        self.delivery.clear();
+        self.reach.truncate(1);
+        self.pending.resize(messages.div_ceil(64), 0);
+        let routes = queued.iter().map(|&route| &routes[route as usize]).cycle();
+        for (position, route) in (0u32..).zip(routes.take(messages)) {
+            let (claims, cycle_log) = (&mut self.claims, &mut self.cycle_log);
+            let delivered = self.committed.walk(route, |slot, cycle| {
+                let cycle = u32::try_from(cycle).expect("makespans fit in u32");
+                claims[slot as usize].push((position, cycle));
+                cycle_log.push(cycle);
+            });
+            let delivered = u32::try_from(delivered).expect("makespans fit in u32");
+            self.delivery.push(delivered);
+            let reach = *self.reach.last().expect("one entry at least");
+            self.reach.push(reach.max(delivered));
+        }
+        self.work = CycleSets::new(slots);
+        self.work.widen(self.committed.width);
+    }
+
+    /// Replays positions `k..` over `routes`, queued as `queued` round
+    /// after round, on top of the committed positions before `k`; `moved`
+    /// yields the queue indices the change re-routed. With `accepts`, the
+    /// replay stops at the first running maximum it rejects — the running
+    /// maximum only grows, so it is a makespan no schedule of these routes
+    /// can beat.
+    pub(crate) fn replay(
+        &mut self,
+        routes: &[Vec<u32>],
+        queued: &[u32],
+        k: usize,
+        moved: impl IntoIterator<Item = usize>,
+        accepts: Option<&dyn Fn(u64) -> bool>,
+    ) -> Replay {
+        self.replay += 1;
+        self.pending.fill(0);
+        self.walked.clear();
+        self.cycles.clear();
+        let messages = self.delivery.len();
+        let queue = queued.len();
+        for q in moved {
+            self.moved[q] = self.replay;
+            for position in (q..messages).step_by(queue) {
+                self.pend(position);
+            }
+        }
+        let mut reach = u64::from(self.reach[k]);
+        // The limit has accepted every makespan below `unchecked`.
+        let mut unchecked = reach;
+        let mut stops = |reach: u64| {
+            if reach >= unchecked {
+                if accepts.is_some_and(|accepts| !accepts(reach)) {
+                    return true;
+                }
+                unchecked = reach + 1;
+            }
+            false
+        };
+        let mut next = k;
+        loop {
+            if stops(reach) {
+                return Replay::Stopped(reach);
+            }
+            let Some(position) = self.next_pending(next) else {
+                break;
+            };
+            // The messages in between keep their committed deliveries.
+            let kept = self.delivery[next..position].iter().max();
+            reach = reach.max(kept.map_or(0, |&cycle| u64::from(cycle)));
+            if stops(reach) {
+                return Replay::Stopped(reach);
+            }
+            reach = reach.max(self.walk(routes, queued, position));
+            next = position + 1;
+        }
+        let kept = self.delivery[next..].iter().max();
+        reach = reach.max(kept.map_or(0, |&cycle| u64::from(cycle)));
+        if stops(reach) {
+            return Replay::Stopped(reach);
+        }
+        Replay::Exact(reach)
+    }
+
+    /// Where the committed route of position `position` sits in
+    /// `route_log`, and where its committed cycles sit in `cycle_log`, for
+    /// a queue of `queue` routes.
+    fn logged(&self, position: usize, queue: usize) -> (Range<usize>, Range<usize>) {
+        let q = position % queue;
+        let route = self.route_start[q] as usize..self.route_start[q + 1] as usize;
+        let hops = *self.route_start.last().expect("one offset at least") as usize;
+        let round = position / queue * hops;
+        (route.clone(), round + route.start..round + route.end)
+    }
+
+    /// Queues `position` to be walked.
+    fn pend(&mut self, position: usize) {
+        self.pending[position / 64] |= 1 << (position % 64);
+    }
+
+    /// The first position at or after `from` queued to be walked.
+    fn next_pending(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = *self.pending.get(word)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.pending.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Marks `slot` dirty from `position` on: every later position whose
+    /// committed route crosses it is walked.
+    fn soil(&mut self, slot: usize, position: usize) {
+        self.dirty[slot] = self.replay;
+        for index in (0..self.claims[slot].len()).rev() {
+            let claimant = self.claims[slot][index].0 as usize;
+            if claimant < position {
+                break;
+            }
+            self.pend(claimant);
+        }
+    }
+
+    /// Fills the replay's row of `slot` with its committed claims before
+    /// position `cut`: what every message before `cut` claimed there while
+    /// the slot is clean.
+    #[inline]
+    fn open(&mut self, slot: usize, cut: usize) {
+        let row = self.work.row_mut(slot);
+        row.copy_from_slice(self.committed.row(slot));
+        for &(claimant, cycle) in self.claims[slot].iter().rev() {
+            if (claimant as usize) < cut {
+                break;
+            }
+            row[(cycle / 64) as usize] &= !(1 << (cycle % 64));
+        }
+    }
+
+    /// Walks the message at `position` over the replay's rows, recording
+    /// its cycles and soiling every slot where it leaves its committed
+    /// claim, and returns its delivery.
+    fn walk(&mut self, routes: &[Vec<u32>], queued: &[u32], position: usize) -> u64 {
+        #[cfg(test)]
+        {
+            self.replayed += 1;
+        }
+        let queue = queued.len();
+        let q = position % queue;
+        let moved = self.moved[q] == self.replay;
+        let route = &routes[queued[q] as usize];
+        let (old_route, old_cycles) = self.logged(position, queue);
+        if moved {
+            // The message's committed claims vanish from its old slots,
+            // which every later position sees.
+            for hop in old_route {
+                let slot = self.route_log[hop] as usize;
+                if self.dirty[slot] != self.replay {
+                    self.open(slot, position);
+                    self.soil(slot, position + 1);
+                }
+            }
+        }
+        self.walked
+            .push((position as u32, self.cycles.len() as u32));
+        let mut cycle = 0;
+        for (hop, &slot) in route.iter().enumerate() {
+            let slot = slot as usize;
+            let clean = self.dirty[slot] != self.replay;
+            if clean {
+                self.open(slot, position);
+            }
+            cycle = self.work.claim(slot, cycle + 1);
+            // Rows open from committed rows of the same width.
+            self.committed.widen(self.work.width);
+            let taken = u32::try_from(cycle).expect("makespans fit in u32");
+            self.cycles.push(taken);
+            if clean && (moved || self.cycle_log[old_cycles.start + hop] != taken) {
+                self.soil(slot, position + 1);
+            }
+        }
+        cycle
+    }
+
+    /// Makes the last replay, which must have been exact, the committed
+    /// schedule: rewrites the claims of the walked positions, the logs from
+    /// position `k` on, and the deliveries and `reach` from `k` on.
+    pub(crate) fn commit(&mut self, routes: &[Vec<u32>], queued: &[u32], k: usize) {
+        let messages = self.delivery.len();
+        if k == messages {
+            return;
+        }
+        let queue = queued.len();
+        // A walked message that kept its route and its cycles keeps its
+        // claims.
+        let mut walked = std::mem::take(&mut self.walked);
+        walked.retain(|&(position, start)| {
+            let (_, old) = self.logged(position as usize, queue);
+            self.moved[position as usize % queue] == self.replay
+                || self.cycle_log[old.clone()] != self.cycles[start as usize..][..old.len()]
+        });
+        self.walked = walked;
+        // Every walked claim leaves before any enters: two walked messages
+        // may trade cycles on a slot.
+        for &(position, _) in &self.walked {
+            let (route, cycles) = self.logged(position as usize, queue);
+            for (&slot, &cycle) in self.route_log[route].iter().zip(&self.cycle_log[cycles]) {
+                let claims = &mut self.claims[slot as usize];
+                let at = claims.partition_point(|&(claimant, _)| claimant < position);
+                claims.remove(at);
+                self.committed.unset(slot as usize, u64::from(cycle));
+            }
+        }
+        for &(position, start) in &self.walked {
+            let route = &routes[queued[position as usize % queue] as usize];
+            let cycles = &self.cycles[start as usize..][..route.len()];
+            for (&slot, &cycle) in route.iter().zip(cycles) {
+                let claims = &mut self.claims[slot as usize];
+                let at = claims.partition_point(|&(claimant, _)| claimant <= position);
+                claims.insert(at, (position, cycle));
+                self.committed.set(slot as usize, u64::from(cycle));
+            }
+            self.delivery[position as usize] = cycles.last().copied().unwrap_or(0);
+        }
+        // The logs from `k` on, merging the walked positions' new cycles
+        // into the kept ones; re-routed queue indices change their length.
+        self.tail.clear();
+        let mut walked = self.walked.iter().peekable();
+        for position in k..messages {
+            match walked.next_if(|&&(walked, _)| walked as usize == position) {
+                Some(&(_, start)) => {
+                    let length = routes[queued[position % queue] as usize].len();
+                    self.tail
+                        .extend_from_slice(&self.cycles[start as usize..][..length]);
+                }
+                None => {
+                    let (_, old) = self.logged(position, queue);
+                    self.tail.extend_from_slice(&self.cycle_log[old]);
+                }
+            }
+        }
+        self.cycle_log.truncate(self.route_start[k] as usize);
+        self.cycle_log.extend_from_slice(&self.tail);
+        self.route_log.truncate(self.route_start[k] as usize);
+        self.route_start.truncate(k + 1);
+        for &route in &queued[k..] {
+            self.route_log.extend_from_slice(&routes[route as usize]);
+            let end = u32::try_from(self.route_log.len()).expect("route hops fit in u32");
+            self.route_start.push(end);
+        }
+        for position in k..messages {
+            self.reach[position + 1] = self.reach[position].max(self.delivery[position]);
+        }
+    }
+
+    /// The committed makespan.
+    pub(crate) fn makespan(&self) -> u64 {
+        u64::from(*self.reach.last().expect("one entry at least"))
+    }
+
+    /// The committed schedule, for comparison with another's.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        let bits = (0..self.claims.len())
+            .map(|slot| {
+                let row = self.committed.row(slot);
+                (0..row.len() as u64 * 64)
+                    .filter(|&cycle| row[(cycle / 64) as usize] >> (cycle % 64) & 1 == 1)
+                    .collect()
+            })
+            .collect();
+        Snapshot {
+            claims: self.claims.clone(),
+            logs: vec![
+                self.route_log.clone(),
+                self.route_start.clone(),
+                self.cycle_log.clone(),
+                self.delivery.clone(),
+                self.reach.clone(),
+            ],
+            bits,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -209,7 +683,7 @@ mod tests {
             for from in grid.nodes() {
                 for to in grid.nodes() {
                     let (mut direct, mut mapped) = (Vec::new(), Vec::new());
-                    push_dor_route(&network, from, to, &mut direct);
+                    DorRoutes::new(&network).push(&network, from, to, &mut direct);
                     push_path_route(&grid, from, &network.route(from, to), &mut mapped);
                     assert_eq!(direct, mapped, "{grid}: {from} -> {to}");
                 }

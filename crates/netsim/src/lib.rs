@@ -27,7 +27,7 @@
 //! one message per cycle, and the message injected first wins. [`simulate`],
 //! [`simulate_chaos`] and [`MakespanObjective`] all hand their routes, as
 //! directed link slots, to one crate-private contention engine that applies
-//! it.
+//! it, walking the messages one at a time in injection order.
 //!
 //! # Example
 //!

@@ -15,6 +15,9 @@ pub struct Network {
     grid: Grid,
     adjacency: CsrAdjacency,
     forward_dims: Vec<usize>,
+    /// Node-major coordinate table: digit `j` of node `x` at
+    /// `digits[x · d + j]`, so route expansion never decodes an index.
+    digits: Vec<u32>,
 }
 
 impl Network {
@@ -28,10 +31,15 @@ impl Network {
     pub fn new(grid: Grid) -> Self {
         let adjacency = CsrAdjacency::build(&grid).expect("network fits in memory");
         let forward_dims = (0..grid.dim()).collect();
+        let mut digits = Vec::with_capacity(grid.size() as usize * grid.dim());
+        for coord in grid.coords() {
+            digits.extend_from_slice(coord.as_slice());
+        }
         Network {
             grid,
             adjacency,
             forward_dims,
+            digits,
         }
     }
 
@@ -95,6 +103,12 @@ impl Network {
     /// dimension, lowest index first.
     pub(crate) fn forward_dims(&self) -> &[usize] {
         &self.forward_dims
+    }
+
+    /// The coordinate digits of `node`, read from the table built once.
+    pub(crate) fn digits(&self, node: u64) -> &[u32] {
+        let d = self.grid.dim();
+        &self.digits[node as usize * d..][..d]
     }
 
     /// The number of hops of the dimension-ordered route — equal to the

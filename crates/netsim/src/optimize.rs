@@ -1,5 +1,5 @@
 //! The simulated-makespan optimization objective, with delta-aware
-//! re-routing.
+//! re-routing and replay.
 //!
 //! [`MakespanObjective`] plugs the store-and-forward simulator into the
 //! [`embeddings::optim`] local-search engine: the cost of a placement table
@@ -7,44 +7,56 @@
 //! as the task placement, with the total routed hop count as the
 //! tie-breaker — exactly the numbers [`crate::sim::simulate`] reports.
 //!
-//! An evaluation has two halves, routing and arbitration:
+//! An evaluation has two halves, routing and replay:
 //!
 //! * **routes** are cached per workload pair as lists of the directed link
 //!   slots they claim hop by hop (`2 × canonical link slot + direction
-//!   bit`; arbitration never needs the nodes a route visits). A swap of the
+//!   bit`; the engine never needs the nodes a route visits). A swap of the
 //!   images of tasks `a` and `b` re-routes *only the message pairs whose
 //!   source or destination is one of the two moved tasks* (every simulated
 //!   round injects the same pairs, so those pairs cover every touched
 //!   round) — `O(degree × path length)` instead of re-expanding every
 //!   route;
-//! * **arbitration** queues every round's message of every non-empty route
-//!   on the crate's one contention engine, the clock-stamped arbiter
-//!   [`crate::sim::simulate`] runs, with its claim stamps kept across
-//!   evaluations, and takes the run's cycle count as the makespan. The
-//!   routes, the engine and the priority order (round-major, pair-minor)
-//!   are the simulator's, so every exact price is the simulator's by
-//!   construction. A swap that touches no workload pair (possible when the
-//!   optimizer's guest has more nodes than the workload has tasks) skips
-//!   arbitration entirely;
+//! * **replay** runs on the crate's one message-order engine, the walker
+//!   [`crate::sim::simulate`] runs, over a committed schedule it keeps
+//!   across evaluations. Messages queue round-major, pair-minor, as in the
+//!   simulator, and a message's schedule depends only on the messages
+//!   queued before it. So a move whose lowest re-routed queue position is
+//!   `k` keeps every committed message before `k` and replays from `k`
+//!   only, starting from the latest committed delivery before `k`. From
+//!   `k` on it walks the re-routed messages and the messages whose routes
+//!   cross a slot the replay has changed, each treating a committed claim
+//!   as free exactly when its claimant sits at or after its own position;
+//!   every other message sees what it saw when committed and keeps its
+//!   cycles. The routes, the walker and the priority order are the
+//!   simulator's, so every exact price is the simulator's by construction.
+//!   A swap that touches no workload pair (possible when the optimizer's
+//!   guest has more nodes than the workload has tasks) replays nothing;
 //! * **undo** costs neither half. A move puts the routes it replaces in a
-//!   saved list and builds the new ones in spare buffers. An immediate
-//!   repeat of the same call — the optimizer's rejection path — swaps the
-//!   routes, the hop total and the cost back. Any other call, and
-//!   `rebuild`, drop the saved state;
-//! * **a bound comes before arbitration** when the annealer passes its
-//!   acceptance test through [`Objective::apply_bounded`]. The objective
+//!   saved list and builds the new ones in spare buffers; its replay
+//!   writes only scratch. An immediate repeat of the same call — the
+//!   optimizer's rejection path — swaps the routes, the hop total and the
+//!   cost back and drops the scratch. Any other call makes the move final:
+//!   the committed schedule takes the walked messages' claims. `rebuild`
+//!   drops the saved state and walks every message;
+//! * **bounds come before and during the replay** when the annealer passes
+//!   its acceptance test through [`Objective::apply_bounded`]. The objective
 //!   keeps a count of the cached routes through each directed slot. Once a
 //!   move's changed pairs are routed, no schedule can finish before the
 //!   longest changed route, nor before `rounds` times the heaviest count
 //!   on a changed route's slots: a message takes one cycle per hop, and a
 //!   slot passes one message per cycle. The bound pairs that makespan with
-//!   the exact hop total. When the limit rejects it, the objective returns
-//!   it without arbitrating; the undo then swaps the routes and counts
-//!   back. Any other next call makes the bounded move final by arbitrating
-//!   it, so it prices exactly. The bound is componentwise at most the exact
-//!   cost, so the monotone acceptance test that rejects it rejects the
-//!   exact cost too, and every accept decision is the one exact pricing
-//!   would make (see [`embeddings::optim`]).
+//!   the exact hop total; when the limit rejects it, the objective returns
+//!   it without replaying. Otherwise the replay runs under the limit: its
+//!   running maximum of deliveries only grows, so it is a makespan no
+//!   schedule of the moved table can beat, and the replay stops at the
+//!   first one the limit rejects and returns it with the exact hop total.
+//!   Either bound's undo swaps the routes and counts back; any other next
+//!   call replays the move in full and commits it, so it prices exactly.
+//!   Both bounds are componentwise at most the exact cost, so the monotone
+//!   acceptance test that rejects them rejects the exact cost too, and
+//!   every accept decision is the one exact pricing would make (see
+//!   [`embeddings::optim`]).
 //!
 //! `rebuild` routes every pair from scratch and is the differential anchor;
 //! the netsim tests and proptest walls check every incremental path against
@@ -52,7 +64,7 @@
 
 use embeddings::optim::{Cost, Objective};
 
-use crate::engine::{self, Arbiter};
+use crate::engine::{self, DorRoutes, Replay, Schedule};
 use crate::network::Network;
 use crate::traffic::Workload;
 
@@ -99,10 +111,13 @@ pub struct MakespanObjective {
     /// directed claim slots of its hops (buffers are recycled through
     /// `spare`, keeping their capacity).
     routes: Vec<Vec<u32>>,
-    /// The pairs with a non-empty route, ascending: the pairs whose messages
-    /// every arbitration queues. A route is empty exactly when its pair is a
-    /// self-send, which no injective table changes, so `rebuild` fixes it.
+    /// The pairs with a non-empty route, ascending: the queue of one round.
+    /// A route is empty exactly when its pair is a self-send, which no
+    /// injective table changes, so `rebuild` fixes it.
     queued: Vec<u32>,
+    /// `queue_index[pair]`: the position of the pair in `queued`, or
+    /// `u32::MAX` for a self-send.
+    queue_index: Vec<u32>,
     /// `task_pairs[t]` = indices of the workload pairs with source or
     /// destination task `t`.
     task_pairs: Vec<Vec<u32>>,
@@ -111,13 +126,15 @@ pub struct MakespanObjective {
     /// Dedup stamps so a pair touching both swapped tasks re-routes once.
     pair_epoch: Vec<u64>,
     epoch: u64,
-    /// The contention engine, its claim stamps reused across evaluations.
-    arbiter: Arbiter,
+    /// The committed schedule and the replay's scratch.
+    schedule: Schedule,
+    /// Route expansion scratch.
+    dor: DorRoutes,
     /// Re-routing scratch, reused across evaluations.
     affected: Vec<u32>,
     touched: Vec<u64>,
     /// The number of cached routes through each directed slot, last move
-    /// included: what bounds a move before it is arbitrated.
+    /// included: what bounds a move before it is replayed.
     slot_count: Vec<u32>,
     cost: Cost,
     /// What the last move replaced, kept until the next call shows whether
@@ -128,13 +145,15 @@ pub struct MakespanObjective {
 }
 
 /// The state a [`MakespanObjective`] move replaced, enough to undo the
-/// move without routing or arbitrating.
+/// move without routing or replaying, or to commit it.
 struct Saved {
     /// Whether the fields below describe a move that can still be undone.
     open: bool,
     /// Whether the move returned a bound: its routes are in place, but its
-    /// messages were never arbitrated.
+    /// replay stopped early or never ran.
     bounded: bool,
+    /// The move's first re-routed queue position: where its replay starts.
+    start: usize,
     /// The move's transpositions, as the call passed them.
     swaps: Vec<(u64, u64)>,
     /// The routes the move replaced, by pair index.
@@ -164,19 +183,21 @@ impl MakespanObjective {
                 task_pairs[dst as usize].push(index);
             }
         }
-        let arbiter = Arbiter::new(network.grid());
-        let slots = arbiter.slots();
+        let slots = engine::slots(network.grid());
+        let dor = DorRoutes::new(&network);
         Ok(MakespanObjective {
             network,
             workload,
             rounds,
             routes: vec![Vec::new(); pairs],
             queued: Vec::new(),
+            queue_index: vec![u32::MAX; pairs],
             task_pairs,
             route_hops: 0,
             pair_epoch: vec![0; pairs],
             epoch: 0,
-            arbiter,
+            schedule: Schedule::new(slots, pairs),
+            dor,
             affected: Vec::new(),
             touched: Vec::new(),
             slot_count: vec![0; slots],
@@ -187,6 +208,7 @@ impl MakespanObjective {
             saved: Saved {
                 open: false,
                 bounded: false,
+                start: 0,
                 swaps: Vec::new(),
                 routes: Vec::new(),
                 route_hops: 0,
@@ -200,11 +222,11 @@ impl MakespanObjective {
     }
 
     /// Fills `route` with the directed claim slots of the hops of pair
-    /// `pair` under `table`, so arbitration needs no coordinate math.
-    fn expand_route(&self, pair: usize, table: &[u64], route: &mut Vec<u32>) {
+    /// `pair` under `table`, so the engine needs no coordinate math.
+    fn expand_route(&mut self, pair: usize, table: &[u64], route: &mut Vec<u32>) {
         let (src_task, dst_task) = self.workload.pairs()[pair];
         route.clear();
-        engine::push_dor_route(
+        self.dor.push(
             &self.network,
             table[src_task as usize],
             table[dst_task as usize],
@@ -252,16 +274,38 @@ impl MakespanObjective {
         }
     }
 
-    /// Arbitrates every round's message of every non-empty route on the
-    /// contention engine, in the priority order of [`crate::sim::simulate`],
-    /// and caches the cost: the run's cycle count and the hop total.
-    fn arbitrate(&mut self) -> Cost {
-        self.arbiter.queue_rounds(&self.queued, self.rounds);
-        self.cost = Cost {
-            primary: self.arbiter.run(&self.routes),
-            secondary: self.route_hops * self.rounds as u64,
-        };
-        self.cost
+    /// Replays the queue from position `start` under the optional limit
+    /// `accepts`. An exact replay becomes the cached cost; a stopped one
+    /// returns its bound.
+    fn replay(&mut self, start: usize, accepts: Option<&dyn Fn(Cost) -> bool>) -> Replay {
+        let secondary = self.route_hops * self.rounds as u64;
+        let limit = accepts.map(|accepts| move |primary| accepts(Cost { primary, secondary }));
+        let queue_index = &self.queue_index;
+        let moved = self.saved.routes.iter().filter_map(|&(pair, _)| {
+            let q = queue_index[pair as usize];
+            (q != u32::MAX).then_some(q as usize)
+        });
+        let replay = self.schedule.replay(
+            &self.routes,
+            &self.queued,
+            start,
+            moved,
+            limit.as_ref().map(|limit| limit as &dyn Fn(u64) -> bool),
+        );
+        if let Replay::Exact(primary) = replay {
+            self.cost = Cost { primary, secondary };
+        }
+        replay
+    }
+
+    /// Makes the open move final: replays it in full if it returned a
+    /// bound, then commits its replay.
+    fn commit(&mut self) {
+        let start = self.saved.start;
+        if self.saved.bounded {
+            self.replay(start, None);
+        }
+        self.schedule.commit(&self.routes, &self.queued, start);
     }
 
     /// Drops the saved state of the last move, keeping its route buffers.
@@ -273,7 +317,8 @@ impl MakespanObjective {
     }
 
     /// Undoes the last move from its saved state: swaps the replaced routes
-    /// (and their slot counts), `route_hops` and the cost back in.
+    /// (and their slot counts), `route_hops` and the cost back in. The
+    /// committed schedule never saw the move.
     fn restore(&mut self) -> Cost {
         let MakespanObjective {
             routes,
@@ -296,11 +341,11 @@ impl MakespanObjective {
 
     /// The shared delta path for the move `swaps`, already applied to
     /// `table`: answers the move's undo from the saved state; otherwise
-    /// makes the last move final (arbitrating it if it was bounded),
-    /// re-routes every workload pair touched by any task in `touched`
-    /// (deduplicated), saving what it replaces, then arbitrates once. With
-    /// `accepts`, the move's bound comes first, and a bound `accepts`
-    /// rejects is returned without arbitrating. Returns the cached cost
+    /// makes the last move final, re-routes every workload pair touched by
+    /// any task in `touched` (deduplicated), saving what it replaces, then
+    /// replays from the first re-routed queue position. With `accepts`, the
+    /// move's slot-count bound comes first, and the replay stops at the
+    /// first running maximum `accepts` rejects. Returns the cached cost
     /// untouched when no pair is affected.
     fn resync_touched(
         &mut self,
@@ -313,9 +358,7 @@ impl MakespanObjective {
             if self.saved.swaps == swaps {
                 return self.restore();
             }
-            if self.saved.bounded {
-                self.arbitrate();
-            }
+            self.commit();
         }
         self.forget();
         self.epoch += 1;
@@ -346,6 +389,14 @@ impl MakespanObjective {
         saved.swaps.extend_from_slice(swaps);
         saved.route_hops = self.route_hops;
         saved.cost = self.cost;
+        // Self-sends are never queued; a move of them alone starts past the
+        // last position and replays nothing.
+        let messages = self.queued.len() * self.rounds;
+        saved.start = affected
+            .iter()
+            .map(|&pair| self.queue_index[pair as usize] as usize)
+            .min()
+            .map_or(messages, |first| first.min(messages));
         for &pair in &affected {
             self.route_pair(pair, table);
         }
@@ -359,7 +410,16 @@ impl MakespanObjective {
             self.saved.bounded = true;
             return bound;
         }
-        self.arbitrate()
+        match self.replay(self.saved.start, accepts) {
+            Replay::Exact(_) => self.cost,
+            Replay::Stopped(primary) => {
+                self.saved.bounded = true;
+                Cost {
+                    primary,
+                    secondary: self.route_hops * self.rounds as u64,
+                }
+            }
+        }
     }
 
     /// Applies the batch `swaps` to `table` and prices it as one move.
@@ -370,10 +430,9 @@ impl MakespanObjective {
         accepts: Option<&dyn Fn(Cost) -> bool>,
     ) -> Cost {
         // A compound move (segment reversal, k-cycle rotation batch, block
-        // swap) re-routes the pairs of *every* transposed task but pays the
-        // arbitration pass once — the override the default per-swap loop
-        // exists for, since arbitration dominates this objective's
-        // evaluation.
+        // swap) re-routes the pairs of *every* transposed task but replays
+        // once — the override the default per-swap loop exists for, since
+        // the replay dominates this objective's evaluation.
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
         for &(a, b) in swaps {
@@ -423,16 +482,27 @@ impl Objective for MakespanObjective {
         self.forget();
         self.route_hops = 0;
         self.slot_count.fill(0);
+        self.queued.clear();
         for pair in 0..self.routes.len() {
             let mut route = std::mem::take(&mut self.routes[pair]);
             self.expand_route(pair, table, &mut route);
             self.route_hops += route.len() as u64;
             recount(&mut self.slot_count, &[], &route);
+            self.queue_index[pair] = if route.is_empty() {
+                u32::MAX
+            } else {
+                self.queued.push(pair as u32);
+                self.queued.len() as u32 - 1
+            };
             self.routes[pair] = route;
         }
-        self.queued.clear();
-        self.queued.extend(engine::nonempty_routes(&self.routes));
-        self.arbitrate()
+        self.schedule
+            .rebuild(&self.routes, &self.queued, self.rounds);
+        self.cost = Cost {
+            primary: self.schedule.makespan(),
+            secondary: self.route_hops * self.rounds as u64,
+        };
+        self.cost
     }
 
     fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost {
@@ -611,35 +681,221 @@ mod tests {
     #[test]
     fn undo_restores_the_saved_schedule_instead_of_replaying() {
         // White-box proof that an undo swaps the saved state back instead
-        // of arbitrating again: every arbitration advances the arbiter's
-        // clock, so a move must advance it and the move's undo must leave it
-        // where the move did. The next move arbitrates again.
+        // of replaying: the schedule counts every message a replay walks,
+        // so a move must walk some and the move's undo none. The next move
+        // replays again.
         let (network, workload, mut table) = two_cluster_workload();
         let mut objective =
             MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
                 .unwrap();
         let honest = objective.rebuild(&table);
-        let rebuilt_clock = objective.arbiter.clock();
+        let rebuilt = objective.schedule.replayed;
         table.swap(0, 1);
         let moved = objective.apply_swap(&table, 0, 1);
         assert_eq!(moved, full_cost(&network, &workload, 1, &table));
-        let moved_clock = objective.arbiter.clock();
-        assert!(moved_clock > rebuilt_clock, "the move was not arbitrated");
+        let replayed = objective.schedule.replayed;
+        assert!(replayed > rebuilt, "the move was not replayed");
         table.swap(0, 1);
         assert_eq!(objective.apply_swap(&table, 0, 1), honest);
         assert_eq!(
-            objective.arbiter.clock(),
-            moved_clock,
-            "the undo arbitrated instead of restoring its saved state"
+            objective.schedule.replayed, replayed,
+            "the undo replayed instead of restoring its saved state"
         );
         table.swap(12, 13);
         assert_eq!(
             objective.apply_swap(&table, 12, 13),
             full_cost(&network, &workload, 1, &table)
         );
-        assert!(objective.arbiter.clock() > moved_clock);
+        assert!(objective.schedule.replayed > replayed);
         let rebuilt = objective.rebuild(&table);
         assert_eq!(rebuilt, full_cost(&network, &workload, 1, &table));
+    }
+
+    /// Asserts that the committed schedule of `objective` — each slot's
+    /// claims, the route and cycle logs, the deliveries and their prefix
+    /// maxima, and the claim bits — is the one a fresh objective's `rebuild`
+    /// of `table` commits.
+    fn assert_committed_as_rebuilt(objective: &MakespanObjective, table: &[u64]) {
+        let mut fresh = MakespanObjective::new(
+            Network::new(objective.network.grid().clone()),
+            objective.workload.clone(),
+            objective.rounds,
+        )
+        .unwrap();
+        fresh.rebuild(table);
+        let committed = objective.schedule.snapshot();
+        let rebuilt = fresh.schedule.snapshot();
+        assert_eq!(
+            committed.logs, rebuilt.logs,
+            "logs, deliveries and prefix maxima"
+        );
+        assert_eq!(committed.claims, rebuilt.claims, "claims");
+        for (slot, cycles) in committed.bits.iter().enumerate() {
+            let mut expected: Vec<u64> = committed.claims[slot]
+                .iter()
+                .map(|&(_, cycle)| cycle.into())
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(cycles, &expected, "claim bits of slot {slot}");
+        }
+    }
+
+    /// Makes the open move of `objective` final with a swap of two tasks
+    /// outside the two-cluster workload, which re-routes nothing.
+    fn commit_open_move(objective: &mut MakespanObjective, table: &mut [u64]) -> Cost {
+        table.swap(5, 9);
+        objective.apply_swap(table, 5, 9)
+    }
+
+    #[test]
+    fn moves_replay_from_their_first_changed_message() {
+        // Swapping tasks 12 and 13 re-routes the bottom ring's pairs 4, 5
+        // and 7, so a replay starts at queue position 4 and walks the
+        // re-routed messages of every round: pair 6 crosses no slot they
+        // change, and the top ring's messages come before them or share no
+        // slot with them. Starting one message late would skip the first
+        // re-routed one.
+        let (network, workload, start) = two_cluster_workload();
+        for (rounds, walked) in [(1, 3), (2, 6)] {
+            let mut objective = MakespanObjective::new(
+                Network::new(network.grid().clone()),
+                workload.clone(),
+                rounds,
+            )
+            .unwrap();
+            objective.rebuild(&start);
+            let mut table = start.clone();
+            let before = objective.schedule.replayed;
+            table.swap(12, 13);
+            let cost = objective.apply_swap(&table, 12, 13);
+            assert_eq!(cost, full_cost(&network, &workload, rounds, &table));
+            assert_eq!(
+                objective.schedule.replayed - before,
+                walked,
+                "rounds {rounds}"
+            );
+            commit_open_move(&mut objective, &mut table);
+            assert_committed_as_rebuilt(&objective, &table);
+        }
+    }
+
+    #[test]
+    fn replays_see_their_own_committed_claims_as_free() {
+        // Swapping tasks 1 and 2 stretches pair (0, 1), the first queued
+        // message, from 0 -> 1 to 0 -> 1 -> 2: its first hop is the one it
+        // committed in cycle 1. The replay must see that claim — its own,
+        // at position k — as free, or the message waits a cycle.
+        let (network, workload, mut table) = two_cluster_workload();
+        for rounds in [1, 2] {
+            let mut objective = MakespanObjective::new(
+                Network::new(network.grid().clone()),
+                workload.clone(),
+                rounds,
+            )
+            .unwrap();
+            objective.rebuild(&table);
+            table.swap(1, 2);
+            let cost = objective.apply_swap(&table, 1, 2);
+            assert_eq!(cost, full_cost(&network, &workload, rounds, &table));
+            commit_open_move(&mut objective, &mut table);
+            assert_committed_as_rebuilt(&objective, &table);
+            table.swap(1, 2);
+        }
+    }
+
+    #[test]
+    fn replays_start_from_the_latest_delivery_before_the_first_changed_message() {
+        // Pair (0, 15) crosses the 4×4 mesh and delivers last; moving task
+        // 0 next to task 15 makes it a single hop, so the makespan falls
+        // from 6 to 1. The replay starts at the pair's own position and
+        // must not count its old delivery.
+        let network = Network::new(Grid::mesh(shape(&[4, 4])));
+        let workload = Workload::try_new(16, vec![(0, 15), (1, 2)]).unwrap();
+        let mut table: Vec<u64> = (0..16).collect();
+        let mut objective =
+            MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
+                .unwrap();
+        assert_eq!(objective.rebuild(&table).primary, 6);
+        table.swap(0, 14);
+        let cost = objective.apply_swap(&table, 0, 14);
+        assert_eq!(cost, full_cost(&network, &workload, 1, &table));
+        assert_eq!(cost.primary, 1);
+    }
+
+    #[test]
+    fn bounded_replays_stop_at_the_first_running_maximum_the_limit_rejects() {
+        // On a line of 8 nodes, pair (0, 3) delivers in cycle 3 and pair
+        // (5, 7) in cycle 2. Moving task 7 to node 6 re-routes the second
+        // pair only, so its replay starts behind a committed delivery in
+        // cycle 3. A limit that rejects makespans of 3 accepts the
+        // slot-count bound of 1 but rejects that prefix maximum: the
+        // replay stops before walking any message.
+        let network = Network::new(Grid::line(8).unwrap());
+        let workload = Workload::try_new(8, vec![(0, 3), (5, 7)]).unwrap();
+        let start: Vec<u64> = (0..8).collect();
+        let mut objective =
+            MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
+                .unwrap();
+        let honest = objective.rebuild(&start);
+        let below_three = |cost: Cost| cost.primary < 3;
+        let mut table = start.clone();
+        let before = objective.schedule.replayed;
+        let cost = objective.apply_bounded(&mut table, &[(6, 7)], &below_three);
+        assert!(objective.saved.bounded, "the replay must stop");
+        assert_eq!(objective.schedule.replayed, before, "the replay walked");
+        assert_eq!(cost, full_cost(&network, &workload, 1, &table));
+        assert_eq!(
+            objective.apply_disjoint_swaps(&mut table, &[(6, 7)]),
+            honest
+        );
+
+        // Moving task 0 to node 2 re-routes the first pair, one hop now:
+        // the replay walks it (running maximum 1), then keeps the second
+        // pair's committed delivery (running maximum 2), which a limit
+        // rejecting makespans of 2 stops at.
+        let below_two = |cost: Cost| cost.primary < 2;
+        let before = objective.schedule.replayed;
+        let cost = objective.apply_bounded(&mut table, &[(0, 2)], &below_two);
+        assert!(objective.saved.bounded, "the replay must stop");
+        assert_eq!(objective.schedule.replayed - before, 1);
+        assert_eq!(cost, full_cost(&network, &workload, 1, &table));
+        assert_eq!(
+            objective.apply_disjoint_swaps(&mut table, &[(0, 2)]),
+            honest
+        );
+    }
+
+    #[test]
+    fn commits_rewrite_the_claims_from_the_first_changed_message() {
+        // Every committed move must leave the schedule a rebuild commits:
+        // the first changed message's old claims gone, every later one
+        // rewritten. Swaps and reversal batches on the two clusters, some
+        // undone, at one and two rounds.
+        let (network, workload, start) = two_cluster_workload();
+        for rounds in [1, 2] {
+            let mut objective = MakespanObjective::new(
+                Network::new(network.grid().clone()),
+                workload.clone(),
+                rounds,
+            )
+            .unwrap();
+            objective.rebuild(&start);
+            let mut table = start.clone();
+            let steps = [(1, 2), (0, 13), (0, 13), (14, 15), (2, 3), (12, 3), (0, 1)];
+            for (step, &(a, b)) in steps.iter().enumerate() {
+                table.swap(a, b);
+                let cost = objective.apply_swap(&table, a as u64, b as u64);
+                assert_eq!(
+                    cost,
+                    full_cost(&network, &workload, rounds, &table),
+                    "step {step}"
+                );
+                if step % 3 != 1 {
+                    commit_open_move(&mut objective, &mut table);
+                    assert_committed_as_rebuilt(&objective, &table);
+                }
+            }
+        }
     }
 
     #[test]
@@ -740,15 +996,16 @@ mod tests {
 
     #[test]
     fn bounded_makespan_moves_arbitrate_nothing() {
-        // White-box proof that a bounded move does not arbitrate: every
-        // arbitration advances the arbiter's clock, so the bounded move and
-        // its undo must leave it where `rebuild` did.
+        // White-box proof that a move the slot-count bound settles walks no
+        // message: the schedule counts every message a replay walks, so the
+        // bounded move and its undo must leave the count where `rebuild`
+        // did.
         let (network, workload, mut table) = two_cluster_workload();
         let mut objective =
             MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
                 .unwrap();
         let honest = objective.rebuild(&table);
-        let clock = objective.arbiter.clock();
+        let replayed = objective.schedule.replayed;
         // Trading task 0 into the bottom row lengthens the route of pair
         // (0, 1), so the greedy limit rejects the bound.
         let swaps = [(0u64, 12u64)];
@@ -756,17 +1013,12 @@ mod tests {
         assert!(objective.saved.bounded, "the move must be bounded");
         assert!(bound > honest);
         assert_eq!(
-            objective.arbiter.clock(),
-            clock,
-            "the bounded move arbitrated"
+            objective.schedule.replayed, replayed,
+            "the bounded move replayed"
         );
         assert_eq!(objective.apply_disjoint_swaps(&mut table, &swaps), honest);
-        assert_eq!(objective.arbiter.clock(), clock, "the undo arbitrated");
+        assert_eq!(objective.schedule.replayed, replayed, "the undo replayed");
         assert_eq!(objective.rebuild(&table), honest);
-        assert!(
-            objective.arbiter.clock() > clock,
-            "rebuild did not arbitrate"
-        );
         assert_eq!(honest, full_cost(&network, &workload, 1, &table));
     }
 

@@ -164,9 +164,8 @@ impl SimStats {
 ///
 /// # Panics
 ///
-/// Panics if the workload has more tasks than the placement, the placement
-/// references nodes outside the network, or the schedule has more than
-/// `u32::MAX` messages.
+/// Panics if the workload has more tasks than the placement, or the
+/// placement references nodes outside the network.
 pub fn simulate(
     network: &Network,
     workload: &Workload,
@@ -189,11 +188,12 @@ pub fn simulate(
     } else {
         workload.pairs()
     };
+    let mut dor = engine::DorRoutes::new(network);
     let routes: Vec<Vec<u32>> = pairs
         .iter()
         .map(|&(src_task, dst_task)| {
             let mut route = Vec::new();
-            engine::push_dor_route(
+            dor.push(
                 network,
                 placement.node_of(src_task),
                 placement.node_of(dst_task),
