@@ -16,11 +16,14 @@
 //!   [`Coord`], and [`Embedding::for_each_edge_mapped`] walks a contiguous
 //!   chunk of guest nodes, visiting every incident guest edge exactly once
 //!   with both endpoint images already evaluated — no allocation anywhere in
-//!   the loop. `verify`, `congestion`, [`Embedding::dilation`] and
-//!   [`Embedding::to_table`] are all built on this path; prefer it whenever
-//!   you touch more than a handful of nodes, and hand disjoint chunks to the
-//!   crossbeam fork–join pool (as [`Embedding::dilation_parallel`] does) to
-//!   scale with memory bandwidth.
+//!   the loop. `verify`, `congestion` and [`Embedding::dilation`] are all
+//!   built on this path; prefer it whenever you touch more than a handful
+//!   of nodes, and hand disjoint chunks to the crossbeam fork–join pool (as
+//!   [`Embedding::dilation_parallel`] does) to scale with memory bandwidth.
+//!
+//! When a table is wanted, [`Embedding::to_table`] sums the table of a
+//! separable construction from per-digit terms, evaluating `map` only on
+//! the guest's axes, and calls `map` once per node for every other one.
 //!
 //! Evaluation never trusts the mapping function: [`Embedding::try_map_index`]
 //! reports images outside the host as [`EmbeddingError::InvalidImage`], and
@@ -53,6 +56,10 @@ pub struct Embedding {
     host: Grid,
     name: String,
     map: MapFn,
+    /// Whether the image index is a sum of one term per guest digit (see
+    /// [`Embedding::new_separable`]), which lets [`Embedding::to_table`]
+    /// evaluate `map` only on the guest's axes.
+    separable: bool,
 }
 
 impl Embedding {
@@ -75,7 +82,27 @@ impl Embedding {
             host,
             name: name.into(),
             map,
+            separable: false,
         })
+    }
+
+    /// [`Embedding::new`] for a *separable* construction: one whose image
+    /// index is a sum of one term per guest digit,
+    /// `index(map(x)) = Σ_k τ_k(x_k)`. That holds when every host digit is
+    /// a sum of functions of single guest digits, as in the general
+    /// reduction (Theorem 43), the increasing maps (Theorem 32), `T_L` and
+    /// the identity, because the host index is linear in the host digits.
+    /// [`Embedding::to_table`] then evaluates `map` only at the guest's
+    /// axis nodes `v · w_k`.
+    pub(crate) fn new_separable(
+        guest: Grid,
+        host: Grid,
+        name: impl Into<String>,
+        map: MapFn,
+    ) -> Result<Self> {
+        let mut embedding = Embedding::new(guest, host, name, map)?;
+        embedding.separable = true;
+        Ok(embedding)
     }
 
     /// Creates an embedding from an explicit placement table (guest node
@@ -163,7 +190,7 @@ impl Embedding {
             });
         }
         let shape = host.shape().clone();
-        Embedding::new(
+        Embedding::new_separable(
             guest,
             host,
             "identity",
@@ -383,11 +410,27 @@ impl Embedding {
 
     /// The images of all guest nodes, as host linear indices.
     ///
+    /// A separable construction (the general reduction, the increasing
+    /// maps, `T_L` and the identity, in which every host digit is a sum of
+    /// functions of single guest digits) has its image index as a sum of
+    /// one term per guest digit. Its table is summed from the terms
+    /// `τ_k(v) = index(map(v · w_k)) − index(map(0))`, evaluated only at
+    /// the `1 + Σ (l_k − 1)` axis nodes `v · w_k`, while a digit odometer
+    /// walks the guest, and every entry is range-checked. Every other construction calls `map`
+    /// once per node, and so does a separable one whose axis image is
+    /// invalid or whose sum leaves the host: the first invalid image is
+    /// reported as [`Embedding::try_map_index`] reports it.
+    ///
     /// # Errors
     ///
     /// Returns [`EmbeddingError::TooLarge`] for graphs with more than
     /// 2³⁰ nodes, and [`EmbeddingError::InvalidImage`] if the mapping
     /// function produces a coordinate outside the host.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a construction is marked separable but its terms sum past
+    /// the host while every image is a host node: the mark is wrong.
     pub fn to_table(&self) -> Result<Vec<u64>> {
         const LIMIT: u64 = 1 << 30;
         if self.size() > LIMIT {
@@ -396,11 +439,71 @@ impl Embedding {
                 limit: LIMIT,
             });
         }
+        if self.separable {
+            if let Some(table) = self.separable_table() {
+                return Ok(table);
+            }
+        }
         let mut table = Vec::with_capacity(self.size() as usize);
         for x in 0..self.size() {
             table.push(self.try_map_index(x)?);
         }
+        assert!(
+            !self.separable,
+            "{} is marked separable, but its terms sum past the host",
+            self.name
+        );
         Ok(table)
+    }
+
+    /// The table of a separable construction, summed from its per-digit
+    /// terms, or `None` when an axis image is invalid or an entry leaves
+    /// the host.
+    fn separable_table(&self) -> Option<Vec<u64>> {
+        let n = self.size();
+        let shape = self.guest.shape();
+        let d = shape.dim();
+        // τ_k(v) for every digit value v of every dimension k, flat, with
+        // dimension k's terms from `starts[k]`. Differences may wrap; the
+        // sums do not.
+        let origin = self.try_map_index(0).ok()?;
+        let mut terms = Vec::with_capacity(shape.radices().iter().map(|&l| l as usize).sum());
+        let mut starts = Vec::with_capacity(d);
+        for k in 0..d {
+            starts.push(terms.len());
+            terms.push(0);
+            let w = shape.weight(k + 1);
+            for v in 1..u64::from(shape.radix(k)) {
+                terms.push(self.try_map_index(v * w).ok()?.wrapping_sub(origin));
+            }
+        }
+        // Each row fixes every digit but the last: `row[k]` is the sum of
+        // the origin and the terms of the digits before k, so a row's
+        // entries are `row[last]` plus the last dimension's terms.
+        let last = d - 1;
+        let inner = &terms[starts[last]..];
+        let mut digits = vec![0u32; d];
+        let mut row = vec![origin; d];
+        let mut table = Vec::with_capacity(n as usize);
+        for _ in 0..n / inner.len() as u64 {
+            let base = row[last];
+            table.extend(inner.iter().map(|&t| base.wrapping_add(t)));
+            // Step the odometer over the digits before the last; `from` is
+            // the digit that moved without a carry.
+            let mut from = last;
+            while from > 0 {
+                from -= 1;
+                digits[from] += 1;
+                if digits[from] < shape.radix(from) {
+                    break;
+                }
+                digits[from] = 0;
+            }
+            for k in from..last {
+                row[k + 1] = row[k].wrapping_add(terms[starts[k] + digits[k] as usize]);
+            }
+        }
+        table.iter().all(|&y| y < n).then_some(table)
     }
 
     /// Whether the mapping is injective (and therefore bijective, since the
@@ -507,12 +610,11 @@ impl Embedding {
         let first = self.clone();
         let second = other.clone();
         let name = format!("{} ∘ {}", other.name(), self.name());
-        Embedding::new(
-            self.guest.clone(),
-            other.host().clone(),
-            name,
-            Arc::new(move |x| second.map(first.map_index(x))),
-        )
+        // Not marked separable: the second map reads the first one's host
+        // digits, which need not each depend on one guest digit (the
+        // Theorem 51 chain applies `t` to sums of digit terms).
+        let map: MapFn = Arc::new(move |x| second.map(first.map_index(x)));
+        Embedding::new(self.guest.clone(), other.host().clone(), name, map)
     }
 
     /// Renames the embedding (used by higher-level constructions to attach
@@ -625,6 +727,97 @@ mod tests {
         for (x, &y) in table.iter().enumerate() {
             assert_eq!(e.map_index(x as u64), y);
         }
+    }
+
+    /// The separable map that reflects every digit, `x_k ↦ l_k − 1 − x_k`:
+    /// its origin is the host's last node, so each term must be taken
+    /// relative to node 0's image.
+    fn reflection(guest: Grid, host: Grid) -> Embedding {
+        let shape = host.shape().clone();
+        Embedding::new_separable(
+            guest,
+            host,
+            "reflection",
+            Arc::new(move |x| {
+                let mut digits = shape.to_digits(x).unwrap();
+                for k in 0..shape.dim() {
+                    digits.set(k, shape.radix(k) - 1 - digits.get(k));
+                }
+                digits
+            }),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn separable_tables_match_per_node_images() {
+        for radices in [&[5][..], &[2, 2], &[4, 2, 3], &[3, 2, 2, 5], &[2, 7]] {
+            let s = shape(radices);
+            for e in [
+                reflection(Grid::torus(s.clone()), Grid::mesh(s.clone())),
+                Embedding::identity(Grid::mesh(s.clone()), Grid::torus(s)).unwrap(),
+            ] {
+                let per_node: Vec<u64> = (0..e.size()).map(|x| e.map_index(x)).collect();
+                assert_eq!(e.to_table().unwrap(), per_node, "{e:?} on {radices:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn separable_tables_report_invalid_images_as_per_node_tables_do() {
+        let s = shape(&[3, 2]);
+        // Node 2 = (1, 0) is an axis node, and its image is not a host node.
+        let axis = Embedding::new_separable(
+            Grid::mesh(s.clone()),
+            Grid::mesh(s.clone()),
+            "bad axis",
+            Arc::new(move |x| {
+                let mut digits = s.to_digits(x).unwrap();
+                if x == 2 {
+                    digits.set(0, 3);
+                }
+                digits
+            }),
+        )
+        .unwrap();
+        // Host digit 0 is x_0 + x_1: every axis image is a host node, but
+        // the terms of node 3 = (1, 1) sum past the host.
+        let s = shape(&[2, 2]);
+        let sum = Embedding::new_separable(
+            Grid::mesh(s.clone()),
+            Grid::mesh(s.clone()),
+            "bad sum",
+            Arc::new(move |x| {
+                let digits = s.to_digits(x).unwrap();
+                Coord::from_slice(&[digits.get(0) + digits.get(1), 0]).unwrap()
+            }),
+        )
+        .unwrap();
+        for (e, bad) in [(axis, 2), (sum, 3)] {
+            assert!(matches!(
+                e.to_table(),
+                Err(EmbeddingError::InvalidImage { guest, .. }) if guest == bad
+            ));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is marked separable")]
+    fn a_wrong_separable_mark_fails_loudly() {
+        // The boustrophedon (0,0), (0,1), (1,1), (1,0) is a bijection, but
+        // its image index is not a sum of per-digit terms: node 3's terms
+        // sum to 1 + 3 = 4, past the host.
+        let s = shape(&[2, 2]);
+        let e = Embedding::new_separable(
+            Grid::mesh(s.clone()),
+            Grid::mesh(s),
+            "boustrophedon",
+            Arc::new(|x| {
+                Coord::from_slice(&[(x / 2) as u32, ((x ^ (x >> 1)) & 1) as u32]).unwrap()
+            }),
+        )
+        .unwrap();
+        let _ = e.to_table();
     }
 
     #[test]

@@ -475,7 +475,10 @@ pub fn embed_general_reduction_with(
     let b = reduction.b();
     let guest_shape = guest.shape().clone();
 
-    Embedding::new(
+    // Host digit j is a function of one L′ digit (times s_j for j < b)
+    // plus, for j < b, one digit of the image of one L″ digit: a sum of
+    // functions of single guest digits, so the construction is separable.
+    Embedding::new_separable(
         guest.clone(),
         host.clone(),
         name,

@@ -63,18 +63,8 @@ pub fn factor_shapes(factor: &ExpansionFactor) -> Vec<Shape> {
 
 /// Evaluates `F_V`, `G_V` or `H_V` (Definition 31) on a guest coordinate,
 /// producing a coordinate of the intermediate graph `H'` of shape
-/// `V_1 ∘ V_2 ∘ … ∘ V_d`.
-///
-/// # Panics
-///
-/// Panics if the coordinate's dimension differs from the factor's list count
-/// or a digit is out of range for its sub-shape.
-pub fn map_increase(factor: &ExpansionFactor, function: IncreaseFunction, coord: &Coord) -> Digits {
-    map_increase_over(&factor_shapes(factor), function, coord)
-}
-
-/// [`map_increase`] over sub-shapes prepared by [`factor_shapes`] — the
-/// allocation-free form hot loops call per node.
+/// `V_1 ∘ V_2 ∘ … ∘ V_d`, over the sub-shapes `V_i` prepared once by
+/// [`factor_shapes`].
 ///
 /// # Panics
 ///
@@ -141,7 +131,8 @@ pub fn embed_increasing_with(
                 .expect("permutation matches dimension")
         }),
     };
-    Embedding::new(guest.clone(), host.clone(), function.name(), map)
+    // Guest digit i alone fills its own block of host digits: separable.
+    Embedding::new_separable(guest.clone(), host.clone(), function.name(), map)
 }
 
 /// Guest radices beyond which [`increase_tables`] declines to tabulate: the

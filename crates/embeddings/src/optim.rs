@@ -39,8 +39,8 @@
 //! * Tables — the congestion and wirelength objectives read only two flat
 //!   tables after construction: the guest's edge list (tail and head arrays
 //!   in [`Grid::edges`] order, plus each node's incident edge ids in CSR
-//!   form) and the host's node-major digit table (`d · n` `u32`s filled by
-//!   [`DigitPlanes::decode_range`]). A swap finds the edges it moves through
+//!   form) and the host's node-major digit table (`d · n` `u32`s from
+//!   [`Grid::digit_table`]). A swap finds the edges it moves through
 //!   the incident ids, and a congestion batch of disjoint transpositions
 //!   takes each distinct edge once, from its pre-batch images to its
 //!   post-batch ones; congestion re-routes them from coordinates read out
@@ -178,7 +178,6 @@ pub mod parallel;
 use mixedradix::distance::{digit_distance_mesh, digit_distance_torus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use topology::planes::{DigitPlanes, LANES};
 use topology::routing::{for_each_hop, link_slot_of_hop};
 use topology::{Coord, Grid, Shape};
 
@@ -648,7 +647,7 @@ struct MovedEdge {
 }
 
 /// The host's coordinates as a node-major digit table, built once per
-/// objective with [`DigitPlanes::decode_range`]: digit `j` of host node `y`
+/// objective by [`Grid::digit_table`]: digit `j` of host node `y`
 /// at `digits[y · d + j]`, which is `d · n` entries — the host's link count,
 /// capped by [`check_pair`]. Swap updates read coordinates and distances
 /// here instead of decoding node indices.
@@ -660,28 +659,9 @@ struct HostDigits {
 
 impl HostDigits {
     fn new(host: &Grid) -> Self {
-        let shape = host.shape();
-        let d = host.dim();
-        let mut digits = vec![0u32; host.size() as usize * d];
-        let mut planes = DigitPlanes::for_base(shape);
-        let mut start = 0u64;
-        // One batch of up to LANES consecutive nodes per chunk, transposed
-        // from the planes' dimension-major layout into node-major rows.
-        for rows in digits.chunks_mut(LANES * d) {
-            let count = rows.len() / d;
-            planes
-                .decode_range(shape, start, count)
-                .expect("batch within the host");
-            for j in 0..d {
-                for (row, &digit) in rows.chunks_exact_mut(d).zip(planes.plane(j)) {
-                    row[j] = digit;
-                }
-            }
-            start += count as u64;
-        }
         HostDigits {
             grid: host.clone(),
-            digits,
+            digits: host.digit_table(),
         }
     }
 

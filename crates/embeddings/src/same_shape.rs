@@ -62,7 +62,8 @@ pub fn embed_same_shape(guest: &Grid, host: &Grid) -> Result<Embedding> {
     }
     if guest.is_torus() && host.is_mesh() && !guest.is_hypercube() {
         let shape = host.shape().clone();
-        Embedding::new(
+        // Host digit j is t_{l_j} of guest digit j alone: separable.
+        Embedding::new_separable(
             guest.clone(),
             host.clone(),
             "T_L",

@@ -200,8 +200,131 @@ impl embeddings::optim::Objective for ExactOnly {
     }
 }
 
+/// A grid of the given kind and radices.
+fn grid(torus: bool, radices: Vec<u32>) -> Grid {
+    let shape = Shape::new(radices).unwrap();
+    if torus {
+        Grid::torus(shape)
+    } else {
+        Grid::mesh(shape)
+    }
+}
+
+/// `radices` rotated left by `by` places: a dimension order the planner
+/// has to permute back.
+fn rotated(mut radices: Vec<u32>, by: usize) -> Vec<u32> {
+    let len = radices.len();
+    radices.rotate_left(by % len);
+    radices
+}
+
+/// A guest/host pair of `family`, built from factor lists whose factors
+/// number at most six (4⁶ = 4096 nodes):
+///
+/// * 0 — one shape for both: the identity or `T_L`;
+/// * 1 — each guest radix split into its list, the host in rotated order:
+///   an increasing map `π ∘ F_V`, `G_V` or `H_V`;
+/// * 2 — a general-reduction witness: the multiplicant `base`, one
+///   multiplier splitting into the first list (at least two factors, one
+///   per leading multiplicant radix), the guest in rotated order: some
+///   `β ∘ F′_S`, `G′_S` or `G″_S ∘ α`, or a simple reduction where one
+///   also applies;
+/// * 3 — family 1 reversed: the simple reduction `U_V`, which is not
+///   marked separable.
+fn family_pair(
+    family: usize,
+    mut lists: Vec<Vec<u32>>,
+    base: Vec<u32>,
+    turn: usize,
+    guest_torus: bool,
+    host_torus: bool,
+) -> (Grid, Grid) {
+    let mut budget = 6;
+    for list in &mut lists {
+        list.truncate(budget.max(1));
+        budget = budget.saturating_sub(list.len());
+    }
+    let products: Vec<u32> = lists.iter().map(|list| list.iter().product()).collect();
+    let flat: Vec<u32> = lists.concat();
+    let (guest, host) = match family {
+        0 => (products.clone(), products),
+        1 => (products, rotated(flat, turn)),
+        2 => {
+            let mut factors = lists[0].clone();
+            factors.truncate(base.len());
+            if factors.len() < 2 {
+                factors = vec![2, 2];
+            }
+            let mut guest = base.clone();
+            guest.push(factors.iter().product());
+            let mut host = base;
+            for (h, s) in host.iter_mut().zip(&factors) {
+                *h *= s;
+            }
+            (rotated(guest, turn), host)
+        }
+        _ => (rotated(flat, turn), products),
+    };
+    (grid(guest_torus, guest), grid(host_torus, host))
+}
+
+/// Whether `e`'s table equals its per-node images.
+fn table_matches_per_node_images(e: &embeddings::Embedding) -> bool {
+    let per_node: Vec<u64> = (0..e.size()).map(|x| e.map_index(x)).collect();
+    e.to_table().unwrap() == per_node
+}
+
+#[test]
+fn each_construction_tabulates_its_per_node_images() {
+    for (guest, host, name) in [
+        ("mesh:4x3", "torus:4x3", "identity"),
+        ("torus:4x3", "mesh:4x3", "T_L"),
+        ("mesh:4x6", "mesh:2x2x3x2", "π ∘ F_V"),
+        ("torus:6x3", "mesh:3x2x3", "π ∘ G_V"),
+        ("torus:4x6", "torus:2x2x2x3", "π ∘ H_V"),
+        ("mesh:5x5x4", "mesh:10x10", "β ∘ F′_S ∘ α"),
+        ("torus:5x5x4", "torus:10x10", "β ∘ G′_S ∘ α"),
+        ("torus:5x4x5", "mesh:10x10", "β ∘ G″_S ∘ α"),
+        // Unmarked, though U_V reads each group of digits as one
+        // mixed-radix number and is separable too.
+        ("mesh:2x3x4", "mesh:6x4", "U_V ∘ π"),
+        ("torus:2x3x4", "mesh:6x4", "U_V ∘ T_L ∘ π"),
+        // Not separable: the last step applies t to sums of digit terms.
+        (
+            "torus:4x4x4x4x4",
+            "mesh:32x32",
+            "Theorem 51 chain (3 steps)",
+        ),
+    ] {
+        let guest = embeddings::plan::parse_grid_spec(guest).unwrap();
+        let host = embeddings::plan::parse_grid_spec(host).unwrap();
+        let e = embed(&guest, &host).unwrap();
+        assert_eq!(e.name(), name, "{guest} -> {host}");
+        assert!(
+            table_matches_per_node_images(&e),
+            "{guest} -> {host} ({name})"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn to_table_matches_per_node_images(
+        family in 0usize..4,
+        lists in proptest::collection::vec(proptest::collection::vec(2u32..=4, 1..=3), 1..=3),
+        base in proptest::collection::vec(2u32..=5, 2..=3),
+        turn in 0usize..4,
+        guest_torus in proptest::bool::ANY,
+        host_torus in proptest::bool::ANY,
+    ) {
+        let (guest, host) = family_pair(family, lists, base, turn, guest_torus, host_torus);
+        let e = embed(&guest, &host);
+        prop_assert!(e.is_ok(), "{} -> {} is not embedded", guest, host);
+        let e = e.unwrap();
+        prop_assert!(table_matches_per_node_images(&e), "{} -> {} ({})", guest, host, e.name());
+    }
 
     #[test]
     fn f_l_is_a_unit_spread_bijection(shape in small_shape()) {

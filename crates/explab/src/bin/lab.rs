@@ -26,8 +26,10 @@
 //!
 //! Exit codes: `0` success, `1` usage or plan errors, `2` a failed check
 //! (report drift, bound violation, shard mismatch, or a dangling doc
-//! reference).
+//! reference), `141` a reader that closed stdout early.
 
+use std::fmt::Display;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use explab::executor::{expand, run};
@@ -76,6 +78,19 @@ fn main() -> ExitCode {
             eprintln!("lab: {message}");
             ExitCode::from(1)
         }
+    }
+}
+
+/// Writes `text` to stdout: every command prints through here. A reader
+/// that closes the pipe early (`lab expand | head -1`) ends the process
+/// quietly with status 141, what a shell reports for SIGPIPE, so output
+/// cut short never reads as a success.
+fn emit(text: impl Display) -> Result<(), CliError> {
+    let mut stdout = std::io::stdout().lock();
+    match write!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        Ok(()) => Ok(()),
+        Err(error) if error.kind() == ErrorKind::BrokenPipe => std::process::exit(141),
+        Err(error) => Err(CliError::Io(format!("cannot write to stdout: {error}"))),
     }
 }
 
@@ -172,8 +187,7 @@ fn cmd_plans(rest: &[String]) -> Result<(), CliError> {
             expand(&plan).len().to_string(),
         ]);
     }
-    print!("{table}");
-    Ok(())
+    emit(table)
 }
 
 fn cmd_expand(rest: &[String]) -> Result<(), CliError> {
@@ -192,7 +206,7 @@ fn cmd_expand(rest: &[String]) -> Result<(), CliError> {
             format!("{:#018x}", spec.seed),
         ]);
     }
-    print!("{table}");
+    emit(table)?;
     eprintln!("{} trials", specs.len());
     Ok(())
 }
@@ -233,7 +247,7 @@ fn cmd_run(rest: &[String]) -> Result<(), CliError> {
     let streaming_jsonl = jsonl.as_deref() == Some("-");
     if let Some(path) = jsonl {
         if streaming_jsonl {
-            print!("{}", outcome.to_jsonl());
+            emit(outcome.to_jsonl())?;
         } else {
             std::fs::write(&path, outcome.to_jsonl())
                 .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
@@ -246,9 +260,9 @@ fn cmd_run(rest: &[String]) -> Result<(), CliError> {
     if !streaming_jsonl {
         let overview = family_overview(&outcome);
         match format.as_str() {
-            "text" => print!("{overview}"),
-            "md" => print!("{}", overview.to_markdown()),
-            _ => print!("{}", overview.to_csv()),
+            "text" => emit(overview)?,
+            "md" => emit(overview.to_markdown())?,
+            _ => emit(overview.to_csv())?,
         }
     }
     eprintln!(

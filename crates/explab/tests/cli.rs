@@ -53,6 +53,35 @@ fn unknown_builtin_plan_prints_display_message() {
 }
 
 #[test]
+fn a_closed_stdout_ends_lab_quietly_with_the_sigpipe_status() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // 194,241 trials: far past a 64 KiB pipe buffer, so the listing's write
+    // fails however the reader is scheduled.
+    let path = temp_file(
+        "big.plan",
+        "family torus_to_mesh max_size=1024 max_dim=10\n",
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lab"))
+        .args(["expand", "--plan-file", path.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lab");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    let out = child.wait_with_output().expect("wait for lab");
+    std::fs::remove_file(&path).ok();
+    assert!(first.contains("family"), "{first}");
+    assert_eq!(out.status.code(), Some(141));
+    let stderr = stderr_of(&out);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+}
+
+#[test]
 fn plan_file_parse_failures_name_the_line_and_exit_one() {
     // A round count or family bound past its cap would otherwise run
     // without bound, or build one trial of tens of millions of nodes.

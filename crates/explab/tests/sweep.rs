@@ -138,6 +138,33 @@ fn trial_metrics_match_direct_library_calls() {
 }
 
 #[test]
+fn report_plan_tables_match_per_node_images() {
+    // Every pair the report sweeps, separable construction or not: the
+    // table the annealing passes start from is the per-node map.
+    let plan = SweepPlan::builtin("report").unwrap();
+    let mut checked = 0;
+    for spec in expand(&plan) {
+        let Ok(embedding) = embed(&spec.guest, &spec.host) else {
+            continue;
+        };
+        let per_node: Vec<u64> = (0..embedding.size())
+            .map(|x| embedding.map_index(x))
+            .collect();
+        assert_eq!(
+            embedding.to_table().unwrap(),
+            per_node,
+            "trial {}: {} -> {} ({})",
+            spec.id,
+            spec.guest,
+            spec.host,
+            embedding.name()
+        );
+        checked += 1;
+    }
+    assert!(checked > 100, "only {checked} report trials checked");
+}
+
+#[test]
 fn sharded_optimizer_records_are_worker_invariant_and_consistent() {
     // The per-trial sharded annealing stage must keep records bit-identical
     // for any executor worker count, carry one provenance entry per shard,

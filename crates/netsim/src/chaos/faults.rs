@@ -435,12 +435,6 @@ impl FaultMask {
     pub fn node_up(&self, node: u64) -> bool {
         !self.node_down[node as usize]
     }
-
-    /// Whether the mask marks nothing down (degraded routing can then take
-    /// the pristine fast path).
-    pub fn is_pristine(&self) -> bool {
-        !self.link_down.iter().any(|&d| d) && !self.node_down.iter().any(|&d| d)
-    }
 }
 
 /// The canonical link slot of the (undirected) link between adjacent nodes

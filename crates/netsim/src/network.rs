@@ -31,10 +31,7 @@ impl Network {
     pub fn new(grid: Grid) -> Self {
         let adjacency = CsrAdjacency::build(&grid).expect("network fits in memory");
         let forward_dims = (0..grid.dim()).collect();
-        let mut digits = Vec::with_capacity(grid.size() as usize * grid.dim());
-        for coord in grid.coords() {
-            digits.extend_from_slice(coord.as_slice());
-        }
+        let digits = grid.digit_table();
         Network {
             grid,
             adjacency,

@@ -118,9 +118,10 @@ pub struct MakespanObjective {
     /// `queue_index[pair]`: the position of the pair in `queued`, or
     /// `u32::MAX` for a self-send.
     queue_index: Vec<u32>,
-    /// `task_pairs[t]` = indices of the workload pairs with source or
-    /// destination task `t`.
-    task_pairs: Vec<Vec<u32>>,
+    /// The indices of the workload pairs with source or destination task
+    /// `t`, ascending, at `task_pairs[task_offsets[t]..task_offsets[t + 1]]`.
+    task_offsets: Vec<u32>,
+    task_pairs: Vec<u32>,
     /// Sum of cached route lengths (per round).
     route_hops: u64,
     /// Dedup stamps so a pair touching both swapped tasks re-routes once.
@@ -175,12 +176,28 @@ impl MakespanObjective {
         if pairs as u128 * rounds.max(1) as u128 > u32::MAX as u128 {
             return Err(MakespanError::ScheduleTooLarge { pairs, rounds });
         }
-        let mut task_pairs: Vec<Vec<u32>> = vec![Vec::new(); workload.tasks() as usize];
-        // Pair indices fit in `u32`: the check above bounds the pairs too.
-        for (index, &(src, dst)) in (0u32..).zip(workload.pairs()) {
-            task_pairs[src as usize].push(index);
+        // Pair indices, and the at most two entries per pair, fit in `u32`:
+        // the check above bounds the pairs too. Each task's count lands one
+        // slot to the right, so the prefix sum turns counts into offsets.
+        let tasks = workload.tasks() as usize;
+        let mut task_offsets = vec![0u32; tasks + 1];
+        for &(src, dst) in workload.pairs() {
+            task_offsets[src as usize + 1] += 1;
             if dst != src {
-                task_pairs[dst as usize].push(index);
+                task_offsets[dst as usize + 1] += 1;
+            }
+        }
+        for t in 0..tasks {
+            task_offsets[t + 1] += task_offsets[t];
+        }
+        let mut next = task_offsets[..tasks].to_vec();
+        let mut task_pairs = vec![0u32; task_offsets[tasks] as usize];
+        for (index, &(src, dst)) in (0u32..).zip(workload.pairs()) {
+            task_pairs[next[src as usize] as usize] = index;
+            next[src as usize] += 1;
+            if dst != src {
+                task_pairs[next[dst as usize] as usize] = index;
+                next[dst as usize] += 1;
             }
         }
         let slots = engine::slots(network.grid());
@@ -192,6 +209,7 @@ impl MakespanObjective {
             routes: vec![Vec::new(); pairs],
             queued: Vec::new(),
             queue_index: vec![u32::MAX; pairs],
+            task_offsets,
             task_pairs,
             route_hops: 0,
             pair_epoch: vec![0; pairs],
@@ -366,12 +384,13 @@ impl MakespanObjective {
         let mut affected = std::mem::take(&mut self.affected);
         affected.clear();
         for &task in touched {
-            let Some(pairs) = self.task_pairs.get(task as usize) else {
+            let task = task as usize;
+            let Some(&[start, end]) = self.task_offsets.get(task..task + 2) else {
                 // The guest has more nodes than the workload has tasks, and
                 // this task is outside the workload: nothing to re-route.
                 continue;
             };
-            for &pair in pairs {
+            for &pair in &self.task_pairs[start as usize..end as usize] {
                 if self.pair_epoch[pair as usize] != epoch {
                     self.pair_epoch[pair as usize] = epoch;
                     affected.push(pair);

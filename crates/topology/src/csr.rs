@@ -17,7 +17,12 @@ pub struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// Builds the CSR adjacency of `grid`.
+    /// Builds the CSR adjacency of `grid`, each node's neighbors in
+    /// [`Grid::neighbors`] order.
+    ///
+    /// Neighbors are written from the dimension strides while a digit
+    /// odometer walks the nodes in index order, so no index is decoded and
+    /// no per-node list is allocated.
     ///
     /// # Errors
     ///
@@ -30,18 +35,49 @@ impl CsrAdjacency {
                 reason: format!("graph with {n} nodes is too large to materialize as CSR"),
             });
         }
+        if 2 * grid.num_edges() > u32::MAX as u64 {
+            return Err(TopologyError::InvalidCoordinate {
+                reason: "edge count exceeds u32::MAX".to_string(),
+            });
+        }
+        let shape = grid.shape();
+        let torus = grid.is_torus();
         let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut targets = Vec::new();
+        let mut targets = Vec::with_capacity(2 * grid.num_edges() as usize);
+        let mut digits = vec![0u32; shape.dim()];
         offsets.push(0u32);
-        for x in grid.nodes() {
-            for y in grid.neighbors(x)? {
-                targets.push(y as u32);
+        for x in 0..n as u32 {
+            for (j, &i) in digits.iter().enumerate() {
+                let l = shape.radix(j);
+                let w = shape.weight(j + 1) as u32;
+                // `x` with digit j at 0: a neighbor with digit j at v is
+                // `row + v · w`. The lower neighbor comes first, and a
+                // torus dimension whose two neighbors coincide has one.
+                let row = x - i * w;
+                if torus {
+                    let lower = if i == 0 { l - 1 } else { i - 1 };
+                    let upper = if i + 1 == l { 0 } else { i + 1 };
+                    targets.push(row + lower * w);
+                    if upper != lower {
+                        targets.push(row + upper * w);
+                    }
+                } else {
+                    if i > 0 {
+                        targets.push(row + (i - 1) * w);
+                    }
+                    if i + 1 < l {
+                        targets.push(row + (i + 1) * w);
+                    }
+                }
             }
-            let len =
-                u32::try_from(targets.len()).map_err(|_| TopologyError::InvalidCoordinate {
-                    reason: "edge count exceeds u32::MAX".to_string(),
-                })?;
-            offsets.push(len);
+            offsets.push(targets.len() as u32);
+            for (j, digit) in digits.iter_mut().enumerate().rev() {
+                *digit += 1;
+                if *digit < shape.radix(j) {
+                    break;
+                }
+                *digit = 0;
+            }
         }
         Ok(CsrAdjacency { offsets, targets })
     }
@@ -92,22 +128,25 @@ mod tests {
     fn csr_matches_implicit_adjacency() {
         for grid in [
             Grid::torus(shape(&[4, 2, 3])),
+            Grid::torus(shape(&[2, 5, 2])),
             Grid::mesh(shape(&[4, 5])),
+            Grid::mesh(shape(&[2, 3, 2])),
             Grid::hypercube(5).unwrap(),
             Grid::ring(11).unwrap(),
+            Grid::ring(2).unwrap(),
+            Grid::line(5).unwrap(),
         ] {
             let csr = CsrAdjacency::build(&grid).unwrap();
             assert_eq!(csr.num_nodes() as u64, grid.size());
             assert_eq!(csr.num_entries() as u64, 2 * grid.num_edges());
             for x in grid.nodes() {
-                let mut expected = grid.neighbors(x).unwrap();
-                let mut actual: Vec<u64> = csr
+                // The same neighbors, in the same order.
+                let expected = grid.neighbors(x).unwrap();
+                let actual: Vec<u64> = csr
                     .neighbors(x as usize)
                     .iter()
                     .map(|&y| y as u64)
                     .collect();
-                expected.sort_unstable();
-                actual.sort_unstable();
                 assert_eq!(expected, actual, "adjacency of node {x} in {grid}");
                 assert_eq!(csr.degree(x as usize), expected.len());
             }

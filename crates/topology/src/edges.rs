@@ -10,37 +10,43 @@ use crate::grid::{GraphKind, Grid};
 /// toruses). This enumerates every mesh edge once; for torus dimensions of
 /// length 2 the wrap-around edge coincides with the increasing edge, and is
 /// emitted only from the node whose coordinate is 0.
+///
+/// The nodes are walked in index order by a digit odometer kept in place,
+/// so no node index is ever decoded. (`Shape::iter` hands out a copy of
+/// its 132-byte `Digits` per node, which measured about six times slower
+/// per edge.)
 pub struct EdgeIter<'a> {
     grid: &'a Grid,
     node: u64,
-    coord: Option<mixedradix::Digits>,
+    coord: mixedradix::Digits,
     dim: usize,
 }
 
 impl<'a> EdgeIter<'a> {
     /// Creates an iterator over all edges of `grid`.
     pub fn new(grid: &'a Grid) -> Self {
-        let coord = if grid.size() > 0 {
-            Some(grid.coord(0).expect("node 0 exists"))
-        } else {
-            None
-        };
         EdgeIter {
             grid,
             node: 0,
-            coord,
+            coord: mixedradix::Digits::zero(grid.dim()).expect("grid dimension within bounds"),
             dim: 0,
         }
     }
 
+    /// Moves to the next node: the odometer steps the last digit and
+    /// carries into the ones before it.
     fn advance_node(&mut self) {
         self.node += 1;
         self.dim = 0;
-        self.coord = if self.node < self.grid.size() {
-            Some(self.grid.coord(self.node).expect("node in range"))
-        } else {
-            None
-        };
+        let shape = self.grid.shape();
+        for j in (0..shape.dim()).rev() {
+            let digit = self.coord.get(j) + 1;
+            if digit < shape.radix(j) {
+                self.coord.set(j, digit);
+                return;
+            }
+            self.coord.set(j, 0);
+        }
     }
 }
 
@@ -48,19 +54,22 @@ impl<'a> Iterator for EdgeIter<'a> {
     type Item = (u64, u64);
 
     fn next(&mut self) -> Option<(u64, u64)> {
+        let shape = self.grid.shape();
         loop {
-            let coord = self.coord?;
-            if self.dim >= self.grid.dim() {
+            if self.node >= self.grid.size() {
+                return None;
+            }
+            if self.dim >= shape.dim() {
                 self.advance_node();
                 continue;
             }
             let j = self.dim;
             self.dim += 1;
 
-            let l = self.grid.shape().radix(j);
-            let i = coord.get(j);
+            let l = shape.radix(j);
+            let i = self.coord.get(j);
             // Weight of digit j: increasing digit j by one adds weight(j+1).
-            let w = self.grid.shape().weight(j + 1);
+            let w = shape.weight(j + 1);
             match self.grid.kind() {
                 GraphKind::Mesh => {
                     if i < l - 1 {
@@ -171,6 +180,46 @@ mod tests {
         let edges = edge_set(&line);
         assert_eq!(edges.len(), 4);
         assert!(!edges.contains(&(0, 4)));
+    }
+
+    /// The enumeration the odometer replaces: decode every node, then take
+    /// the edge that increases each dimension's coordinate.
+    fn decoded_edges(grid: &Grid) -> Vec<(u64, u64)> {
+        let shape = grid.shape();
+        let mut edges = Vec::new();
+        for x in grid.nodes() {
+            let coord = grid.coord(x).unwrap();
+            for j in 0..grid.dim() {
+                let (l, i) = (shape.radix(j), coord.get(j));
+                let mut next = coord;
+                if i + 1 < l {
+                    next.set(j, i + 1);
+                } else if grid.is_torus() && l > 2 {
+                    next.set(j, 0);
+                } else {
+                    continue;
+                }
+                edges.push((x, grid.index(&next).unwrap()));
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn edges_match_a_decode_based_enumeration() {
+        for grid in [
+            Grid::torus(shape(&[4, 2, 3])),
+            Grid::torus(shape(&[2, 5, 2])),
+            Grid::torus(shape(&[3, 3, 3, 2])),
+            Grid::mesh(shape(&[4, 2, 3])),
+            Grid::mesh(shape(&[7, 5])),
+            Grid::hypercube(5).unwrap(),
+            Grid::ring(9).unwrap(),
+            Grid::line(6).unwrap(),
+        ] {
+            let edges: Vec<(u64, u64)> = grid.edges().collect();
+            assert_eq!(edges, decoded_edges(&grid), "edges of {grid}");
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use core::fmt;
 
 use mixedradix::distance::{delta_m_unchecked, delta_t_unchecked, mesh_diameter, torus_diameter};
+use mixedradix::planes::{DigitPlanes, LANES};
 
 use crate::error::{Result, TopologyError};
 use crate::{Coord, Shape};
@@ -233,6 +234,34 @@ impl Grid {
     /// An iterator over all node coordinates in index order.
     pub fn coords(&self) -> impl Iterator<Item = Coord> + '_ {
         self.shape.iter()
+    }
+
+    /// Every node's coordinates as one node-major table: digit `j` of node
+    /// `x` at `[x · d + j]`, `d · n` entries. Batches of up to [`LANES`]
+    /// consecutive nodes are decoded with [`DigitPlanes::decode_range`] and
+    /// transposed from the planes' dimension-major layout into rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table does not fit in memory.
+    pub fn digit_table(&self) -> Vec<u32> {
+        let d = self.dim();
+        let mut digits = vec![0u32; self.size() as usize * d];
+        let mut planes = DigitPlanes::for_base(&self.shape);
+        let mut start = 0u64;
+        for rows in digits.chunks_mut(LANES * d) {
+            let count = rows.len() / d;
+            planes
+                .decode_range(&self.shape, start, count)
+                .expect("batch within the grid");
+            for j in 0..d {
+                for (row, &digit) in rows.chunks_exact_mut(d).zip(planes.plane(j)) {
+                    row[j] = digit;
+                }
+            }
+            start += count as u64;
+        }
+        digits
     }
 
     /// The degree of the node with index `x`.
@@ -784,6 +813,23 @@ mod tests {
     fn edge_index_rejects_bad_dimension() {
         let grid = Grid::torus(shape(&[3, 3]));
         let _ = grid.edge_index(0, 2, true);
+    }
+
+    #[test]
+    fn digit_table_rows_match_coords() {
+        // 140 and 192 nodes: the table spans several decode batches.
+        for grid in [
+            Grid::torus(shape(&[4, 5, 7])),
+            Grid::mesh(shape(&[2, 3, 2, 2, 2, 2])),
+            Grid::ring(9).unwrap(),
+        ] {
+            let d = grid.dim();
+            let table = grid.digit_table();
+            assert_eq!(table.len() as u64, grid.size() * d as u64);
+            for (x, row) in (0..).zip(table.chunks_exact(d)) {
+                assert_eq!(row, grid.coord(x).unwrap().as_slice(), "row {x} of {grid}");
+            }
+        }
     }
 
     #[test]
