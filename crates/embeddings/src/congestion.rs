@@ -252,6 +252,7 @@ mod tests {
     use crate::auto::embed;
     use crate::basic::{embed_line_in, embed_ring_in};
     use crate::same_shape::embed_same_shape;
+    use crate::verify::verify_sequential;
     use topology::{Grid, Shape};
 
     fn shape(radices: &[u32]) -> Shape {
@@ -332,9 +333,10 @@ mod tests {
         let host = Grid::mesh(shape(&[4, 4]));
         let e = embed(&guest, &host).unwrap();
         let report = congestion(&e).unwrap();
-        let (avg, edges) = e.average_dilation();
-        assert_eq!(report.guest_edges, edges);
-        assert!((report.total_path_length as f64 - avg * edges as f64).abs() < 1e-9);
+        let verified = verify_sequential(&e);
+        let mass: u64 = verified.histogram.iter().map(|(d, count)| d * count).sum();
+        assert_eq!(report.guest_edges, verified.edges);
+        assert_eq!(report.total_path_length, mass);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   the loop. `verify`, `congestion` and [`Embedding::dilation`] are all
 //!   built on this path; prefer it whenever you touch more than a handful
 //!   of nodes, and hand disjoint chunks to the crossbeam fork–join pool (as
-//!   [`Embedding::dilation_parallel`] does) to scale with memory bandwidth.
+//!   [`crate::verify::verify`] does) to scale with memory bandwidth.
 //!
 //! When a table is wanted, [`Embedding::to_table`] sums the table of a
 //! separable construction from per-digit terms, evaluating `map` only on
@@ -29,11 +29,9 @@
 //! reports images outside the host as [`EmbeddingError::InvalidImage`], and
 //! the sweeps above degrade to failure reports instead of panicking.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use topology::parallel::{parallel_map_reduce, recommended_threads};
 use topology::planes::{DigitPlanes, LANES};
 use topology::{Coord, GraphKind, Grid};
 
@@ -90,8 +88,9 @@ impl Embedding {
     /// index is a sum of one term per guest digit,
     /// `index(map(x)) = Σ_k τ_k(x_k)`. That holds when every host digit is
     /// a sum of functions of single guest digits, as in the general
-    /// reduction (Theorem 43), the increasing maps (Theorem 32), `T_L` and
-    /// the identity, because the host index is linear in the host digits.
+    /// reduction (Theorem 43), the increasing maps (Theorem 32), the simple
+    /// reduction (Theorem 39), `T_L` and the identity, because the host
+    /// index is linear in the host digits.
     /// [`Embedding::to_table`] then evaluates `map` only at the guest's
     /// axis nodes `v · w_k`.
     pub(crate) fn new_separable(
@@ -411,15 +410,16 @@ impl Embedding {
     /// The images of all guest nodes, as host linear indices.
     ///
     /// A separable construction (the general reduction, the increasing
-    /// maps, `T_L` and the identity, in which every host digit is a sum of
-    /// functions of single guest digits) has its image index as a sum of
-    /// one term per guest digit. Its table is summed from the terms
-    /// `τ_k(v) = index(map(v · w_k)) − index(map(0))`, evaluated only at
-    /// the `1 + Σ (l_k − 1)` axis nodes `v · w_k`, while a digit odometer
-    /// walks the guest, and every entry is range-checked. Every other construction calls `map`
-    /// once per node, and so does a separable one whose axis image is
-    /// invalid or whose sum leaves the host: the first invalid image is
-    /// reported as [`Embedding::try_map_index`] reports it.
+    /// maps, the simple reduction, `T_L` and the identity, in which every
+    /// host digit is a sum of functions of single guest digits) has its
+    /// image index as a sum of one term per guest digit. Its table is
+    /// summed from the terms `τ_k(v) = index(map(v · w_k)) − index(map(0))`,
+    /// evaluated only at the `1 + Σ (l_k − 1)` axis nodes `v · w_k`, while
+    /// a digit odometer walks the guest, and every entry is range-checked.
+    /// Every other construction calls `map` once per node, and so does a
+    /// separable one whose axis image is invalid or whose sum leaves the
+    /// host: the first invalid image is reported as
+    /// [`Embedding::try_map_index`] reports it.
     ///
     /// # Errors
     ///
@@ -530,63 +530,14 @@ impl Embedding {
 
     /// The dilation cost: the maximum host distance between the images of
     /// adjacent guest nodes (Definition 1), computed sequentially with the
-    /// batched edge sweep.
+    /// batched edge sweep. [`crate::verify::verify`] measures it in parallel,
+    /// together with injectivity, the mean and the histogram.
     pub fn dilation(&self) -> u64 {
         let mut worst = 0u64;
         self.for_each_edge_mapped(0..self.size(), |_, _, fx, fy| {
             worst = worst.max(self.host.distance(fx, fy));
         });
         worst
-    }
-
-    /// The dilation cost, computed with a crossbeam fork–join sweep over the
-    /// guest's nodes (each worker runs [`Embedding::for_each_edge_mapped`]
-    /// on its node range). `threads = 0` selects [`recommended_threads`].
-    pub fn dilation_parallel(&self, threads: usize) -> u64 {
-        let threads = if threads == 0 {
-            recommended_threads()
-        } else {
-            threads
-        };
-        parallel_map_reduce(
-            self.size(),
-            threads,
-            0u64,
-            |range| {
-                let mut worst = 0u64;
-                self.for_each_edge_mapped(range, |_, _, fx, fy| {
-                    worst = worst.max(self.host.distance(fx, fy));
-                });
-                worst
-            },
-            u64::max,
-        )
-    }
-
-    /// The average host distance over all guest edges (a secondary measure
-    /// sometimes reported alongside dilation), together with the edge count.
-    pub fn average_dilation(&self) -> (f64, u64) {
-        let mut total = 0u64;
-        let mut edges = 0u64;
-        self.for_each_edge_mapped(0..self.size(), |_, _, fx, fy| {
-            total += self.host.distance(fx, fy);
-            edges += 1;
-        });
-        if edges == 0 {
-            (0.0, 0)
-        } else {
-            (total as f64 / edges as f64, edges)
-        }
-    }
-
-    /// Histogram of host distances over all guest edges: distance → number of
-    /// guest edges dilated to that distance.
-    pub fn dilation_histogram(&self) -> BTreeMap<u64, u64> {
-        let mut histogram = BTreeMap::new();
-        self.for_each_edge_mapped(0..self.size(), |_, _, fx, fy| {
-            *histogram.entry(self.host.distance(fx, fy)).or_insert(0) += 1;
-        });
-        histogram
     }
 
     /// Composes two embeddings: `self : G → I` followed by `other : I → H`,
@@ -673,10 +624,6 @@ mod tests {
         let e = row_major(12, Grid::mesh(shape(&[3, 4])));
         assert!(e.is_injective());
         assert_eq!(e.dilation(), 4);
-        assert_eq!(e.dilation_parallel(4), e.dilation());
-        let (avg, edges) = e.average_dilation();
-        assert_eq!(edges, 11);
-        assert!(avg >= 1.0);
     }
 
     #[test]
@@ -694,15 +641,6 @@ mod tests {
         let mesh = Grid::mesh(shape(&[3, 4]));
         let other = Grid::mesh(shape(&[4, 3]));
         assert!(Embedding::identity(mesh, other).is_err());
-    }
-
-    #[test]
-    fn histogram_counts_every_edge() {
-        let e = row_major(12, Grid::mesh(shape(&[3, 4])));
-        let histogram = e.dilation_histogram();
-        let total: u64 = histogram.values().sum();
-        assert_eq!(total, e.guest().num_edges());
-        assert_eq!(*histogram.keys().max().unwrap(), e.dilation());
     }
 
     #[test]
@@ -910,19 +848,5 @@ mod tests {
             Err(EmbeddingError::InvalidImage { .. })
         ));
         assert!(!e.is_injective());
-    }
-
-    #[test]
-    fn parallel_dilation_matches_sequential_on_various_hosts() {
-        for host in [
-            Grid::mesh(shape(&[4, 2, 3])),
-            Grid::torus(shape(&[4, 2, 3])),
-        ] {
-            let e = row_major(24, host);
-            for threads in [1, 2, 3, 8] {
-                assert_eq!(e.dilation_parallel(threads), e.dilation());
-            }
-            assert_eq!(e.dilation_parallel(0), e.dilation());
-        }
     }
 }

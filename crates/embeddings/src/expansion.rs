@@ -66,18 +66,6 @@ impl ExpansionFactor {
         self.lists.iter().flatten().copied().collect()
     }
 
-    /// The list `V_i` as its own shape (radix base).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `i` is out of range.
-    pub fn sub_shape(&self, i: usize) -> Result<Shape> {
-        let list = self.lists.get(i).ok_or(EmbeddingError::InvalidFactor {
-            details: format!("no list V_{}", i + 1),
-        })?;
-        Ok(Shape::new(list.clone())?)
-    }
-
     /// The product `Π V_i`.
     pub fn product(&self, i: usize) -> u64 {
         self.lists[i].iter().map(|&v| v as u64).product()
@@ -363,8 +351,6 @@ mod tests {
         assert_eq!(ok.flattened(), vec![2, 3, 4]);
         assert_eq!(ok.len(), 2);
         assert!(!ok.is_empty());
-        assert_eq!(ok.sub_shape(0).unwrap().radices(), &[2, 3]);
-        assert!(ok.sub_shape(5).is_err());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! dilation and its distribution over guest edges, the average dilation, the
 //! edge congestion under deterministic routing, and how the achieved dilation
 //! compares with the paper's prediction and with the Theorem 47 lower bound.
-//! [`EmbeddingMetrics::measure`] collects all of that in a single pass-friendly
-//! structure that the examples and the `gridviz` tables can render.
+//! [`EmbeddingMetrics::measure`] collects all of that from one
+//! [`verify`] sweep and one congestion sweep, in a structure that the
+//! examples and the `gridviz` tables can render.
 
 use core::fmt;
 use std::collections::BTreeMap;
@@ -16,6 +17,7 @@ use crate::congestion::{congestion, CongestionReport};
 use crate::embedding::Embedding;
 use crate::error::Result;
 use crate::lower_bound::{dilation_lower_bound, wirelength_lower_bound};
+use crate::verify::verify;
 
 /// Every quality measure of an embedding, gathered in one place.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,27 +59,28 @@ pub struct EmbeddingMetrics {
 
 impl EmbeddingMetrics {
     /// Measures `embedding` exhaustively (every guest edge is swept twice:
-    /// once for distances, once for routed congestion).
+    /// once by [`verify`] for injectivity and distances, once for routed
+    /// congestion).
     ///
     /// # Errors
     ///
     /// Returns [`crate::error::EmbeddingError::TooLarge`] if the guest is too
-    /// large for the congestion sweep.
+    /// large for either sweep.
     pub fn measure(embedding: &Embedding) -> Result<EmbeddingMetrics> {
         let guest = embedding.guest();
         let host = embedding.host();
-        let (average_dilation, guest_edges) = embedding.average_dilation();
         let congestion = congestion(embedding)?;
+        let report = verify(embedding, 0)?;
         Ok(EmbeddingMetrics {
             name: embedding.name().to_string(),
             guest: guest.to_string(),
             host: host.to_string(),
             nodes: embedding.size(),
-            guest_edges,
-            injective: embedding.is_injective(),
-            dilation: embedding.dilation(),
-            average_dilation,
-            dilation_histogram: embedding.dilation_histogram(),
+            guest_edges: report.edges,
+            injective: report.injective,
+            dilation: report.dilation,
+            average_dilation: report.average_dilation,
+            dilation_histogram: report.histogram,
             predicted_dilation: predicted_dilation(guest, host).ok(),
             lower_bound: dilation_lower_bound(guest, host).ok(),
             wirelength_lower_bound: wirelength_lower_bound(guest, host).ok(),
@@ -93,30 +96,12 @@ impl EmbeddingMetrics {
         self.congestion.total_path_length
     }
 
-    /// Whether the measured wirelength respects Tang's bound (vacuously true
-    /// when the bound does not apply). `false` means a broken theorem or a
-    /// broken measurement — the sweeps fold this into `bound_ok`.
-    pub fn meets_wirelength_bound(&self) -> bool {
-        self.wirelength_lower_bound
-            .map(|bound| self.wirelength() >= bound)
-            .unwrap_or(true)
-    }
-
     /// Whether the measured dilation meets the paper's guarantee (vacuously
     /// true when no guarantee applies).
     pub fn meets_prediction(&self) -> bool {
         self.predicted_dilation
             .map(|predicted| self.dilation <= predicted)
             .unwrap_or(true)
-    }
-
-    /// The ratio of the measured dilation to the Theorem 47 lower bound, when
-    /// the bound applies and is positive.
-    pub fn optimality_ratio(&self) -> Option<f64> {
-        match self.lower_bound {
-            Some(bound) if bound > 0 => Some(self.dilation as f64 / bound as f64),
-            _ => None,
-        }
     }
 }
 
@@ -177,7 +162,6 @@ mod tests {
         assert_eq!(m.congestion.max_congestion, 1);
         // Increasing dimension: Theorem 47 does not apply.
         assert_eq!(m.lower_bound, None);
-        assert_eq!(m.optimality_ratio(), None);
         let rendered = m.to_string();
         assert!(rendered.contains("dilation 1"));
         assert!(rendered.contains("->"));
@@ -193,8 +177,6 @@ mod tests {
         assert!(m.meets_prediction());
         let bound = m.lower_bound.unwrap();
         assert!(bound >= 1 && bound <= m.dilation);
-        let ratio = m.optimality_ratio().unwrap();
-        assert!(ratio >= 1.0);
         assert!(m.to_string().contains("lower bound"));
     }
 
@@ -206,13 +188,11 @@ mod tests {
         let m = EmbeddingMetrics::measure(&e).unwrap();
         let bound = m.wirelength_lower_bound.unwrap();
         assert!(m.wirelength() >= bound, "{} < {bound}", m.wirelength());
-        assert!(m.meets_wirelength_bound());
         assert!(m.to_string().contains("wirelength"));
-        // Non-hypercube guests carry no wirelength bound, vacuously met.
+        // Non-hypercube guests carry no wirelength bound.
         let other = embed_ring_in(&Grid::mesh(shape(&[4, 2, 3]))).unwrap();
         let m = EmbeddingMetrics::measure(&other).unwrap();
         assert_eq!(m.wirelength_lower_bound, None);
-        assert!(m.meets_wirelength_bound());
     }
 
     #[test]

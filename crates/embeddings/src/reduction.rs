@@ -121,7 +121,9 @@ pub fn embed_simple_reduction_with(
     };
     let guest_shape = guest.shape().clone();
     let factor = factor.clone();
-    Embedding::new(
+    // Host digit k reads group V_k as one mixed-radix number, a weighted sum
+    // of single (T_L-mapped) guest digits: separable.
+    Embedding::new_separable(
         guest.clone(),
         host.clone(),
         name,

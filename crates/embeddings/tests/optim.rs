@@ -256,8 +256,8 @@ fn optimization_never_worsens_any_objective() {
         .optimize(&e, &mut dilation)
         .unwrap();
         assert!(outcome.report.best <= outcome.report.initial);
-        let (initial_avg, _) = e.average_dilation();
-        let (refined_avg, _) = outcome.embedding.average_dilation();
+        let initial_avg = verify_sequential(&e).average_dilation;
+        let refined_avg = verify_sequential(&outcome.embedding).average_dilation;
         assert!(refined_avg <= initial_avg + 1e-12, "{guest} -> {host}");
     }
 }

@@ -229,8 +229,8 @@ fn rotated(mut radices: Vec<u32>, by: usize) -> Vec<u32> {
 ///   per leading multiplicant radix), the guest in rotated order: some
 ///   `β ∘ F′_S`, `G′_S` or `G″_S ∘ α`, or a simple reduction where one
 ///   also applies;
-/// * 3 — family 1 reversed: the simple reduction `U_V`, which is not
-///   marked separable.
+/// * 3 — family 1 reversed: the simple reduction `U_V ∘ π` or
+///   `U_V ∘ T_L ∘ π`.
 fn family_pair(
     family: usize,
     mut lists: Vec<Vec<u32>>,
@@ -285,8 +285,6 @@ fn each_construction_tabulates_its_per_node_images() {
         ("mesh:5x5x4", "mesh:10x10", "β ∘ F′_S ∘ α"),
         ("torus:5x5x4", "torus:10x10", "β ∘ G′_S ∘ α"),
         ("torus:5x4x5", "mesh:10x10", "β ∘ G″_S ∘ α"),
-        // Unmarked, though U_V reads each group of digits as one
-        // mixed-radix number and is separable too.
         ("mesh:2x3x4", "mesh:6x4", "U_V ∘ π"),
         ("torus:2x3x4", "mesh:6x4", "U_V ∘ T_L ∘ π"),
         // Not separable: the last step applies t to sums of digit terms.

@@ -72,12 +72,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Builder-style [`Table::push_row`].
-    pub fn with_row<S: Into<String>>(mut self, row: Vec<S>) -> Table {
-        self.push_row(row);
-        self
-    }
-
     fn column_widths(&self) -> Vec<usize> {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -187,10 +181,11 @@ mod tests {
     use super::*;
 
     fn sample() -> Table {
-        Table::new(vec!["guest", "host", "dilation"])
-            .with_alignments(vec![Alignment::Left, Alignment::Left, Alignment::Right])
-            .with_row(vec!["ring(24)", "(4,2,3)-mesh", "1"])
-            .with_row(vec!["(8,8)-mesh", "line(64)", "8"])
+        let alignments = vec![Alignment::Left, Alignment::Left, Alignment::Right];
+        let mut table = Table::new(vec!["guest", "host", "dilation"]).with_alignments(alignments);
+        table.push_row(vec!["ring(24)", "(4,2,3)-mesh", "1"]);
+        table.push_row(vec!["(8,8)-mesh", "line(64)", "8"]);
+        table
     }
 
     #[test]
@@ -220,11 +215,11 @@ mod tests {
 
     #[test]
     fn csv_output_escapes_special_cells() {
-        let csv = Table::new(vec!["name", "value"])
-            .with_row(vec!["plain", "1"])
-            .with_row(vec!["with, comma", "2"])
-            .with_row(vec!["with \"quote\"", "3"])
-            .to_csv();
+        let mut table = Table::new(vec!["name", "value"]);
+        table.push_row(vec!["plain", "1"]);
+        table.push_row(vec!["with, comma", "2"]);
+        table.push_row(vec!["with \"quote\"", "3"]);
+        let csv = table.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "name,value");
         assert_eq!(lines[1], "plain,1");
@@ -253,9 +248,9 @@ mod tests {
 
     #[test]
     fn unicode_cells_align_by_character_count() {
-        let table = Table::new(vec!["construction", "dilation"])
-            .with_row(vec!["π ∘ H_V", "1"])
-            .with_row(vec!["U_V ∘ T_L ∘ π", "4"]);
+        let mut table = Table::new(vec!["construction", "dilation"]);
+        table.push_row(vec!["π ∘ H_V", "1"]);
+        table.push_row(vec!["U_V ∘ T_L ∘ π", "4"]);
         let text = table.to_text();
         let lines: Vec<&str> = text.lines().collect();
         // Both data lines end with the numeric cell in the same column.

@@ -168,17 +168,6 @@ impl RadixBase {
         self.radices.iter().all(|&l| l == 2)
     }
 
-    /// Whether the size `n` is even.
-    pub fn has_even_size(&self) -> bool {
-        self.size.is_multiple_of(2)
-    }
-
-    /// Whether at least one radix is even (equivalent to
-    /// [`RadixBase::has_even_size`], but stated on the components).
-    pub fn has_even_component(&self) -> bool {
-        self.radices.iter().any(|&l| l % 2 == 0)
-    }
-
     /// The position of the first even radix, if any.
     pub fn first_even_component(&self) -> Option<usize> {
         self.radices.iter().position(|&l| l % 2 == 0)
@@ -475,13 +464,9 @@ mod tests {
     #[test]
     fn parity_helpers() {
         let base = paper_base();
-        assert!(base.has_even_size());
-        assert!(base.has_even_component());
         assert_eq!(base.first_even_component(), Some(0));
 
         let odd = RadixBase::new(vec![3, 5, 7]).unwrap();
-        assert!(!odd.has_even_size());
-        assert!(!odd.has_even_component());
         assert_eq!(odd.first_even_component(), None);
     }
 

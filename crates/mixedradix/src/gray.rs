@@ -56,11 +56,6 @@ impl BinaryGraySequence {
     pub fn bits(&self) -> usize {
         self.bits
     }
-
-    /// The `i`-th codeword as raw bits.
-    pub fn codeword(&self, i: u64) -> u64 {
-        binary_gray(i)
-    }
 }
 
 impl RadixSequence for BinaryGraySequence {
@@ -149,7 +144,7 @@ mod tests {
     #[test]
     fn first_codewords_match_the_classic_table() {
         let seq = BinaryGraySequence::new(3).unwrap();
-        let codes: Vec<u64> = (0..8).map(|i| seq.codeword(i)).collect();
+        let codes: Vec<u64> = (0..8).map(binary_gray).collect();
         assert_eq!(
             codes,
             vec![0b000, 0b001, 0b011, 0b010, 0b110, 0b111, 0b101, 0b100]

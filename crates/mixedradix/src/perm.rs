@@ -64,11 +64,6 @@ impl Permutation {
         self.map.is_empty()
     }
 
-    /// Whether this is the identity permutation.
-    pub fn is_identity(&self) -> bool {
-        self.map.iter().enumerate().all(|(j, &p)| j == p)
-    }
-
     /// `π(j)` (0-based).
     pub fn image(&self, j: usize) -> usize {
         self.map[j]
@@ -204,7 +199,6 @@ mod tests {
     #[test]
     fn identity_acts_trivially() {
         let p = Permutation::identity(4);
-        assert!(p.is_identity());
         assert_eq!(
             p.apply_slice(&[10, 20, 30, 40]).unwrap(),
             vec![10, 20, 30, 40]

@@ -218,11 +218,6 @@ impl FaultPlan {
         &self.failed_nodes
     }
 
-    /// The scheduled failures, sorted by round then link.
-    pub fn events(&self) -> &[FailAt] {
-        &self.events
-    }
-
     /// Whether the plan injects no faults at all.
     pub fn is_empty(&self) -> bool {
         self.failed_links.is_empty() && self.failed_nodes.is_empty() && self.events.is_empty()

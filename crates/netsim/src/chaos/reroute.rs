@@ -52,11 +52,6 @@ impl RouteOutcome {
             RouteOutcome::Unreachable { .. } => None,
         }
     }
-
-    /// Whether the message was delivered.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, RouteOutcome::Delivered { .. })
-    }
 }
 
 /// Distances to `to` over the masked graph, by reverse BFS from the
@@ -93,6 +88,34 @@ pub fn masked_distances_to(network: &Network, mask: &FaultMask, to: u64) -> Vec<
 /// endpoint and the connecting link are both up.
 fn step_up(network: &Network, mask: &FaultMask, from: u64, to: u64) -> bool {
     mask.node_up(to) && mask.link_up(link_slot_between(network.grid(), from, to))
+}
+
+/// Walks from `current` down `distance`, a masked-BFS table on which
+/// `current` is reachable, to the table's destination, appending each node
+/// to `path`. Every step takes the smallest-index usable neighbor one hop
+/// closer.
+fn walk_downhill(
+    network: &Network,
+    mask: &FaultMask,
+    distance: &[u64],
+    mut current: u64,
+    path: &mut Vec<u64>,
+) {
+    while distance[current as usize] > 0 {
+        let downhill = network
+            .adjacency()
+            .neighbors(current as usize)
+            .iter()
+            .map(|&n| u64::from(n))
+            .filter(|&n| {
+                distance[n as usize] == distance[current as usize] - 1
+                    && step_up(network, mask, current, n)
+            })
+            .min()
+            .expect("a finite BFS distance always has a downhill neighbor");
+        path.push(downhill);
+        current = downhill;
+    }
 }
 
 /// The online fault-aware router: DOR while possible, greedy misroute around
@@ -177,21 +200,7 @@ impl<'a> DetourRouter<'a> {
             if distance[current as usize] == u64::MAX {
                 return RouteOutcome::Unreachable { from, to };
             }
-            while current != to {
-                let downhill = network
-                    .adjacency()
-                    .neighbors(current as usize)
-                    .iter()
-                    .map(|&n| u64::from(n))
-                    .filter(|&n| {
-                        distance[n as usize] == distance[current as usize] - 1
-                            && step_up(network, mask, current, n)
-                    })
-                    .min()
-                    .expect("a finite BFS distance always has a downhill neighbor");
-                path.push(downhill);
-                current = downhill;
-            }
+            walk_downhill(network, mask, &distance, current, &mut path);
         }
 
         let detour_hops = path.len() as u64 - network.hops(from, to);
@@ -250,22 +259,7 @@ impl<'a> TableRouter<'a> {
             return RouteOutcome::Unreachable { from, to };
         }
         let mut path = Vec::with_capacity(distance[from as usize] as usize);
-        let mut current = from;
-        while current != to {
-            let downhill = network
-                .adjacency()
-                .neighbors(current as usize)
-                .iter()
-                .map(|&n| u64::from(n))
-                .filter(|&n| {
-                    distance[n as usize] == distance[current as usize] - 1
-                        && step_up(network, mask, current, n)
-                })
-                .min()
-                .expect("a finite BFS distance always has a downhill neighbor");
-            path.push(downhill);
-            current = downhill;
-        }
+        walk_downhill(network, mask, distance, from, &mut path);
         let detour_hops = path.len() as u64 - network.hops(from, to);
         RouteOutcome::Delivered { path, detour_hops }
     }
@@ -368,8 +362,8 @@ mod tests {
         );
         assert_eq!(table.hops(0, 4), None);
         // Within a component both routers still deliver.
-        assert!(detour.route(0, 3).is_delivered());
-        assert!(table.route(4, 7).is_delivered());
+        assert!(detour.route(0, 3).path().is_some());
+        assert!(table.route(4, 7).path().is_some());
     }
 
     #[test]
@@ -378,15 +372,33 @@ mod tests {
         let mask = FaultPlan::none().fail_node(4).mask_at(net.grid(), 0);
         let detour = DetourRouter::new(&net, &mask);
         let mut table = TableRouter::new(&net, &mask);
-        assert!(!detour.route(4, 0).is_delivered());
-        assert!(!detour.route(0, 4).is_delivered());
-        assert!(!table.route(4, 0).is_delivered());
-        assert!(!table.route(0, 4).is_delivered());
+        for (from, to) in [(4, 0), (0, 4)] {
+            let unreachable = RouteOutcome::Unreachable { from, to };
+            assert_eq!(detour.route(from, to), unreachable);
+            assert_eq!(table.route(from, to), unreachable);
+        }
         // Traffic not involving the dead node routes around it.
         match detour.route(3, 5) {
             RouteOutcome::Delivered { path, .. } => {
                 assert!(!path.contains(&4));
                 assert_walk(&net, &mask, 3, 5, &path);
+            }
+            other => panic!("expected delivery, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_route_that_spends_its_whole_budget_keeps_its_length() {
+        // On the (8, 8)-torus with 20% of links down, the message 26 → 16
+        // (3 pristine hops) misroutes through its whole budget of
+        // 4 × 8 + 8 = 40 hops before the escape walk delivers it, so the
+        // budget sets the route: with one hop less it is 47 hops long.
+        let net = network(true, &[8, 8]);
+        let mask = FaultPlan::random_link_percent(net.grid(), 20, 29).mask_at(net.grid(), 0);
+        match DetourRouter::new(&net, &mask).route(26, 16) {
+            RouteOutcome::Delivered { path, detour_hops } => {
+                assert_walk(&net, &mask, 26, 16, &path);
+                assert_eq!((path.len(), detour_hops), (49, 46));
             }
             other => panic!("expected delivery, got {other:?}"),
         }

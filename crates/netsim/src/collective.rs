@@ -40,25 +40,6 @@ impl RingOrder {
         }
     }
 
-    /// An explicit order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is not a permutation of `0..nodes.len()`.
-    pub fn from_order(nodes: Vec<u64>) -> RingOrder {
-        let n = nodes.len() as u64;
-        let mut seen = vec![false; nodes.len()];
-        for &node in &nodes {
-            assert!(
-                node < n,
-                "ring order references node {node} outside [0, {n})"
-            );
-            assert!(!seen[node as usize], "ring order repeats node {node}");
-            seen[node as usize] = true;
-        }
-        RingOrder { nodes }
-    }
-
     /// The ring order induced by the paper's ring embedding of the host: the
     /// `k`-th ring position is the host node `h_L(k)` (Theorems 24 and 28).
     /// For toruses and even-size meshes of dimension ≥ 2 this is a
@@ -90,11 +71,6 @@ impl RingOrder {
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// The host node at ring position `k`.
-    pub fn node_at(&self, k: usize) -> u64 {
-        self.nodes[k]
     }
 
     /// The maximum host distance between successive ring positions — the
@@ -135,13 +111,8 @@ pub struct CollectiveStats {
 }
 
 impl CollectiveStats {
-    /// The textbook lower bound for the same collective on a unit-dilation
-    /// ring: one cycle per phase.
-    pub fn ideal_cycles(&self) -> u64 {
-        self.phases
-    }
-
-    /// Slowdown relative to the unit-dilation ring.
+    /// Slowdown relative to the unit-dilation ring, whose textbook count is
+    /// one cycle per phase.
     pub fn slowdown(&self) -> f64 {
         if self.phases == 0 {
             1.0
@@ -211,6 +182,7 @@ mod tests {
             let network = Network::new(grid.clone());
             let order = RingOrder::from_paper_embedding(&grid).unwrap();
             assert_eq!(order.len() as u64, grid.size());
+            assert!(!order.is_empty());
             assert_eq!(order.dilation(&network), 1, "{grid}");
         }
     }
@@ -224,7 +196,7 @@ mod tests {
         assert_eq!(stats.phases, 2 * 23);
         assert_eq!(stats.ring_dilation, 1);
         assert_eq!(stats.worst_phase_cycles, 1);
-        assert_eq!(stats.total_cycles, stats.ideal_cycles());
+        assert_eq!(stats.total_cycles, stats.phases);
         assert!((stats.slowdown() - 1.0).abs() < 1e-12);
         assert_eq!(stats.total_hops, 24 * 2 * 23);
     }
@@ -254,20 +226,6 @@ mod tests {
         assert_eq!(rs.phases, 15);
         assert_eq!(ar.phases, 30);
         assert_eq!(2 * rs.total_cycles, ar.total_cycles);
-    }
-
-    #[test]
-    fn explicit_orders_are_validated() {
-        let order = RingOrder::from_order(vec![2, 0, 1, 3]);
-        assert_eq!(order.node_at(0), 2);
-        assert_eq!(order.len(), 4);
-        assert!(!order.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "repeats node")]
-    fn repeated_nodes_are_rejected() {
-        let _ = RingOrder::from_order(vec![0, 1, 1, 3]);
     }
 
     #[test]

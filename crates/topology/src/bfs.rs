@@ -17,16 +17,10 @@ use crate::grid::Grid;
 /// mesh, but kept for generality).
 #[derive(Clone, Debug)]
 pub struct BfsDistances {
-    source: u64,
     distances: Vec<u64>,
 }
 
 impl BfsDistances {
-    /// The source node.
-    pub fn source(&self) -> u64 {
-        self.source
-    }
-
     /// The distance from the source to `node`.
     ///
     /// # Errors
@@ -45,11 +39,6 @@ impl BfsDistances {
     /// All distances, indexed by node.
     pub fn as_slice(&self) -> &[u64] {
         &self.distances
-    }
-
-    /// The eccentricity of the source (maximum distance to any node).
-    pub fn eccentricity(&self) -> u64 {
-        self.distances.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -80,38 +69,7 @@ pub fn bfs(grid: &Grid, source: u64) -> Result<BfsDistances> {
             }
         }
     }
-    Ok(BfsDistances { source, distances })
-}
-
-/// Verifies that the closed-form distance of the grid matches BFS from
-/// `source` for every target node. Returns the first mismatch, if any.
-///
-/// # Errors
-///
-/// Returns an error if `source` is out of range.
-pub fn check_distances_from(grid: &Grid, source: u64) -> Result<Option<(u64, u64, u64)>> {
-    let bfs = bfs(grid, source)?;
-    for target in grid.nodes() {
-        let formula = grid.distance_index(source, target)?;
-        let walked = bfs.distance(target)?;
-        if formula != walked {
-            return Ok(Some((target, formula, walked)));
-        }
-    }
-    Ok(None)
-}
-
-/// The diameter of `grid` measured purely by BFS (O(n·m); for tests only).
-///
-/// # Errors
-///
-/// Propagates node-range errors (none occur for a well-formed grid).
-pub fn bfs_diameter(grid: &Grid) -> Result<u64> {
-    let mut diameter = 0;
-    for source in grid.nodes() {
-        diameter = diameter.max(bfs(grid, source)?.eccentricity());
-    }
-    Ok(diameter)
+    Ok(BfsDistances { distances })
 }
 
 #[cfg(test)]
@@ -136,10 +94,15 @@ mod tests {
             Grid::torus(shape(&[2, 2, 3])),
         ] {
             for source in grid.nodes() {
+                let formula: Vec<u64> = grid
+                    .nodes()
+                    .map(|t| grid.distance_index(source, t).unwrap())
+                    .collect();
+                let walked = bfs(&grid, source).unwrap();
                 assert_eq!(
-                    check_distances_from(&grid, source).unwrap(),
-                    None,
-                    "distance mismatch in {grid} from {source}"
+                    walked.as_slice(),
+                    formula,
+                    "distances in {grid} from {source}"
                 );
             }
         }
@@ -154,11 +117,11 @@ mod tests {
             Grid::mesh(shape(&[2, 5])),
             Grid::hypercube(3).unwrap(),
         ] {
-            assert_eq!(
-                bfs_diameter(&grid).unwrap(),
-                grid.diameter(),
-                "diameter of {grid}"
-            );
+            let walked = grid
+                .nodes()
+                .flat_map(|source| bfs(&grid, source).unwrap().as_slice().to_vec())
+                .max();
+            assert_eq!(walked, Some(grid.diameter()), "diameter of {grid}");
         }
     }
 
@@ -180,7 +143,6 @@ mod tests {
         assert!(bfs(&grid, 4).is_err());
         let d = bfs(&grid, 0).unwrap();
         assert!(d.distance(10).is_err());
-        assert_eq!(d.source(), 0);
-        assert_eq!(d.eccentricity(), 2);
+        assert_eq!(d.as_slice(), &[0, 1, 2, 1]);
     }
 }

@@ -87,11 +87,6 @@ impl CsrAdjacency {
         self.offsets.len() - 1
     }
 
-    /// The number of directed adjacency entries (twice the edge count).
-    pub fn num_entries(&self) -> usize {
-        self.targets.len()
-    }
-
     /// The neighbors of `node` as a slice.
     ///
     /// # Panics
@@ -138,7 +133,6 @@ mod tests {
         ] {
             let csr = CsrAdjacency::build(&grid).unwrap();
             assert_eq!(csr.num_nodes() as u64, grid.size());
-            assert_eq!(csr.num_entries() as u64, 2 * grid.num_edges());
             for x in grid.nodes() {
                 // The same neighbors, in the same order.
                 let expected = grid.neighbors(x).unwrap();
@@ -158,6 +152,6 @@ mod tests {
         let grid = Grid::mesh(shape(&[6, 7]));
         let csr = CsrAdjacency::build(&grid).unwrap();
         let total: usize = (0..csr.num_nodes()).map(|x| csr.degree(x)).sum();
-        assert_eq!(total, csr.num_entries());
+        assert_eq!(total as u64, 2 * grid.num_edges());
     }
 }

@@ -39,10 +39,9 @@ pub enum TopologyError {
         /// The requested size.
         size: u64,
     },
-    /// The dense directed-edge index space `2 · d · n` of a shape does not
-    /// fit in `u64`, so [`crate::Grid::edge_index`]-style arithmetic would
-    /// silently wrap. Returned by the checked constructor/count paths
-    /// instead of wrapping.
+    /// The dense link index space `d · n` of a shape does not fit in `u64`,
+    /// so [`crate::Grid::link_index`] arithmetic would silently wrap.
+    /// Returned by [`crate::Grid::try_link_count`] instead of wrapping.
     EdgeSpaceTooLarge {
         /// The number of nodes `n`.
         nodes: u64,
@@ -71,10 +70,7 @@ impl fmt::Display for TopologyError {
                 write!(f, "a ring or line needs at least 2 nodes, got {size}")
             }
             TopologyError::EdgeSpaceTooLarge { nodes, dim } => {
-                write!(
-                    f,
-                    "directed-edge index space 2 * {dim} * {nodes} overflows u64"
-                )
+                write!(f, "link index space {dim} * {nodes} overflows u64")
             }
         }
     }

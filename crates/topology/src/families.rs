@@ -4,8 +4,7 @@
 //! over *families* of shape pairs rather than single hand-picked instances.
 //! This module turns the factorization enumeration of
 //! [`mixedradix::enumerate`] into graph-level iterators: all shapes of a
-//! size, all grids of a size and kind, and all sizes in a range that admit a
-//! multi-dimensional shape at all.
+//! size, and all grids of a size and kind.
 
 use crate::{GraphKind, Grid, Shape};
 
@@ -33,15 +32,6 @@ pub fn grids_of_size(kind: GraphKind, n: u64, max_dim: usize) -> Vec<Grid> {
     distinct_shapes_of_size(n, max_dim)
         .into_iter()
         .map(|shape| Grid::new(kind, shape))
-        .collect()
-}
-
-/// The sizes in `[lo, hi]` that have at least one shape of dimension `≥ 2`
-/// (i.e. the composite sizes): the sizes worth sweeping when the family under
-/// study needs a genuinely multi-dimensional guest or host.
-pub fn composite_sizes(lo: u64, hi: u64) -> Vec<u64> {
-    (lo.max(4)..=hi)
-        .filter(|&n| (2..n).take_while(|d| d * d <= n).any(|d| n % d == 0))
         .collect()
 }
 
@@ -77,11 +67,5 @@ mod tests {
         assert!(meshes.iter().all(|g| g.is_mesh() && g.size() == 8));
         // {8}, {4,2}, {2,2,2}.
         assert_eq!(toruses.len(), 3);
-    }
-
-    #[test]
-    fn composite_sizes_skip_primes() {
-        assert_eq!(composite_sizes(4, 16), vec![4, 6, 8, 9, 10, 12, 14, 15, 16]);
-        assert!(composite_sizes(13, 13).is_empty());
     }
 }

@@ -79,27 +79,6 @@ impl Grid {
         Grid { kind, shape }
     }
 
-    /// Creates a graph of the given kind and shape, additionally validating
-    /// that the dense directed-edge index space `2 · d · n` fits in `u64` —
-    /// the checked constructor for code that will use [`Grid::edge_index`] /
-    /// [`Grid::link_index`] arithmetic (load vectors, claim tables).
-    ///
-    /// [`Grid::new`] itself stays infallible: a `Grid` is just a labeled
-    /// shape, and only the dense edge-indexing consumers can overflow. Those
-    /// consumers should either construct through here or call
-    /// [`Grid::try_link_count`] / [`Grid::try_directed_edge_count`] before
-    /// sizing buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::EdgeSpaceTooLarge`] when `2 · d · n`
-    /// overflows (e.g. a 32-dimension shape with more than 2⁵⁸ nodes).
-    pub fn new_checked(kind: GraphKind, shape: Shape) -> Result<Grid> {
-        let grid = Grid { kind, shape };
-        grid.try_directed_edge_count()?;
-        Ok(grid)
-    }
-
     /// Creates a ring of `n` nodes (a 1-dimensional torus).
     ///
     /// # Errors
@@ -190,17 +169,6 @@ impl Grid {
     /// Whether the graph is a ring (1-dimensional torus).
     pub fn is_ring(&self) -> bool {
         self.dim() == 1 && self.is_torus()
-    }
-
-    /// Whether the graph is a line (1-dimensional mesh).
-    pub fn is_line(&self) -> bool {
-        self.dim() == 1 && self.is_mesh()
-    }
-
-    /// Whether two graphs are of the same type (both toruses or both meshes),
-    /// treating hypercubes as compatible with either type.
-    pub fn same_type(&self, other: &Grid) -> bool {
-        self.kind == other.kind || self.is_hypercube() || other.is_hypercube()
     }
 
     /// The coordinate list of the node with linear index `x`.
@@ -451,62 +419,9 @@ impl Grid {
         crate::edges::EdgeIter::new(self)
     }
 
-    /// The number of slots in the dense *directed*-edge indexing scheme:
-    /// `2 · d · n`, one slot per (node, dimension, direction) triple.
-    ///
-    /// The scheme is dense over triples, not over existing edges: mesh
-    /// boundary slots and the duplicate backward slots of length-2 torus
-    /// dimensions are simply never produced by a valid route. This lets load
-    /// accounting use a flat `Vec` indexed by [`Grid::edge_index`] instead of
-    /// a hash map keyed on coordinate pairs.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the count fits in `u64`; use
-    /// [`Grid::try_directed_edge_count`] (or construct through
-    /// [`Grid::new_checked`]) when the shape is not already known to be
-    /// small enough.
-    pub fn directed_edge_count(&self) -> u64 {
-        debug_assert!(
-            self.try_directed_edge_count().is_ok(),
-            "directed-edge space overflows u64; use try_directed_edge_count"
-        );
-        2 * self.dim() as u64 * self.size()
-    }
-
-    /// [`Grid::directed_edge_count`] without silent wrapping: `2 · d · n`,
-    /// or [`TopologyError::EdgeSpaceTooLarge`] when that overflows `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::EdgeSpaceTooLarge`] on overflow.
-    pub fn try_directed_edge_count(&self) -> Result<u64> {
-        self.try_link_count()?
-            .checked_mul(2)
-            .ok_or(TopologyError::EdgeSpaceTooLarge {
-                nodes: self.size(),
-                dim: self.dim(),
-            })
-    }
-
-    /// The dense index of the directed edge leaving node `from` along
-    /// dimension `dim` in the forward (`+1`, wrapping on toruses) or backward
-    /// (`−1`) direction: `(from · d + dim) · 2 + (forward ? 0 : 1)`, in
-    /// `[0, directed_edge_count())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` is out of range (node indices are not checked; the
-    /// scheme is a pure arithmetic encoding).
-    #[inline]
-    pub fn edge_index(&self, from: u64, dim: usize, forward: bool) -> u64 {
-        assert!(dim < self.dim(), "dimension {dim} out of range");
-        (from * self.dim() as u64 + dim as u64) * 2 + if forward { 0 } else { 1 }
-    }
-
     /// The number of slots in the dense *undirected*-link indexing scheme:
-    /// `d · n`, one slot per (tail node, dimension) pair — the forward half
-    /// of [`Grid::directed_edge_count`].
+    /// `d · n`, one slot per (tail node, dimension) pair; netsim's engine
+    /// claims a link in one direction as slot `2 × link_index + direction`.
     ///
     /// # Panics
     ///
@@ -578,8 +493,8 @@ mod tests {
 
     #[test]
     fn huge_shapes_are_rejected_by_the_checked_edge_paths() {
-        // (2³²−1)² ≈ 2⁶⁴ nodes fits in u64, but d·n and 2·d·n do not: the
-        // unchecked counts would silently wrap.
+        // (2³²−1)² ≈ 2⁶⁴ nodes fits in u64, but d·n does not: the unchecked
+        // count would silently wrap.
         let huge = shape(&[u32::MAX, u32::MAX]);
         let grid = Grid::torus(huge.clone());
         assert_eq!(
@@ -589,27 +504,13 @@ mod tests {
                 dim: 2,
             })
         );
-        assert!(grid.try_directed_edge_count().is_err());
-        assert!(Grid::new_checked(GraphKind::Torus, huge).is_err());
 
-        // A 2·d·n overflow where d·n still fits: a single-dimension ring of
-        // 2⁶³ + something is impossible (radices are u32), so drive it with
-        // dim 2 where n · 2 fits but · 2 again does not. n = 2⁶²·…; simplest:
-        // (2³¹, 2³¹) has n = 2⁶², d·n = 2⁶³, 2·d·n = 2⁶⁴ → overflow.
-        let edge_only = shape(&[1 << 31, 1 << 31]);
-        let grid = Grid::mesh(edge_only.clone());
+        // (2³¹, 2³¹) has n = 2⁶² and d·n = 2⁶³, which still fits.
+        let grid = Grid::mesh(shape(&[1 << 31, 1 << 31]));
         assert_eq!(grid.try_link_count(), Ok(1u64 << 63));
-        assert_eq!(
-            grid.try_directed_edge_count(),
-            Err(TopologyError::EdgeSpaceTooLarge {
-                nodes: edge_only.size(),
-                dim: 2,
-            })
-        );
 
-        // Ordinary shapes pass through the checked constructor unchanged.
-        let ok = Grid::new_checked(GraphKind::Torus, shape(&[4, 2, 3])).unwrap();
-        assert_eq!(ok.try_directed_edge_count(), Ok(ok.directed_edge_count()));
+        // Ordinary shapes agree with the unchecked count.
+        let ok = Grid::torus(shape(&[4, 2, 3]));
         assert_eq!(ok.try_link_count(), Ok(ok.link_count()));
     }
 
@@ -645,7 +546,6 @@ mod tests {
         assert_eq!(ring.size(), 6);
 
         let line = Grid::line(6).unwrap();
-        assert!(line.is_line());
         assert!(line.is_mesh());
 
         let hc = Grid::hypercube(4).unwrap();
@@ -769,50 +669,31 @@ mod tests {
     }
 
     #[test]
-    fn same_type_treats_hypercubes_as_both() {
-        let t = Grid::torus(shape(&[4, 4]));
-        let m = Grid::mesh(shape(&[4, 4]));
-        let h = Grid::hypercube(4).unwrap();
-        assert!(!t.same_type(&m));
-        assert!(t.same_type(&h));
-        assert!(m.same_type(&h));
-        assert!(t.same_type(&t));
-    }
-
-    #[test]
-    fn edge_indexing_is_dense_and_consistent_with_link_indexing() {
+    fn link_indexing_is_dense() {
         for grid in [
             Grid::torus(shape(&[4, 2, 3])),
             Grid::mesh(shape(&[5, 3])),
             Grid::hypercube(4).unwrap(),
         ] {
             let d = grid.dim();
-            assert_eq!(grid.directed_edge_count(), 2 * grid.link_count());
             assert_eq!(grid.link_count(), d as u64 * grid.size());
             let mut seen = std::collections::HashSet::new();
-            for from in grid.nodes() {
+            for tail in grid.nodes() {
                 for dim in 0..d {
-                    for forward in [true, false] {
-                        let slot = grid.edge_index(from, dim, forward);
-                        assert!(slot < grid.directed_edge_count());
-                        assert!(seen.insert(slot), "duplicate slot {slot}");
-                        // The forward half of the directed scheme *is* the
-                        // undirected link scheme.
-                        if forward {
-                            assert_eq!(slot, 2 * grid.link_index(from, dim));
-                        }
-                    }
+                    let slot = grid.link_index(tail, dim);
+                    assert!(slot < grid.link_count());
+                    assert!(seen.insert(slot), "duplicate slot {slot}");
                 }
             }
-            assert_eq!(seen.len() as u64, grid.directed_edge_count());
+            assert_eq!(seen.len() as u64, grid.link_count());
         }
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn edge_index_rejects_bad_dimension() {
+    fn link_index_rejects_bad_dimension() {
         let grid = Grid::torus(shape(&[3, 3]));
-        let _ = grid.edge_index(0, 2, true);
+        let _ = grid.link_index(0, 2);
     }
 
     #[test]

@@ -92,34 +92,6 @@ where
     partials.into_iter().fold(identity, reduce)
 }
 
-/// Computes the maximum of `f(x)` over `x ∈ 0..total` in parallel.
-pub fn parallel_max<F>(total: u64, threads: usize, f: F) -> u64
-where
-    F: Fn(u64) -> u64 + Sync,
-{
-    parallel_map_reduce(
-        total,
-        threads,
-        0u64,
-        |range| range.map(&f).max().unwrap_or(0),
-        u64::max,
-    )
-}
-
-/// Computes the sum of `f(x)` over `x ∈ 0..total` in parallel.
-pub fn parallel_sum<F>(total: u64, threads: usize, f: F) -> u64
-where
-    F: Fn(u64) -> u64 + Sync,
-{
-    parallel_map_reduce(
-        total,
-        threads,
-        0u64,
-        |range| range.map(&f).sum::<u64>(),
-        |a, b| a + b,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,25 +119,18 @@ mod tests {
     fn parallel_sum_matches_sequential() {
         let f = |x: u64| x * x % 97;
         let sequential: u64 = (0..10_000).map(f).sum();
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(parallel_sum(10_000, threads, f), sequential);
-        }
-    }
-
-    #[test]
-    fn parallel_max_matches_sequential() {
-        let f = |x: u64| (x * 2654435761) % 100_000;
-        let sequential = (0..50_000).map(f).max().unwrap();
-        for threads in [1, 3, 7] {
-            assert_eq!(parallel_max(50_000, threads, f), sequential);
+        for threads in [1, 2, 3, 4, 7, 8] {
+            let parallel =
+                parallel_map_reduce(10_000, threads, 0, |range| range.map(f).sum(), |a, b| a + b);
+            assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
 
     #[test]
     fn empty_ranges_return_identity() {
-        assert_eq!(parallel_sum(0, 4, |_| 1), 0);
-        assert_eq!(parallel_max(0, 4, |_| 1), 0);
         let r = parallel_map_reduce(0, 0, 42u64, |_| 0, |a, b| a + b);
+        assert_eq!(r, 42);
+        let r = parallel_map_reduce(0, 4, 42u64, |_| 0, |a, b| a + b);
         assert_eq!(r, 42);
     }
 
