@@ -91,6 +91,8 @@ const BENCH_TRIALS: u64 = 123;
 const STEPS: u64 = 5_000;
 /// Proposals per makespan walk, and evaluations per makespan body.
 const MAKESPAN_STEPS: u64 = 1_000;
+/// Fresh makespan objectives built and rebuilt per body.
+const FRESH_REBUILDS: u64 = 20;
 /// Loopback clients of the `embd_load` row, and `MAP` queries each sends.
 const MAP_CLIENTS: u64 = 2;
 const MAP_QUERIES: u64 = 500;
@@ -278,8 +280,9 @@ pub const WORKLOADS: &[Workload] = &[
         setup: || walk16(MoveMix::compound(), CongestionObjective::new),
     },
     // BENCH_shards.json: N one-thread shards propose N × STEPS moves toward
-    // one best table, so the rate scales with physical cores; and the
-    // delta-aware makespan objective against full re-simulation.
+    // one best table, so the rate scales with physical cores; the
+    // delta-aware makespan objective against full re-simulation; and a
+    // fresh makespan objective's first rebuild.
     Workload {
         benchmark: "shard_scaling",
         group: "shard_scaling/shards/1",
@@ -334,6 +337,14 @@ pub const WORKLOADS: &[Workload] = &[
         elements: MAKESPAN_STEPS,
         gate: None,
         setup: makespan_swap_pairs,
+    },
+    Workload {
+        benchmark: "shard_scaling",
+        group: "makespan/fresh_rebuild",
+        unit: "rebuilds/s",
+        elements: FRESH_REBUILDS,
+        gate: None,
+        setup: makespan_fresh_rebuilds,
     },
     // BENCH_netsim.json: one round of uniform-random traffic on a pristine
     // torus, then on the same torus with 5% of its links failed, through
@@ -637,6 +648,26 @@ fn makespan_swap_pairs() -> Setup {
             acc += objective.apply_swap(&table, 3, 40).primary;
             table.swap(3, 40);
             acc += objective.apply_swap(&table, 3, 40).primary;
+        }
+        black_box(acc);
+    }))
+}
+
+/// Fresh objectives on perfbench `anneal`'s makespan pair,
+/// `torus:8x8x8 → mesh:16x32`: each clones the network and the workload,
+/// then builds the objective and runs its first `rebuild`, what every
+/// makespan walk's check pays before it prices anything.
+fn makespan_fresh_rebuilds() -> Setup {
+    let (guest, host) = (torus(&[8, 8, 8]), mesh(&[16, 32]));
+    let table = embed(&guest, &host)?.to_table()?;
+    let network = Network::new(host);
+    let traffic = netsim::Workload::from_task_graph(&guest);
+    Ok(Box::new(move || {
+        let mut acc = 0u64;
+        for _ in 0..FRESH_REBUILDS {
+            let mut objective =
+                MakespanObjective::new(network.clone(), traffic.clone(), 1).expect("schedule fits");
+            acc += objective.rebuild(&table).primary;
         }
         black_box(acc);
     }))

@@ -28,7 +28,7 @@ pub use fl::{f_l, f_l_inverse};
 pub use gl::g_l;
 pub use hl::h_l;
 pub use rl::r_l;
-pub use tn::{t_n, t_n_inverse};
+pub use tn::t_n;
 pub use walk::{SnakeStep, SnakeWalk};
 
 use crate::embedding::Embedding;

@@ -22,22 +22,6 @@ pub fn t_n(n: u64, x: u64) -> u64 {
     }
 }
 
-/// Evaluates the inverse `t_n⁻¹(y)`.
-///
-/// # Panics
-///
-/// Panics if `y >= n` or `n == 0`.
-#[inline]
-pub fn t_n_inverse(n: u64, y: u64) -> u64 {
-    assert!(n > 0, "t_n⁻¹ requires n > 0");
-    assert!(y < n, "t_n⁻¹ argument {y} out of range for n = {n}");
-    if y.is_multiple_of(2) {
-        y / 2
-    } else {
-        (2 * n - 1 - y) / 2
-    }
-}
-
 /// The maximum difference `|t_n((x+1) mod n) − t_n(x)|` over all `x` — the
 /// spread of the cyclic sequence `t_n` on the line `[n]`.
 pub fn cyclic_line_spread(n: u64) -> u64 {
@@ -78,6 +62,21 @@ mod tests {
                 assert!(!seen[y as usize], "duplicate image for n={n}");
                 seen[y as usize] = true;
             }
+        }
+    }
+
+    /// Evaluates the inverse `t_n⁻¹(y)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y >= n` or `n == 0`.
+    fn t_n_inverse(n: u64, y: u64) -> u64 {
+        assert!(n > 0, "t_n⁻¹ requires n > 0");
+        assert!(y < n, "t_n⁻¹ argument {y} out of range for n = {n}");
+        if y.is_multiple_of(2) {
+            y / 2
+        } else {
+            (2 * n - 1 - y) / 2
         }
     }
 

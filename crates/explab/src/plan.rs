@@ -818,6 +818,20 @@ impl SweepPlan {
                                 ),
                             });
                         }
+                        // Each tenant is one rotated copy of the placement,
+                        // so a tenant count scales every chaos simulation's
+                        // messages. Past the host's node count the
+                        // rotations only repeat, and no capped family has a
+                        // host larger than `MAX_FAMILY_SIZE` nodes.
+                        if u64::from(k) > MAX_FAMILY_SIZE {
+                            return Err(ExplabError::PlanParse {
+                                line,
+                                message: format!(
+                                    "chaos_tenants entries must be at most \
+                                     {MAX_FAMILY_SIZE}, got {k}"
+                                ),
+                            });
+                        }
                         tenants.push(k);
                     }
                     chaos_tenants = Some(tenants);
@@ -1176,6 +1190,10 @@ mod tests {
                 "max_size",
             ),
             ("family paper\nfamily random count=100000", "count"),
+            (
+                "family paper\nchaos_tenants = 2, 4294967295\nchaos = 5",
+                "chaos_tenants",
+            ),
         ] {
             let err = SweepPlan::parse(plan).unwrap_err();
             assert!(
@@ -1186,7 +1204,8 @@ mod tests {
         }
         let edge = format!(
             "family same_shape max_size={MAX_FAMILY_SIZE} max_dim={MAX_FAMILY_DIM}\n\
-             family random count={MAX_FAMILY_COUNT}"
+             family random count={MAX_FAMILY_COUNT}\n\
+             chaos = 5\nchaos_tenants = {MAX_FAMILY_SIZE}"
         );
         assert!(SweepPlan::parse(&edge).is_ok(), "the caps themselves parse");
         let err = SweepPlan::parse("# only comments").unwrap_err();

@@ -83,8 +83,9 @@ fn a_closed_stdout_ends_lab_quietly_with_the_sigpipe_status() {
 
 #[test]
 fn plan_file_parse_failures_name_the_line_and_exit_one() {
-    // A round count or family bound past its cap would otherwise run
-    // without bound, or build one trial of tens of millions of nodes.
+    // A round count, family bound or tenant count past its cap would
+    // otherwise run without bound, or build one trial of tens of millions
+    // of nodes.
     for (name, contents, line, message) in [
         (
             "bad-seed.plan",
@@ -115,6 +116,12 @@ fn plan_file_parse_failures_name_the_line_and_exit_one() {
             "family random count=1 max_size=100000000\n",
             1,
             "max_size must be an integer of at most 1024",
+        ),
+        (
+            "huge-tenants.plan",
+            "family paper\nchaos = 5\nchaos_tenants = 4294967295\n",
+            3,
+            "chaos_tenants entries must be at most 1024",
         ),
     ] {
         let path = temp_file(name, contents);

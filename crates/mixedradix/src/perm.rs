@@ -74,15 +74,6 @@ impl Permutation {
         &self.map
     }
 
-    /// The inverse permutation.
-    pub fn inverse(&self) -> Permutation {
-        let mut inv = vec![0usize; self.map.len()];
-        for (j, &p) in self.map.iter().enumerate() {
-            inv[p] = j;
-        }
-        Permutation { map: inv }
-    }
-
     /// Composition `self ∘ other`: applying the result is the same as applying
     /// `other` first and then `self`.
     ///
@@ -224,10 +215,19 @@ mod tests {
         assert_eq!(p.apply_digits(&d).unwrap().as_slice(), &[7, 5, 6]);
     }
 
+    /// The inverse permutation.
+    fn inverse(p: &Permutation) -> Permutation {
+        let mut inv = vec![0usize; p.map.len()];
+        for (j, &image) in p.map.iter().enumerate() {
+            inv[image] = j;
+        }
+        Permutation { map: inv }
+    }
+
     #[test]
     fn inverse_round_trips() {
         let p = Permutation::new(vec![2, 0, 3, 1]).unwrap();
-        let inv = p.inverse();
+        let inv = inverse(&p);
         let x = vec![1, 2, 3, 4];
         let y = p.apply_slice(&x).unwrap();
         assert_eq!(inv.apply_slice(&y).unwrap(), x);

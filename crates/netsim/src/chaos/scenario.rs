@@ -70,7 +70,7 @@ pub fn simulate_chaos(
 
     let grid = network.grid();
     // One route per delivered message, in injection order.
-    let mut routes: Vec<Vec<u32>> = Vec::new();
+    let mut routes = engine::RouteTable::default();
     let mut dropped = 0u64;
     let mut detour_hops = 0u64;
 
@@ -100,9 +100,7 @@ pub fn simulate_chaos(
                         path,
                         detour_hops: d,
                     } => {
-                        let mut route = Vec::with_capacity(path.len());
-                        engine::push_path_route(grid, src, &path, &mut route);
-                        routes.push(route);
+                        routes.push(|slots| engine::push_path_route(grid, src, &path, slots));
                         detour_hops += d;
                     }
                     RouteOutcome::Unreachable { .. } => dropped += 1,
@@ -120,9 +118,9 @@ pub fn simulate_chaos(
         messages: delivered + dropped,
         delivered,
         dropped,
-        total_hops: routes.iter().map(|route| route.len() as u64).sum(),
+        total_hops: routes.stored() as u64,
         max_hops: routes
-            .iter()
+            .routes()
             .map(|route| route.len() as u64)
             .max()
             .unwrap_or(0),

@@ -133,15 +133,6 @@ pub fn simulate_ring_allreduce(network: &Network, order: &RingOrder) -> Collecti
     simulate_ring_collective(network, order, 2 * (network.size().saturating_sub(1)))
 }
 
-/// Simulates a ring reduce-scatter: `n − 1` neighbor-shift phases.
-///
-/// # Panics
-///
-/// Panics if the ring order's length differs from the network size.
-pub fn simulate_ring_reduce_scatter(network: &Network, order: &RingOrder) -> CollectiveStats {
-    simulate_ring_collective(network, order, network.size().saturating_sub(1))
-}
-
 fn simulate_ring_collective(network: &Network, order: &RingOrder, phases: u64) -> CollectiveStats {
     assert_eq!(
         order.len() as u64,
@@ -214,6 +205,11 @@ mod tests {
         assert!(bad.total_cycles > good.total_cycles);
         assert!(bad.total_hops > good.total_hops);
         assert!(bad.slowdown() > 1.0);
+    }
+
+    /// Simulates a ring reduce-scatter: `n − 1` neighbor-shift phases.
+    fn simulate_ring_reduce_scatter(network: &Network, order: &RingOrder) -> CollectiveStats {
+        simulate_ring_collective(network, order, network.size().saturating_sub(1))
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! [`DorRoutes`] expands a dimension-ordered route straight into slots,
 //! reading both endpoints from the network's per-node digit table;
 //! [`push_path_route`] maps a fault-aware router's node path to the same
-//! slots.
+//! slots. Every caller keeps its routes in one [`RouteTable`]: one flat
+//! list of slots, each route a span of it, so a run of any size costs a
+//! handful of allocations, not one per message.
 //!
 //! The rule: every message injects at cycle 1, each directed link carries
 //! one message per cycle, the message queued first wins a contested link,
@@ -121,6 +123,119 @@ pub(crate) fn slots(grid: &Grid) -> usize {
     usize::try_from(2 * grid.link_count()).expect("directed link slots fit in memory")
 }
 
+/// Where a route's slots sit in a [`RouteTable`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The route's hop count.
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// Routes as spans of one flat list of directed claim slots: route `r` is
+/// the span `spans[r]` of `slots`. Slots are only ever appended, so a
+/// table holding any number of routes grows like one `Vec`. A caller that
+/// re-routes appends the new route and points the route at it, which
+/// leaves the old span dead: an undo points the route back and truncates
+/// the slots to their length before the move, and [`RouteTable::compact`]
+/// drops the dead spans.
+#[derive(Debug, Default)]
+pub(crate) struct RouteTable {
+    slots: Vec<u32>,
+    spans: Vec<Span>,
+}
+
+impl RouteTable {
+    /// An empty table with room for the spans of `routes` routes.
+    pub(crate) fn with_routes(routes: usize) -> Self {
+        RouteTable {
+            slots: Vec::new(),
+            spans: Vec::with_capacity(routes),
+        }
+    }
+
+    /// Drops every route, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.spans.clear();
+    }
+
+    /// Appends the slots `fill` pushes and returns their span, which no
+    /// route points at yet.
+    pub(crate) fn append(&mut self, fill: impl FnOnce(&mut Vec<u32>)) -> Span {
+        let start = self.slots.len();
+        fill(&mut self.slots);
+        let fits = |n: usize| u32::try_from(n).expect("route hops fit in u32");
+        Span {
+            start: fits(start),
+            len: fits(self.slots.len() - start),
+        }
+    }
+
+    /// Appends the slots `fill` pushes as the next route.
+    pub(crate) fn push(&mut self, fill: impl FnOnce(&mut Vec<u32>)) {
+        let span = self.append(fill);
+        self.spans.push(span);
+    }
+
+    /// Points route `r` at `span` and returns the span it pointed at.
+    pub(crate) fn replace(&mut self, r: usize, span: Span) -> Span {
+        std::mem::replace(&mut self.spans[r], span)
+    }
+
+    /// The number of routes.
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// The slots of route `r`.
+    pub(crate) fn route(&self, r: usize) -> &[u32] {
+        self.at(self.spans[r])
+    }
+
+    /// The slots `span` covers.
+    pub(crate) fn at(&self, span: Span) -> &[u32] {
+        &self.slots[span.range()]
+    }
+
+    /// Every route's slots, in route order.
+    pub(crate) fn routes(&self) -> impl Iterator<Item = &[u32]> {
+        self.spans.iter().map(|&span| self.at(span))
+    }
+
+    /// The slots stored, live and dead.
+    pub(crate) fn stored(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Drops every slot appended since the table stored `stored`; no route
+    /// may point past it.
+    pub(crate) fn truncate(&mut self, stored: usize) {
+        self.slots.truncate(stored);
+    }
+
+    /// Lays the routes out again, back to back in route order, dropping
+    /// every dead span.
+    pub(crate) fn compact(&mut self) {
+        let mut slots = Vec::with_capacity(self.slots.capacity());
+        for span in &mut self.spans {
+            let start = slots.len();
+            slots.extend_from_slice(&self.slots[span.range()]);
+            span.start = u32::try_from(start).expect("route hops fit in u32");
+        }
+        self.slots = slots;
+    }
+}
+
 /// One bitset of cycles per directed slot: bit `c` of a slot's row is set
 /// when a message holds the slot in cycle `c` (cycle 0 is never claimed).
 /// Rows are `width` words, slot-major, and all widen together when a claim
@@ -151,21 +266,30 @@ impl CycleSets {
         &mut self.bits[slot * self.width..][..self.width]
     }
 
-    /// Widens every row to at least `width` words, keeping its bits.
+    /// Empties every row and sets the width to `width` words, keeping the
+    /// allocation.
+    pub(crate) fn reset(&mut self, slots: usize, width: usize) {
+        self.width = width;
+        self.bits.clear();
+        self.bits.resize(slots * width, 0);
+    }
+
+    /// Widens every row to at least `width` words, keeping its bits. Rows
+    /// move in place, last first, so no row overwrites one not yet moved.
     pub(crate) fn widen(&mut self, width: usize) {
-        if width <= self.width {
+        let narrow = self.width;
+        if width <= narrow {
             return;
         }
-        let slots = self.bits.len() / self.width;
-        let mut bits = vec![0; slots * width];
-        for (wide, narrow) in bits
-            .chunks_exact_mut(width)
-            .zip(self.bits.chunks_exact(self.width))
-        {
-            wide[..narrow.len()].copy_from_slice(narrow);
+        let slots = self.bits.len() / narrow;
+        self.bits.resize(slots * width, 0);
+        for slot in (0..slots).rev() {
+            let row = slot * width;
+            self.bits
+                .copy_within(slot * narrow..(slot + 1) * narrow, row);
+            self.bits[row + narrow..row + width].fill(0);
         }
         self.width = width;
-        self.bits = bits;
     }
 
     /// The width a claim from cycle `from` may need: double the current
@@ -234,11 +358,11 @@ impl CycleSets {
 /// route of `routes` on a network over `grid` — the makespan both
 /// simulators report. Messages queue round-major, route-minor; an empty
 /// route delivers at cycle 0 and claims nothing.
-pub(crate) fn cycles_to_deliver(grid: &Grid, routes: &[Vec<u32>], rounds: usize) -> u64 {
+pub(crate) fn cycles_to_deliver(grid: &Grid, routes: &RouteTable, rounds: usize) -> u64 {
     let mut sets = CycleSets::new(slots(grid));
     let mut makespan = 0;
     for _ in 0..rounds {
-        for route in routes {
+        for route in routes.routes() {
             makespan = makespan.max(sets.walk(route, |_, _| {}));
         }
     }
@@ -294,6 +418,16 @@ pub(crate) enum Replay {
 /// Dropping a replay costs nothing; [`Schedule::commit`] rewrites the
 /// walked messages' claims.
 ///
+/// The claims form one table over slots, in compressed sparse rows: slot
+/// `s` holds its claims in `claims[claim_at[s]..]`, `claim_len[s]` of them,
+/// with room up to `claim_at[s + 1]`. Only replays and commits read it, so
+/// `rebuild` leaves it stale and the first replay after it fills it from
+/// the logs: it counts each slot's claims and lays the rows out back to
+/// back, with no room. A schedule that is never replayed, such as a fresh
+/// objective's check of a walk's result, never touches it. A commit that
+/// outgrows a row lays every row out again, with room. Every buffer, the
+/// two cycle bitsets included, keeps its allocation across rebuilds.
+///
 /// State: the two cycle bitsets (`slots × width` words each) and one entry
 /// per committed claim, per walked hop, per route hop and per queue
 /// position — within `O(rounds × total hops + slots × makespan / 64)`
@@ -302,8 +436,13 @@ pub(crate) struct Schedule {
     /// The bits of every committed claim.
     committed: CycleSets,
     /// Each slot's committed claims, `(queue position, cycle)`, in queue
-    /// order.
-    claims: Vec<Vec<(u32, u32)>>,
+    /// order, as rows of one table.
+    claims: Vec<(u32, u32)>,
+    claim_at: Vec<u32>,
+    claim_len: Vec<u32>,
+    /// Whether the claim table holds the committed claims: `rebuild`
+    /// leaves it stale, and the first replay after it fills it.
+    claimed: bool,
     /// The committed route of queue index `q` is
     /// `route_log[route_start[q]..route_start[q + 1]]`.
     route_log: Vec<u32>,
@@ -342,7 +481,10 @@ impl Schedule {
     pub(crate) fn new(slots: usize, queue: usize) -> Self {
         Schedule {
             committed: CycleSets::new(slots),
-            claims: vec![Vec::new(); slots],
+            claims: Vec::new(),
+            claim_at: vec![0; slots + 1],
+            claim_len: vec![0; slots],
+            claimed: false,
             route_log: Vec::new(),
             route_start: vec![0],
             cycle_log: Vec::new(),
@@ -362,40 +504,142 @@ impl Schedule {
     }
 
     /// Commits the walk of every message: `rounds` rounds of the routes
-    /// `queued` picks from `routes`, in queue order, on empty rows.
-    pub(crate) fn rebuild(&mut self, routes: &[Vec<u32>], queued: &[u32], rounds: usize) {
-        let slots = self.claims.len();
-        self.committed = CycleSets::new(slots);
-        for claims in &mut self.claims {
-            claims.clear();
-        }
+    /// `queued` picks from `routes`, in queue order, on empty rows. The
+    /// claim table stays stale until the next replay fills it.
+    pub(crate) fn rebuild(&mut self, routes: &RouteTable, queued: &[u32], rounds: usize) {
+        let slots = self.claim_len.len();
+        let rounds = if queued.is_empty() { 0 } else { rounds };
         self.route_log.clear();
+        self.route_log.reserve(routes.stored());
         self.route_start.truncate(1);
+        self.route_start.reserve(queued.len());
         for &route in queued {
-            self.route_log.extend_from_slice(&routes[route as usize]);
+            self.route_log
+                .extend_from_slice(routes.route(route as usize));
             let end = u32::try_from(self.route_log.len()).expect("route hops fit in u32");
             self.route_start.push(end);
         }
+        self.claimed = false;
         let messages = queued.len() * rounds;
         self.cycle_log.clear();
+        self.cycle_log.reserve(self.route_log.len() * rounds);
         self.delivery.clear();
+        self.delivery.reserve(messages);
         self.reach.truncate(1);
+        self.reach.reserve(messages);
         self.pending.resize(messages.div_ceil(64), 0);
-        let routes = queued.iter().map(|&route| &routes[route as usize]).cycle();
-        for (position, route) in (0u32..).zip(routes.take(messages)) {
-            let (claims, cycle_log) = (&mut self.claims, &mut self.cycle_log);
-            let delivered = self.committed.walk(route, |slot, cycle| {
-                let cycle = u32::try_from(cycle).expect("makespans fit in u32");
-                claims[slot as usize].push((position, cycle));
-                cycle_log.push(cycle);
-            });
-            let delivered = u32::try_from(delivered).expect("makespans fit in u32");
-            self.delivery.push(delivered);
-            let reach = *self.reach.last().expect("one entry at least");
-            self.reach.push(reach.max(delivered));
+        self.committed.reset(slots, 1);
+        let Schedule {
+            committed,
+            route_log,
+            route_start,
+            cycle_log,
+            delivery,
+            reach,
+            ..
+        } = self;
+        for _ in 0..rounds {
+            for ends in route_start.windows(2) {
+                let route = &route_log[ends[0] as usize..ends[1] as usize];
+                let delivered = committed.walk(route, |_, cycle| {
+                    cycle_log.push(u32::try_from(cycle).expect("makespans fit in u32"));
+                });
+                let delivered = u32::try_from(delivered).expect("makespans fit in u32");
+                delivery.push(delivered);
+                let latest = *reach.last().expect("one entry at least");
+                reach.push(latest.max(delivered));
+            }
         }
-        self.work = CycleSets::new(slots);
-        self.work.widen(self.committed.width);
+        self.work.reset(slots, self.committed.width);
+    }
+
+    /// Fills the claim table from the committed logs: counts each slot's
+    /// claims, lays the rows out back to back with no room to spare, and
+    /// writes every position's claims in queue order.
+    fn claim_all(&mut self) {
+        let slots = self.claim_len.len();
+        let queue = self.route_start.len() - 1;
+        let messages = self.delivery.len();
+        let rounds = messages.checked_div(queue).unwrap_or(0);
+        // Every round claims each slot once per queued hop across it.
+        self.claim_len.fill(0);
+        for &slot in &self.route_log {
+            self.claim_len[slot as usize] += 1;
+        }
+        let mut at = 0u32;
+        for (start, len) in self.claim_at.iter_mut().zip(&mut self.claim_len) {
+            *start = at;
+            at = (*len as usize * rounds)
+                .try_into()
+                .ok()
+                .and_then(|claims| at.checked_add(claims))
+                .expect("claims fit in u32");
+            *len = 0;
+        }
+        self.claim_at[slots] = at;
+        self.claims.clear();
+        self.claims.resize(at as usize, (0, 0));
+        // `cycle_log` holds the positions' cycles back to back, in queue
+        // order.
+        let mut cycles = self.cycle_log.iter();
+        for position in 0..messages {
+            let claimant = u32::try_from(position).expect("positions fit in u32");
+            let q = position % queue;
+            let route = self.route_start[q] as usize..self.route_start[q + 1] as usize;
+            for (&slot, &cycle) in self.route_log[route].iter().zip(&mut cycles) {
+                let slot = slot as usize;
+                let at = (self.claim_at[slot] + self.claim_len[slot]) as usize;
+                self.claims[at] = (claimant, cycle);
+                self.claim_len[slot] += 1;
+            }
+        }
+        self.claimed = true;
+    }
+
+    /// Removes the committed claim of position `position` from `slot`.
+    fn unclaim(&mut self, slot: usize, position: u32) {
+        let row = &mut self.claims[self.claim_at[slot] as usize..][..self.claim_len[slot] as usize];
+        let at = row.partition_point(|&(claimant, _)| claimant < position);
+        row.copy_within(at + 1.., at);
+        self.claim_len[slot] -= 1;
+    }
+
+    /// Adds the claim of position `position` on `slot` in cycle `cycle`,
+    /// laying the rows out again first when the slot's row is full.
+    fn claim(&mut self, slot: usize, position: u32, cycle: u32) {
+        if self.claim_at[slot] + self.claim_len[slot] == self.claim_at[slot + 1] {
+            self.make_room();
+        }
+        let len = self.claim_len[slot] as usize;
+        let row = &mut self.claims[self.claim_at[slot] as usize..][..len + 1];
+        let at = row[..len].partition_point(|&(claimant, _)| claimant <= position);
+        row.copy_within(at..len, at + 1);
+        row[at] = (position, cycle);
+        self.claim_len[slot] += 1;
+    }
+
+    /// Lays every row out again, in slot order with its claims, each with
+    /// room for at least as many again and two more. No row's room
+    /// shrinks, so every row moves toward the end, and the rows move last
+    /// first, in place: none overwrites a row not yet moved.
+    fn make_room(&mut self) {
+        let slots = self.claim_len.len();
+        let room = |len: u32, old: u32| (2 * len as usize + 2).max(old as usize);
+        let at = &self.claim_at;
+        let total = (0..slots)
+            .map(|slot| room(self.claim_len[slot], at[slot + 1] - at[slot]))
+            .sum();
+        self.claims.resize(total, (0, 0));
+        let (mut end, mut old_end) = (total, self.claim_at[slots]);
+        for slot in (0..slots).rev() {
+            let (old_start, len) = (self.claim_at[slot], self.claim_len[slot]);
+            let start = end - room(len, old_end - old_start);
+            let old = old_start as usize..(old_start + len) as usize;
+            self.claims.copy_within(old, start);
+            self.claim_at[slot + 1] = u32::try_from(end).expect("claims fit in u32");
+            (end, old_end) = (start, old_start);
+        }
+        self.claim_at[0] = 0;
     }
 
     /// Replays positions `k..` over `routes`, queued as `queued` round
@@ -406,12 +650,15 @@ impl Schedule {
     /// can beat.
     pub(crate) fn replay(
         &mut self,
-        routes: &[Vec<u32>],
+        routes: &RouteTable,
         queued: &[u32],
         k: usize,
         moved: impl IntoIterator<Item = usize>,
         accepts: Option<&dyn Fn(u64) -> bool>,
     ) -> Replay {
+        if !self.claimed {
+            self.claim_all();
+        }
         self.replay += 1;
         self.pending.fill(0);
         self.walked.clear();
@@ -492,8 +739,9 @@ impl Schedule {
     /// committed route crosses it is walked.
     fn soil(&mut self, slot: usize, position: usize) {
         self.dirty[slot] = self.replay;
-        for index in (0..self.claims[slot].len()).rev() {
-            let claimant = self.claims[slot][index].0 as usize;
+        let start = self.claim_at[slot] as usize;
+        for index in (start..start + self.claim_len[slot] as usize).rev() {
+            let claimant = self.claims[index].0 as usize;
             if claimant < position {
                 break;
             }
@@ -508,7 +756,8 @@ impl Schedule {
     fn open(&mut self, slot: usize, cut: usize) {
         let row = self.work.row_mut(slot);
         row.copy_from_slice(self.committed.row(slot));
-        for &(claimant, cycle) in self.claims[slot].iter().rev() {
+        let claims = &self.claims[self.claim_at[slot] as usize..][..self.claim_len[slot] as usize];
+        for &(claimant, cycle) in claims.iter().rev() {
             if (claimant as usize) < cut {
                 break;
             }
@@ -519,7 +768,7 @@ impl Schedule {
     /// Walks the message at `position` over the replay's rows, recording
     /// its cycles and soiling every slot where it leaves its committed
     /// claim, and returns its delivery.
-    fn walk(&mut self, routes: &[Vec<u32>], queued: &[u32], position: usize) -> u64 {
+    fn walk(&mut self, routes: &RouteTable, queued: &[u32], position: usize) -> u64 {
         #[cfg(test)]
         {
             self.replayed += 1;
@@ -527,7 +776,7 @@ impl Schedule {
         let queue = queued.len();
         let q = position % queue;
         let moved = self.moved[q] == self.replay;
-        let route = &routes[queued[q] as usize];
+        let route = routes.route(queued[q] as usize);
         let (old_route, old_cycles) = self.logged(position, queue);
         if moved {
             // The message's committed claims vanish from its old slots,
@@ -564,7 +813,7 @@ impl Schedule {
     /// Makes the last replay, which must have been exact, the committed
     /// schedule: rewrites the claims of the walked positions, the logs from
     /// position `k` on, and the deliveries and `reach` from `k` on.
-    pub(crate) fn commit(&mut self, routes: &[Vec<u32>], queued: &[u32], k: usize) {
+    pub(crate) fn commit(&mut self, routes: &RouteTable, queued: &[u32], k: usize) {
         let messages = self.delivery.len();
         if k == messages {
             return;
@@ -581,25 +830,25 @@ impl Schedule {
         self.walked = walked;
         // Every walked claim leaves before any enters: two walked messages
         // may trade cycles on a slot.
-        for &(position, _) in &self.walked {
+        for index in 0..self.walked.len() {
+            let position = self.walked[index].0;
             let (route, cycles) = self.logged(position as usize, queue);
-            for (&slot, &cycle) in self.route_log[route].iter().zip(&self.cycle_log[cycles]) {
-                let claims = &mut self.claims[slot as usize];
-                let at = claims.partition_point(|&(claimant, _)| claimant < position);
-                claims.remove(at);
-                self.committed.unset(slot as usize, u64::from(cycle));
+            for (hop, at) in route.zip(cycles) {
+                let (slot, cycle) = (self.route_log[hop] as usize, self.cycle_log[at]);
+                self.unclaim(slot, position);
+                self.committed.unset(slot, u64::from(cycle));
             }
         }
-        for &(position, start) in &self.walked {
-            let route = &routes[queued[position as usize % queue] as usize];
-            let cycles = &self.cycles[start as usize..][..route.len()];
-            for (&slot, &cycle) in route.iter().zip(cycles) {
-                let claims = &mut self.claims[slot as usize];
-                let at = claims.partition_point(|&(claimant, _)| claimant <= position);
-                claims.insert(at, (position, cycle));
+        for index in 0..self.walked.len() {
+            let (position, start) = self.walked[index];
+            let route = routes.route(queued[position as usize % queue] as usize);
+            let cycles = start as usize..start as usize + route.len();
+            self.delivery[position as usize] = self.cycles[cycles.clone()].last().map_or(0, |&c| c);
+            for (&slot, at) in route.iter().zip(cycles) {
+                let cycle = self.cycles[at];
+                self.claim(slot as usize, position, cycle);
                 self.committed.set(slot as usize, u64::from(cycle));
             }
-            self.delivery[position as usize] = cycles.last().copied().unwrap_or(0);
         }
         // The logs from `k` on, merging the walked positions' new cycles
         // into the kept ones; re-routed queue indices change their length.
@@ -608,7 +857,7 @@ impl Schedule {
         for position in k..messages {
             match walked.next_if(|&&(walked, _)| walked as usize == position) {
                 Some(&(_, start)) => {
-                    let length = routes[queued[position % queue] as usize].len();
+                    let length = routes.route(queued[position % queue] as usize).len();
                     self.tail
                         .extend_from_slice(&self.cycles[start as usize..][..length]);
                 }
@@ -623,7 +872,8 @@ impl Schedule {
         self.route_log.truncate(self.route_start[k] as usize);
         self.route_start.truncate(k + 1);
         for &route in &queued[k..] {
-            self.route_log.extend_from_slice(&routes[route as usize]);
+            self.route_log
+                .extend_from_slice(routes.route(route as usize));
             let end = u32::try_from(self.route_log.len()).expect("route hops fit in u32");
             self.route_start.push(end);
         }
@@ -639,8 +889,13 @@ impl Schedule {
 
     /// The committed schedule, for comparison with another's.
     #[cfg(test)]
-    pub(crate) fn snapshot(&self) -> Snapshot {
-        let bits = (0..self.claims.len())
+    pub(crate) fn snapshot(&mut self) -> Snapshot {
+        if !self.claimed {
+            self.claim_all();
+        }
+        let slots = 0..self.claim_len.len();
+        let bits = slots
+            .clone()
             .map(|slot| {
                 let row = self.committed.row(slot);
                 (0..row.len() as u64 * 64)
@@ -649,7 +904,12 @@ impl Schedule {
             })
             .collect();
         Snapshot {
-            claims: self.claims.clone(),
+            claims: slots
+                .map(|slot| {
+                    self.claims[self.claim_at[slot] as usize..][..self.claim_len[slot] as usize]
+                        .to_vec()
+                })
+                .collect(),
             logs: vec![
                 self.route_log.clone(),
                 self.route_start.clone(),

@@ -17,7 +17,7 @@
 //! * [`optimize`] — a simulated-makespan [`embeddings::optim::Objective`],
 //!   so the local-search optimizer can refine placements against the
 //!   simulator itself;
-//! * [`collective`] — ring reduce-scatter / allreduce schedules built on the
+//! * [`collective`] — ring allreduce schedules built on the
 //!   paper's Hamiltonian-circuit embeddings (Corollaries 25 and 29);
 //! * [`chaos`] — fault injection ([`chaos::FaultPlan`] overlays), degraded
 //!   routing with typed [`chaos::RouteOutcome`]s, and the faulted simulator
@@ -58,9 +58,7 @@ pub mod traffic;
 pub use chaos::{
     simulate_chaos, ChaosRouting, DetourRouter, FaultMask, FaultPlan, RouteOutcome, TableRouter,
 };
-pub use collective::{
-    simulate_ring_allreduce, simulate_ring_reduce_scatter, CollectiveStats, RingOrder,
-};
+pub use collective::{simulate_ring_allreduce, CollectiveStats, RingOrder};
 pub use network::Network;
 pub use optimize::{MakespanError, MakespanObjective};
 pub use sim::{simulate, simulate_embedding, Placement, PlacementError, SimStats};
@@ -71,9 +69,7 @@ pub mod prelude {
     pub use crate::chaos::{
         simulate_chaos, ChaosRouting, DetourRouter, FaultMask, FaultPlan, RouteOutcome, TableRouter,
     };
-    pub use crate::collective::{
-        simulate_ring_allreduce, simulate_ring_reduce_scatter, CollectiveStats, RingOrder,
-    };
+    pub use crate::collective::{simulate_ring_allreduce, CollectiveStats, RingOrder};
     pub use crate::network::Network;
     pub use crate::optimize::{MakespanError, MakespanObjective};
     pub use crate::patterns;

@@ -11,7 +11,8 @@
 //!
 //! * **routes** are cached per workload pair as lists of the directed link
 //!   slots they claim hop by hop (`2 × canonical link slot + direction
-//!   bit`; the engine never needs the nodes a route visits). A swap of the
+//!   bit`; the engine never needs the nodes a route visits), each a span of
+//!   one flat route table that `rebuild` fills in pair order. A swap of the
 //!   images of tasks `a` and `b` re-routes *only the message pairs whose
 //!   source or destination is one of the two moved tasks* (every simulated
 //!   round injects the same pairs, so those pairs cover every touched
@@ -32,13 +33,16 @@
 //!   simulator's, so every exact price is the simulator's by construction.
 //!   A swap that touches no workload pair (possible when the optimizer's
 //!   guest has more nodes than the workload has tasks) replays nothing;
-//! * **undo** costs neither half. A move puts the routes it replaces in a
-//!   saved list and builds the new ones in spare buffers; its replay
-//!   writes only scratch. An immediate repeat of the same call — the
-//!   optimizer's rejection path — swaps the routes, the hop total and the
-//!   cost back and drops the scratch. Any other call makes the move final:
-//!   the committed schedule takes the walked messages' claims. `rebuild`
-//!   drops the saved state and walks every message;
+//! * **undo** costs neither half. A move appends its new routes to the
+//!   route table and saves the spans they replace; its replay writes only
+//!   scratch. An immediate repeat of the same call — the optimizer's
+//!   rejection path — points the pairs back at their saved spans, truncates
+//!   the table to its length before the move, restores the hop total and
+//!   the cost, and drops the scratch. Any other call makes the move final:
+//!   the committed schedule takes the walked messages' claims, and the
+//!   replaced spans stay in the table, dead, until the dead slots outnumber
+//!   the live ones and the table is compacted. `rebuild` drops the saved
+//!   state and walks every message;
 //! * **bounds come before and during the replay** when the annealer passes
 //!   its acceptance test through [`Objective::apply_bounded`]. The objective
 //!   keeps a count of the cached routes through each directed slot. Once a
@@ -64,7 +68,7 @@
 
 use embeddings::optim::{Cost, Objective};
 
-use crate::engine::{self, DorRoutes, Replay, Schedule};
+use crate::engine::{self, DorRoutes, Replay, RouteTable, Schedule, Span};
 use crate::network::Network;
 use crate::traffic::Workload;
 
@@ -108,9 +112,8 @@ pub struct MakespanObjective {
     workload: Workload,
     rounds: usize,
     /// Cached route of each workload pair under the current table, as the
-    /// directed claim slots of its hops (buffers are recycled through
-    /// `spare`, keeping their capacity).
-    routes: Vec<Vec<u32>>,
+    /// directed claim slots of its hops: route `pair` of the table.
+    routes: RouteTable,
     /// The pairs with a non-empty route, ascending: the queue of one round.
     /// A route is empty exactly when its pair is a self-send, which no
     /// injective table changes, so `rebuild` fixes it.
@@ -141,8 +144,6 @@ pub struct MakespanObjective {
     /// What the last move replaced, kept until the next call shows whether
     /// that call is the move's undo.
     saved: Saved,
-    /// Slot buffers of discarded routes, reused for new routes.
-    spare: Vec<Vec<u32>>,
 }
 
 /// The state a [`MakespanObjective`] move replaced, enough to undo the
@@ -157,8 +158,10 @@ struct Saved {
     start: usize,
     /// The move's transpositions, as the call passed them.
     swaps: Vec<(u64, u64)>,
-    /// The routes the move replaced, by pair index.
-    routes: Vec<(u32, Vec<u32>)>,
+    /// The spans of the routes the move replaced, by pair index.
+    routes: Vec<(u32, Span)>,
+    /// The route table's length before the move appended its routes.
+    stored: usize,
     route_hops: u64,
     cost: Cost,
 }
@@ -206,8 +209,8 @@ impl MakespanObjective {
             network,
             workload,
             rounds,
-            routes: vec![Vec::new(); pairs],
-            queued: Vec::new(),
+            routes: RouteTable::with_routes(pairs),
+            queued: Vec::with_capacity(pairs),
             queue_index: vec![u32::MAX; pairs],
             task_offsets,
             task_pairs,
@@ -229,39 +232,39 @@ impl MakespanObjective {
                 start: 0,
                 swaps: Vec::new(),
                 routes: Vec::new(),
+                stored: 0,
                 route_hops: 0,
                 cost: Cost {
                     primary: 0,
                     secondary: 0,
                 },
             },
-            spare: Vec::new(),
         })
     }
 
-    /// Fills `route` with the directed claim slots of the hops of pair
-    /// `pair` under `table`, so the engine needs no coordinate math.
-    fn expand_route(&mut self, pair: usize, table: &[u64], route: &mut Vec<u32>) {
+    /// Appends the directed claim slots of the hops of pair `pair` under
+    /// `table` to the route table, so the engine needs no coordinate math,
+    /// and returns their span.
+    fn expand_route(&mut self, pair: usize, table: &[u64]) -> Span {
         let (src_task, dst_task) = self.workload.pairs()[pair];
-        route.clear();
-        self.dor.push(
-            &self.network,
-            table[src_task as usize],
-            table[dst_task as usize],
-            route,
-        );
+        let (from, to) = (table[src_task as usize], table[dst_task as usize]);
+        let (network, dor) = (&self.network, &mut self.dor);
+        self.routes
+            .append(|slots| dor.push(network, from, to, slots))
     }
 
-    /// Replaces the cached route of pair `pair` with its route under
-    /// `table`, built in a spare buffer, and keeps `route_hops` and
-    /// `slot_count` in sync. The replaced route goes to the saved state.
+    /// Points the cached route of pair `pair` at its route under `table`,
+    /// appended to the route table, and keeps `route_hops` and `slot_count`
+    /// in sync. The replaced span goes to the saved state.
     fn route_pair(&mut self, pair: u32, table: &[u64]) {
-        let mut route = self.spare.pop().unwrap_or_default();
-        self.expand_route(pair as usize, table, &mut route);
-        let old = std::mem::replace(&mut self.routes[pair as usize], route);
-        let new = &self.routes[pair as usize];
+        let new = self.expand_route(pair as usize, table);
+        let old = self.routes.replace(pair as usize, new);
         self.route_hops = self.route_hops - old.len() as u64 + new.len() as u64;
-        recount(&mut self.slot_count, &old, new);
+        recount(
+            &mut self.slot_count,
+            self.routes.at(old),
+            self.routes.at(new),
+        );
         self.saved.routes.push((pair, old));
     }
 
@@ -275,7 +278,7 @@ impl MakespanObjective {
         let mut longest = 0;
         let mut heaviest = 0;
         for &pair in changed {
-            let route = &self.routes[pair as usize];
+            let route = self.routes.route(pair as usize);
             longest = longest.max(route.len() as u64);
             for &slot in route {
                 heaviest = heaviest.max(self.slot_count[slot as usize]);
@@ -326,30 +329,31 @@ impl MakespanObjective {
         self.schedule.commit(&self.routes, &self.queued, start);
     }
 
-    /// Drops the saved state of the last move, keeping its route buffers.
+    /// Drops the saved state of the last move, whose replaced spans stay in
+    /// the route table, dead.
     fn forget(&mut self) {
         self.saved.open = false;
         self.saved.bounded = false;
-        self.spare
-            .extend(self.saved.routes.drain(..).map(|(_, route)| route));
+        self.saved.routes.clear();
     }
 
-    /// Undoes the last move from its saved state: swaps the replaced routes
-    /// (and their slot counts), `route_hops` and the cost back in. The
-    /// committed schedule never saw the move.
+    /// Undoes the last move from its saved state: points the re-routed
+    /// pairs back at their replaced spans (moving their slot counts back),
+    /// truncates the route table to its length before the move, and
+    /// restores `route_hops` and the cost. The committed schedule never saw
+    /// the move.
     fn restore(&mut self) -> Cost {
         let MakespanObjective {
             routes,
-            spare,
             saved,
             slot_count,
             ..
         } = self;
-        for (pair, route) in saved.routes.drain(..) {
-            let new = std::mem::replace(&mut routes[pair as usize], route);
-            recount(slot_count, &new, &routes[pair as usize]);
-            spare.push(new);
+        for (pair, old) in saved.routes.drain(..) {
+            let new = routes.replace(pair as usize, old);
+            recount(slot_count, routes.at(new), routes.at(old));
         }
+        routes.truncate(saved.stored);
         self.route_hops = saved.route_hops;
         self.cost = saved.cost;
         saved.open = false;
@@ -379,6 +383,10 @@ impl MakespanObjective {
             self.commit();
         }
         self.forget();
+        // Committed moves leave the spans they replaced dead in the table.
+        if self.routes.stored() > 2 * self.route_hops as usize {
+            self.routes.compact();
+        }
         self.epoch += 1;
         let epoch = self.epoch;
         let mut affected = std::mem::take(&mut self.affected);
@@ -406,6 +414,7 @@ impl MakespanObjective {
         let saved = &mut self.saved;
         saved.swaps.clear();
         saved.swaps.extend_from_slice(swaps);
+        saved.stored = self.routes.stored();
         saved.route_hops = self.route_hops;
         saved.cost = self.cost;
         // Self-sends are never queued; a move of them alone starts past the
@@ -499,22 +508,24 @@ impl Objective for MakespanObjective {
             }
         }
         self.forget();
-        self.route_hops = 0;
         self.slot_count.fill(0);
         self.queued.clear();
-        for pair in 0..self.routes.len() {
-            let mut route = std::mem::take(&mut self.routes[pair]);
-            self.expand_route(pair, table, &mut route);
-            self.route_hops += route.len() as u64;
-            recount(&mut self.slot_count, &[], &route);
+        self.routes.clear();
+        for pair in 0..self.workload.pairs().len() {
+            let (src_task, dst_task) = self.workload.pairs()[pair];
+            let (from, to) = (table[src_task as usize], table[dst_task as usize]);
+            let (network, dor) = (&self.network, &mut self.dor);
+            self.routes.push(|slots| dor.push(network, from, to, slots));
+            let route = self.routes.route(pair);
+            recount(&mut self.slot_count, &[], route);
             self.queue_index[pair] = if route.is_empty() {
                 u32::MAX
             } else {
                 self.queued.push(pair as u32);
                 self.queued.len() as u32 - 1
             };
-            self.routes[pair] = route;
         }
+        self.route_hops = self.routes.stored() as u64;
         self.schedule
             .rebuild(&self.routes, &self.queued, self.rounds);
         self.cost = Cost {
@@ -730,11 +741,72 @@ mod tests {
         assert_eq!(rebuilt, full_cost(&network, &workload, 1, &table));
     }
 
+    #[test]
+    fn undos_truncate_the_route_table_and_commits_compact_it() {
+        // A move appends its new routes to the route table, and its undo
+        // truncates the table back to its length before the move, so a walk
+        // of rejected moves never grows it. Committed moves leave the spans
+        // they replaced dead until the dead slots outnumber the live ones;
+        // compacting keeps every live route.
+        let (network, workload, mut table) = two_cluster_workload();
+        let rounds = 2;
+        let build = || {
+            MakespanObjective::new(
+                Network::new(network.grid().clone()),
+                workload.clone(),
+                rounds,
+            )
+            .unwrap()
+        };
+        let mut objective = build();
+        let honest = objective.rebuild(&table);
+        let stored = objective.routes.stored();
+        assert_eq!(stored as u64, objective.route_hops);
+        table.swap(0, 1);
+        objective.apply_swap(&table, 0, 1);
+        assert!(
+            objective.routes.stored() > stored,
+            "the move appended nothing"
+        );
+        table.swap(0, 1);
+        assert_eq!(objective.apply_swap(&table, 0, 1), honest);
+        assert_eq!(objective.routes.stored(), stored, "the undo kept slots");
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut compacted, mut last) = (false, (0, 1));
+        for step in 0..200 {
+            let before = objective.routes.stored();
+            let (a, b) = (rng.gen_range(0u64..16), rng.gen_range(0u64..16));
+            table.swap(a as usize, b as usize);
+            let cost = objective.apply_swap(&table, a, b);
+            assert_eq!(
+                cost,
+                full_cost(&network, &workload, rounds, &table),
+                "step {step}"
+            );
+            // Only an undo truncates, and only a compaction shrinks the
+            // table on any other move.
+            if (a, b) != last && a != b {
+                compacted |= objective.routes.stored() < before;
+            }
+            last = (a, b);
+        }
+        assert!(compacted, "200 committed moves never compacted the table");
+        let mut fresh = build();
+        fresh.rebuild(&table);
+        for pair in 0..workload.pairs().len() {
+            assert_eq!(
+                objective.routes.route(pair),
+                fresh.routes.route(pair),
+                "pair {pair}"
+            );
+        }
+    }
+
     /// Asserts that the committed schedule of `objective` — each slot's
     /// claims, the route and cycle logs, the deliveries and their prefix
     /// maxima, and the claim bits — is the one a fresh objective's `rebuild`
     /// of `table` commits.
-    fn assert_committed_as_rebuilt(objective: &MakespanObjective, table: &[u64]) {
+    fn assert_committed_as_rebuilt(objective: &mut MakespanObjective, table: &[u64]) {
         let mut fresh = MakespanObjective::new(
             Network::new(objective.network.grid().clone()),
             objective.workload.clone(),
@@ -794,7 +866,7 @@ mod tests {
                 "rounds {rounds}"
             );
             commit_open_move(&mut objective, &mut table);
-            assert_committed_as_rebuilt(&objective, &table);
+            assert_committed_as_rebuilt(&mut objective, &table);
         }
     }
 
@@ -817,7 +889,7 @@ mod tests {
             let cost = objective.apply_swap(&table, 1, 2);
             assert_eq!(cost, full_cost(&network, &workload, rounds, &table));
             commit_open_move(&mut objective, &mut table);
-            assert_committed_as_rebuilt(&objective, &table);
+            assert_committed_as_rebuilt(&mut objective, &table);
             table.swap(1, 2);
         }
     }
@@ -911,7 +983,7 @@ mod tests {
                 );
                 if step % 3 != 1 {
                     commit_open_move(&mut objective, &mut table);
-                    assert_committed_as_rebuilt(&objective, &table);
+                    assert_committed_as_rebuilt(&mut objective, &table);
                 }
             }
         }

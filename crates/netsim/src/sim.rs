@@ -189,29 +189,20 @@ pub fn simulate(
         workload.pairs()
     };
     let mut dor = engine::DorRoutes::new(network);
-    let routes: Vec<Vec<u32>> = pairs
-        .iter()
-        .map(|&(src_task, dst_task)| {
-            let mut route = Vec::new();
-            dor.push(
-                network,
-                placement.node_of(src_task),
-                placement.node_of(dst_task),
-                &mut route,
-            );
-            route
-        })
-        .collect();
+    let mut routes = engine::RouteTable::with_routes(pairs.len());
+    for &(src_task, dst_task) in pairs {
+        let (from, to) = (placement.node_of(src_task), placement.node_of(dst_task));
+        routes.push(|slots| dor.push(network, from, to, slots));
+    }
     let cycles = engine::cycles_to_deliver(network.grid(), &routes, rounds);
     let messages = (pairs.len() * rounds) as u64;
-    let round_hops: u64 = routes.iter().map(|route| route.len() as u64).sum();
     SimStats {
         messages,
         delivered: messages,
         dropped: 0,
-        total_hops: round_hops * rounds as u64,
+        total_hops: routes.stored() as u64 * rounds as u64,
         max_hops: routes
-            .iter()
+            .routes()
             .map(|route| route.len() as u64)
             .max()
             .unwrap_or(0),

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::grid::{GraphKind, Grid};
     pub use crate::hamiltonian::{admits_hamiltonian_circuit, is_hamiltonian_circuit};
     pub use crate::metrics::GridMetrics;
-    pub use crate::routing::{advance_toward, for_each_hop, next_hop_toward};
+    pub use crate::routing::{for_each_hop, next_hop_toward};
     pub use crate::{Coord, Shape};
     pub use mixedradix::planes::{DigitPlanes, LANES};
 }

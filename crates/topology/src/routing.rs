@@ -7,30 +7,26 @@
 //! (+1) direction. Keeping the rule in one place guarantees the two crates
 //! can never silently disagree about which arc a tied route takes.
 //!
-//! Three entry points are provided:
+//! Two entry points are provided:
 //!
 //! * [`next_hop_toward`] — the simple form: build and return the next
 //!   coordinate (`Coord` is `Copy`, so this never allocates);
-//! * [`advance_toward`] — the stepwise form: mutate a coordinate *and* its
-//!   linear index in place and report which dimension/direction was taken,
-//!   so sweeps over millions of hops never re-encode a coordinate;
 //! * [`for_each_hop`] — the batched form: emit the *entire* route as
 //!   per-dimension sweeps (direction and step count computed once per
-//!   dimension, then pure index arithmetic per hop), producing exactly the
-//!   hop sequence repeated [`advance_toward`] calls would. The scalar
-//!   entry points are thin wrappers over the same per-step kernel
-//!   (`step_digit`/`step_index`), so the three can never disagree.
+//!   dimension, then pure index arithmetic per hop), reporting each hop's
+//!   dimension, direction and wrap with the node indices on either side,
+//!   exactly the hops repeated [`next_hop_toward`] calls take.
 //!
 //! The batching is sound because dimension-ordered routing fully corrects
 //! one dimension before touching the next, and the shorter-arc choice is
 //! invariant along a correction (each step shortens the chosen arc and
-//! lengthens the other), so the per-hop "first differing dimension" rescan
-//! of the stepwise form is redundant work the batched form skips.
+//! lengthens the other), so a per-hop "first differing dimension" rescan
+//! is redundant work the batched form skips.
 
 use crate::grid::Grid;
 use crate::Coord;
 
-/// One dimension-ordered hop, as reported by [`advance_toward`].
+/// One dimension-ordered hop, as reported by [`for_each_hop`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HopTaken {
     /// The dimension that was corrected.
@@ -119,47 +115,14 @@ pub fn next_hop_toward(grid: &Grid, from: &Coord, to: &Coord, dims: &[usize]) ->
     Some(next)
 }
 
-/// Takes one dimension-ordered hop in place: advances `current` (and its
-/// linear index `current_index`) one step toward `target` and reports the
-/// dimension, direction and wrap-around status of the step.
-///
-/// The index is updated incrementally from the shape's weights, so a routed
-/// sweep costs `O(d)` per hop with no re-encoding and no allocation.
-/// Returns `None` (leaving both values untouched) once `current == target`.
-///
-/// # Panics
-///
-/// Panics if a coordinate has the wrong dimension, a dimension index in
-/// `dims` is out of range, or `current_index` is not the index of `current`.
-pub fn advance_toward(
-    grid: &Grid,
-    current: &mut Coord,
-    current_index: &mut u64,
-    target: &Coord,
-    dims: &[usize],
-) -> Option<HopTaken> {
-    let (j, forward) = dor_step(grid, current, target, dims)?;
-    let l = grid.shape().radix(j);
-    let w = grid.shape().weight(j + 1);
-    let (next_digit, wrapped) = step_digit(l, current.get(j), forward);
-    debug_assert!(!wrapped || grid.is_torus(), "meshes never wrap");
-    current.set(j, next_digit);
-    *current_index = step_index(*current_index, l, w, forward, wrapped);
-    Some(HopTaken {
-        dim: j,
-        forward,
-        wrapped,
-    })
-}
-
 /// Emits every hop of the dimension-ordered route from `from` (whose linear
 /// index is `from_index`) to `to`, correcting dimensions in the order given
-/// by `dims` — the batched form of calling [`advance_toward`] until it
+/// by `dims` — the batched form of calling [`next_hop_toward`] until it
 /// returns `None`.
 ///
-/// `emit(hop, before, after)` receives exactly the `HopTaken` sequence and
-/// before/after node indices repeated `advance_toward` calls would produce,
-/// but the direction and step count are computed **once per dimension**
+/// `emit(hop, before, after)` receives every hop in route order with the
+/// node indices on either side, but the direction and step count are
+/// computed **once per dimension**
 /// (digit-plane style: one sweep per dimension instead of one dimension
 /// rescan per hop), so each hop costs one wrap test and one index add. This
 /// is the route-expansion kernel behind `embeddings::congestion`, the
@@ -232,9 +195,8 @@ pub fn for_each_hop<F>(
     }
 }
 
-/// The canonical undirected-link slot of the hop that [`advance_toward`]
-/// just took, for use with a flat `Vec` of [`Grid::link_count`] load
-/// counters.
+/// The canonical undirected-link slot of a hop [`for_each_hop`] reports,
+/// for use with a flat `Vec` of [`Grid::link_count`] load counters.
 ///
 /// Every physical link is identified with its forward traversal, i.e. the
 /// [`Grid::link_index`] of the endpoint whose step along `hop.dim` in the
@@ -268,6 +230,30 @@ mod tests {
 
     fn forward_dims(grid: &Grid) -> Vec<usize> {
         (0..grid.dim()).collect()
+    }
+
+    /// The stepwise reference for [`for_each_hop`]: takes one hop in place,
+    /// advancing `current` and its index `current_index` toward `target`,
+    /// and reports it; `None` once `current == target`.
+    fn advance_toward(
+        grid: &Grid,
+        current: &mut Coord,
+        current_index: &mut u64,
+        target: &Coord,
+        dims: &[usize],
+    ) -> Option<HopTaken> {
+        let (j, forward) = dor_step(grid, current, target, dims)?;
+        let l = grid.shape().radix(j);
+        let w = grid.shape().weight(j + 1);
+        let (next_digit, wrapped) = step_digit(l, current.get(j), forward);
+        debug_assert!(!wrapped || grid.is_torus(), "meshes never wrap");
+        current.set(j, next_digit);
+        *current_index = step_index(*current_index, l, w, forward, wrapped);
+        Some(HopTaken {
+            dim: j,
+            forward,
+            wrapped,
+        })
     }
 
     #[test]
