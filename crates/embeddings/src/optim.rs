@@ -79,11 +79,24 @@
 //! the annealer also tells the objective which costs it could accept. After
 //! drawing a move it runs its acceptance test on a copy of its RNG, which
 //! makes the same draw the real test will, and passes that test as a limit
-//! through [`Objective::apply_bounded`] with the move's last batch (a
-//! rotation's first batch is priced exactly). The congestion and makespan
-//! objectives first compute a cheap lower bound on the move's cost, and
-//! when the limit rejects it they return the bound without routing the
-//! congestion loads or arbitrating the makespan schedule.
+//! through [`Objective::apply_bounded`] with the move's last batch. The
+//! congestion and makespan objectives first compute a cheap lower bound on
+//! the move's cost, and when the limit rejects it they return the bound
+//! without routing the congestion loads or arbitrating the makespan
+//! schedule.
+//!
+//! A rotation's first batch, and the first batch of its undo, are never
+//! judged. The annealer sends them through [`Objective::apply_bounded`]
+//! too, under a limit that rejects every cost. The congestion objective
+//! answers such a batch with `(0, exact total path length)` and routes
+//! nothing, then *carries* it into the second batch: the two are priced as
+//! one move against the committed state, each guest edge once, from its
+//! route before the rotation to its route after it. The undo's first batch
+//! reopens the carried half, and its second restores the state before the
+//! rotation from saved loads, so a rejected rotation routes each of its
+//! edges once instead of three times. The makespan objective bounds the
+//! first batch and replays it when the second makes it final, which is the
+//! work it did before; wirelength prices it exactly.
 //!
 //! Congestion proves its bound, `(committed max, exact total path length)`,
 //! in one of two steps, both of which show that some link at the committed
@@ -91,15 +104,14 @@
 //!
 //! * the *count test* needs no routing: the moved edges' old routes have
 //!   fewer hops than the histogram has links at the maximum;
-//! * where that fails on a block swap, whose thousands of old-route hops
-//!   it cannot cover, the *removal test* removes the old routes, work the
+//! * where that fails, the *removal test* removes the old routes, work the
 //!   exact price needs anyway, and holds when they touched fewer links at
 //!   the maximum than the histogram has. If the limit then accepts the
 //!   bound, the move adds its new routes and is priced exactly. Every
-//!   other move keeps the single walk that removes and adds each edge's
-//!   routes in turn: for a reversal the removal test almost never holds.
+//!   batch, pairwise swaps included, takes the same path; only block swaps
+//!   collect their edges differently.
 //!
-//! Both tests, and the exact price, see only what a block swap changes: it
+//! The tests, and the exact price, see only what a block swap changes: it
 //! drops *twin* edges, pairs whose routes the swap merely exchanges, which
 //! are the edges inside its two hyperplanes (see
 //! `GuestEdges::collect_batch`).
@@ -116,9 +128,9 @@
 //! * the limit and the real test are one function on the same RNG state,
 //!   so the real test rejects the bound and the move is undone;
 //! * an objective answers that undo by restoring what the bounded move
-//!   changed, and prices any other next call exactly (a rebuild, or full
-//!   arbitration), so every cost the trait returns after a bounded one is
-//!   exact.
+//!   changed, and prices any other next call exactly (a rebuild, a carry
+//!   into that call, or full arbitration), so every cost the trait returns
+//!   after a bounded one is exact, or a bound its own limit rejects.
 //!
 //! Accept decisions, the RNG stream, and therefore every table and report
 //! are bit-identical to a walk that prices every move exactly; the
@@ -214,7 +226,7 @@ impl Cost {
 /// the same cost the incremental path reported. The one exception is a
 /// bound returned by [`Objective::apply_bounded`], which sits below the
 /// exact cost only where the caller's limit rejects both; the next call
-/// after it is exact again.
+/// after it is exact again, or a bound that its own limit rejects.
 ///
 /// A wrapper around another objective should forward every method: one
 /// that leaves out `apply_bounded` stays correct, but sends every move
@@ -282,11 +294,18 @@ pub trait Objective {
     /// scalarized test can close.
     ///
     /// The caller undoes a move it rejects by an immediate repeat of the
-    /// call, through [`Objective::apply_disjoint_swaps`] or, for a batch of
-    /// one, [`Objective::apply_swap`]; that repeat returns the cost before
-    /// the move. Any other next call makes the move final, and an objective
-    /// that returned a bound then prices the table exactly, so every cost
-    /// after the move's own is exact.
+    /// call, through [`Objective::apply_disjoint_swaps`],
+    /// [`Objective::apply_bounded`] or, for a batch of one,
+    /// [`Objective::apply_swap`]; that repeat returns the cost before the
+    /// move. Any other next call makes the move final.
+    ///
+    /// A caller that never judges a batch's cost passes a limit that
+    /// rejects every cost; by monotonicity, one that rejects
+    /// `Cost { primary: 0, secondary: 0 }`. It may then leave a bounded
+    /// move in place. The objective may carry such a move into the next
+    /// call, and price the two as one: that call's cost is still exact, or
+    /// a bound that its own limit rejects. The annealer does this with a
+    /// rotation's first batch and with the first batch of its undo.
     ///
     /// The default ignores `accepts` and prices the move exactly.
     fn apply_bounded(
@@ -542,12 +561,14 @@ impl GuestEdges {
         }
     }
 
-    /// Collects every guest edge whose route the batch of disjoint
-    /// transpositions `swaps` changes into `moved`, as its id and its
+    /// Appends every guest edge whose route the batch of disjoint
+    /// transpositions `swaps` changes to `moved`, as its id and its
     /// `(tail, head)` images under `table`, the table *before* the batch.
     /// `edge_stamp[e] == epoch` marks edge `e` as taken, and with `TWINS`,
     /// `node_stamp[x] == (epoch, y)` marks node `x` as moved, trading
-    /// images with node `y`; the caller gives every batch a fresh epoch.
+    /// images with node `y`. The caller gives every batch a fresh epoch,
+    /// except a batch that a bounded move without twins is carried into:
+    /// its edges are taken already, and keep their images before that move.
     ///
     /// An edge with both endpoints in the batch is collected once. With
     /// `TWINS`, *twin* edges are not collected at all. Write σ for the
@@ -575,7 +596,6 @@ impl GuestEdges {
         epoch: u32,
         moved: &mut Vec<MovedEdge>,
     ) {
-        moved.clear();
         if TWINS {
             for &(a, b) in swaps {
                 node_stamp[a as usize] = (epoch, b as u32);
@@ -631,8 +651,8 @@ impl GuestEdges {
 /// Whether the batch `swaps` has several transpositions that all span one
 /// index distance, as a block swap's do. Only such a batch can hold twin
 /// edges among those the annealer draws (see [`GuestEdges::collect_batch`]),
-/// and only its old routes are long enough for the congestion objective's
-/// removal test to pay (see [`CongestionObjective`]).
+/// so only it is collected without them, and the congestion objective
+/// never carries it (see [`CongestionObjective::carry`]).
 fn uniform_span(swaps: &[(u64, u64)]) -> bool {
     let span = |&(a, b): &(u64, u64)| a.abs_diff(b);
     swaps.len() > 1 && swaps.iter().all(|swap| span(swap) == span(&swaps[0]))
@@ -715,21 +735,28 @@ impl HostDigits {
 /// routing.
 ///
 /// [`Objective::apply_bounded`] first prices a move without routing it.
-/// When the histogram holds more links at the committed maximum than the
-/// moved edges' old routes have hops, removing those routes cannot lower
-/// every such link, so `(committed max, exact total path length)` bounds
-/// the cost from below. Both route-length sums are digit-table distances,
-/// because dimension-ordered routes are shortest paths, and this count test
-/// stops summing old lengths as soon as it fails. If the limit rejects the
-/// bound, the bound is returned with the loads untouched. Where the count
-/// test fails on a block swap (a batch whose transpositions all span one
-/// index distance), the move removes its old routes first; if they touched
-/// fewer links at the committed maximum than the histogram holds, an
-/// untouched one keeps that maximum, and the same bound is returned when
-/// the limit rejects it, before any new route is added. Otherwise the move
-/// adds its new routes and is priced exactly.
-/// Either bound's undo writes back the loads it recorded (none, after the
-/// count test), and any other next call rebuilds the state from the table.
+/// A limit that rejects the zero cost rejects every cost, and gets
+/// `(0, exact total path length)`. When the histogram holds more links at
+/// the committed maximum than the moved edges' old routes have hops,
+/// removing those routes cannot lower every such link, so
+/// `(committed max, exact total path length)` bounds the cost from below.
+/// Both route-length sums are digit-table distances, because
+/// dimension-ordered routes are shortest paths, and this count test stops
+/// summing old lengths as soon as it fails. If the limit rejects the bound,
+/// the bound is returned with the loads untouched. Where the count test
+/// fails, the move removes its old routes first; if they touched fewer
+/// links at the committed maximum than the histogram holds, an untouched
+/// one keeps that maximum, and the same bound is returned when the limit
+/// rejects it, before any new route is added. Otherwise the move adds its
+/// new routes and is priced exactly.
+///
+/// A bound's undo writes back the loads it recorded (none, after the count
+/// test). A batch that follows a bounded move without undoing it carries
+/// that move: the two are priced as one, each edge once, and the batch's
+/// undo reopens the carried move. A block swap (a batch whose
+/// transpositions all span one index distance) neither carries nor is
+/// carried, and a carried move is carried once: any other call after a
+/// bounded move rebuilds the state from the table.
 pub struct CongestionObjective {
     edges: GuestEdges,
     host: HostDigits,
@@ -756,10 +783,18 @@ pub struct CongestionObjective {
 struct LastMove {
     /// Whether the fields below describe a move that can still be undone.
     open: bool,
-    /// Whether the move returned a bound and left the loads untouched.
-    bounded: bool,
+    /// The bound the move returned, if it returned one: its new routes
+    /// were never added.
+    bounded: Option<Cost>,
     /// The move's transpositions, as the call passed them.
     swaps: Vec<(u64, u64)>,
+    /// The transpositions of the bounded move this one carries (see
+    /// [`CongestionObjective::carry`]); empty when it carries none.
+    carried: Vec<(u64, u64)>,
+    /// How many of `moved` belong to the carried move: they come first.
+    carried_edges: usize,
+    /// The bound the carried move returned.
+    carried_bound: Cost,
     /// `link_stamp[slot] == epoch` marks a link the move touched.
     link_stamp: Vec<u32>,
     /// `edge_stamp[e] == epoch` marks a guest edge a batch moved.
@@ -776,6 +811,20 @@ struct LastMove {
     counted: bool,
     /// The cost before the move.
     before: Cost,
+}
+
+impl LastMove {
+    /// Moves to a fresh epoch, so that no stamp of an earlier one matches.
+    fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The epoch wrapped: clear the stamps so no old one matches.
+            self.link_stamp.fill(0);
+            self.edge_stamp.fill(0);
+            self.node_stamp.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
 }
 
 impl CongestionObjective {
@@ -802,8 +851,14 @@ impl CongestionObjective {
             total_path_length: 0,
             last: LastMove {
                 open: false,
-                bounded: false,
+                bounded: None,
                 swaps: Vec::new(),
+                carried: Vec::new(),
+                carried_edges: 0,
+                carried_bound: Cost {
+                    primary: 0,
+                    secondary: 0,
+                },
                 link_stamp: vec![0; links],
                 edge_stamp: vec![0; edge_count],
                 node_stamp: vec![(0, 0); guest.size() as usize],
@@ -838,20 +893,44 @@ impl CongestionObjective {
         let before = self.cost();
         let last = &mut self.last;
         last.open = true;
-        last.bounded = false;
+        last.bounded = None;
         last.swaps.clear();
         last.swaps.extend_from_slice(swaps);
+        last.carried.clear();
+        last.moved.clear();
         last.touched.clear();
         last.counted = false;
         last.before = before;
-        last.epoch = last.epoch.wrapping_add(1);
-        if last.epoch == 0 {
-            // The epoch wrapped: clear the stamps so no old one matches.
-            last.link_stamp.fill(0);
-            last.edge_stamp.fill(0);
-            last.node_stamp.fill((0, 0));
-            last.epoch = 1;
+        last.next_epoch();
+    }
+
+    /// Carries the open move, which returned `bound`, into the batch
+    /// `swaps`, which is not its undo, so that the two are priced as one
+    /// move against the committed histogram. The bounded move's edges stay in `moved` with
+    /// their images before it, stamped in the same epoch, and the batch's
+    /// edges join them, each once. Loads a removal test took off are put
+    /// back first, so every carried route is still in the loads. An undo
+    /// of the batch reopens the carried move (see
+    /// [`CongestionObjective::reopen`]).
+    fn carry(&mut self, bound: Cost, swaps: &[(u64, u64)]) {
+        let CongestionObjective {
+            loads,
+            total_path_length,
+            last,
+            ..
+        } = self;
+        for &(slot, committed) in &last.touched {
+            loads[slot as usize] = committed;
+            last.link_stamp[slot as usize] = 0;
         }
+        last.touched.clear();
+        *total_path_length = last.before.secondary;
+        last.bounded = None;
+        last.carried_bound = bound;
+        std::mem::swap(&mut last.carried, &mut last.swaps);
+        last.swaps.clear();
+        last.swaps.extend_from_slice(swaps);
+        last.carried_edges = last.moved.len();
     }
 
     /// Shifts the last move's links into the histogram, once.
@@ -941,9 +1020,8 @@ impl CongestionObjective {
     }
 
     /// `(committed max, exact total path length)` for the open move, when
-    /// `accepts` rejects it. `removed` hops of old routes are still in the
-    /// total; the new route lengths are digit-table distances under
-    /// `table`.
+    /// `accepts` rejects it; see [`CongestionObjective::total_after`] for
+    /// `removed`.
     #[inline]
     fn committed_bound(
         &self,
@@ -951,6 +1029,17 @@ impl CongestionObjective {
         removed: u64,
         accepts: &dyn Fn(Cost) -> bool,
     ) -> Option<Cost> {
+        let bound = Cost {
+            primary: self.tracker.max,
+            secondary: self.total_after(table, removed),
+        };
+        (!accepts(bound)).then_some(bound)
+    }
+
+    /// The exact total path length after the open move, while `removed`
+    /// hops of its old routes are still in the total. The new route
+    /// lengths are digit-table distances under `table`.
+    fn total_after(&self, table: &[u64], removed: u64) -> u64 {
         let added: u64 = self
             .last
             .moved
@@ -960,11 +1049,13 @@ impl CongestionObjective {
                 self.host.distance(tail, head)
             })
             .sum();
-        let bound = Cost {
-            primary: self.tracker.max,
-            secondary: self.total_path_length - removed + added,
-        };
-        (!accepts(bound)).then_some(bound)
+        self.total_path_length - removed + added
+    }
+
+    /// Records that the open move returns `bound`, and returns it.
+    fn bounded(&mut self, bound: Cost) -> Cost {
+        self.last.bounded = Some(bound);
+        bound
     }
 
     /// Prices the maximum after the open move. Untouched links still hold
@@ -995,8 +1086,10 @@ impl CongestionObjective {
     /// back (and out of the histogram, if the move was counted) and returns
     /// the cost before the move. A move bounded by the count test touched
     /// no load; one bounded by the removal test touched only its old
-    /// routes' links.
-    fn undo(&mut self) -> Cost {
+    /// routes' links. A move that carries a bounded one is undone to the
+    /// state after that move, which is reopened, and the call is priced as
+    /// [`CongestionObjective::reopen`] says, under its own limit `accepts`.
+    fn undo(&mut self, table: &[u64], accepts: Option<&dyn Fn(Cost) -> bool>) -> Cost {
         let last = &mut self.last;
         for &(slot, committed) in &last.touched {
             let load = &mut self.loads[slot as usize];
@@ -1006,15 +1099,51 @@ impl CongestionObjective {
             *load = committed;
         }
         last.touched.clear();
-        last.open = false;
-        last.bounded = false;
         self.max = last.before.primary;
         self.total_path_length = last.before.secondary;
+        if !last.carried.is_empty() {
+            return self.reopen(table, accepts);
+        }
+        last.open = false;
+        last.bounded = None;
         last.before
     }
 
+    /// Reopens the bounded move that the just-undone batch carried: it is
+    /// the open move again, with its own transpositions and edges restamped
+    /// under a fresh epoch, and the loads hold the committed ones. The call
+    /// returns the move's bound again only where `accepts` rejects it;
+    /// otherwise it routes the move, prices it exactly and counts it into
+    /// the histogram, as a move made final would be, so
+    /// [`Objective::apply_swap`] and [`Objective::apply_disjoint_swaps`]
+    /// still return exact costs.
+    fn reopen(&mut self, table: &[u64], accepts: Option<&dyn Fn(Cost) -> bool>) -> Cost {
+        let last = &mut self.last;
+        std::mem::swap(&mut last.swaps, &mut last.carried);
+        last.carried.clear();
+        last.moved.truncate(last.carried_edges);
+        last.counted = false;
+        last.next_epoch();
+        for edge in &last.moved {
+            last.edge_stamp[edge.id as usize] = last.epoch;
+        }
+        let bound = last.carried_bound;
+        if accepts.is_some_and(|accepts| !accepts(bound)) {
+            return self.bounded(bound);
+        }
+        last.bounded = None;
+        self.reroute::<true, true>(table);
+        let cost = self.price();
+        self.count_last();
+        cost
+    }
+
     /// Prices the batch `swaps` as one move and applies it to `table`. With
-    /// `accepts`, the move may be priced by its bound instead.
+    /// `accepts`, the move may be priced by a bound instead: `(0, exact
+    /// total)` where `accepts` rejects the zero cost, and so every cost;
+    /// else the count test's bound; else, once the old routes are removed,
+    /// the removal test's. A bounded move that the batch does not undo is
+    /// carried into it (see [`CongestionObjective::carry`]).
     fn apply_batch(
         &mut self,
         table: &mut [u64],
@@ -1024,52 +1153,35 @@ impl CongestionObjective {
         // The whole batch is one move, undone by one repeat of the batch.
         if self.is_undo(swaps) {
             apply_swaps(table, swaps);
-            return self.undo();
+            return self.undo(table, accepts);
         }
-        if self.last.bounded {
-            // A bounded move made final: its routes were never moved.
-            self.rebuild(table);
-        }
-        self.begin(swaps);
-        if uniform_span(swaps) {
-            return self.apply_block(table, swaps, accepts);
+        // A block swap drops twin edges by their stamps, so no block swap
+        // carries or is carried; and a carried move is carried once, so
+        // that its undo can reopen the move it carries.
+        let block = uniform_span(swaps);
+        match self.last.bounded {
+            Some(bound)
+                if self.last.carried.is_empty() && !block && !uniform_span(&self.last.swaps) =>
+            {
+                self.carry(bound, swaps);
+            }
+            bounded => {
+                if bounded.is_some() {
+                    // A bounded move made final: its routes were never
+                    // moved.
+                    self.rebuild(table);
+                }
+                self.begin(swaps);
+            }
         }
         let CongestionObjective { edges, last, .. } = self;
-        edges.collect_batch::<false>(
-            table,
-            swaps,
-            &mut last.edge_stamp,
-            &mut last.node_stamp,
-            last.epoch,
-            &mut last.moved,
-        );
-        apply_swaps(table, swaps);
-        let bound = accepts.and_then(|accepts| {
-            let removed = self.count_test()?;
-            self.committed_bound(table, removed, accepts)
-        });
-        if let Some(bound) = bound {
-            self.last.bounded = true;
-            return bound;
-        }
-        self.reroute::<true, true>(table);
-        self.price()
-    }
-
-    /// The rest of [`CongestionObjective::apply_batch`] for a block swap
-    /// (see [`uniform_span`]): the batch drops its twin edges, and where
-    /// the count test fails the move removes its old routes first, for the
-    /// removal test. Kept out of line, so the path every other move takes
-    /// stays as small as it was.
-    #[inline(never)]
-    fn apply_block(
-        &mut self,
-        table: &mut [u64],
-        swaps: &[(u64, u64)],
-        accepts: Option<&dyn Fn(Cost) -> bool>,
-    ) -> Cost {
-        let CongestionObjective { edges, last, .. } = self;
-        edges.collect_batch::<true>(
+        let collect = if block {
+            GuestEdges::collect_batch::<true>
+        } else {
+            GuestEdges::collect_batch::<false>
+        };
+        collect(
+            edges,
             table,
             swaps,
             &mut last.edge_stamp,
@@ -1079,20 +1191,32 @@ impl CongestionObjective {
         );
         apply_swaps(table, swaps);
         if let Some(accepts) = accepts {
+            // Limits are monotone: one that rejects the zero cost rejects
+            // every cost, so its caller never judges this one.
+            if !accepts(Cost {
+                primary: 0,
+                secondary: 0,
+            }) {
+                let moved = self.last.moved.iter();
+                let removed = moved.map(|edge| self.host.distance(edge.pre.0, edge.pre.1));
+                let secondary = self.total_after(table, removed.sum());
+                return self.bounded(Cost {
+                    primary: 0,
+                    secondary,
+                });
+            }
             // Both tests prove the same bound, so the removal test runs
             // only where the count test fails.
             if let Some(removed) = self.count_test() {
                 if let Some(bound) = self.committed_bound(table, removed, accepts) {
-                    self.last.bounded = true;
-                    return bound;
+                    return self.bounded(bound);
                 }
             } else {
                 // Removing the old routes first is work the exact price
                 // needs anyway.
                 self.reroute::<true, false>(table);
                 if let Some(bound) = self.removal_bound(table, accepts) {
-                    self.last.bounded = true;
-                    return bound;
+                    return self.bounded(bound);
                 }
                 self.reroute::<false, true>(table);
                 return self.price();
@@ -1131,7 +1255,8 @@ impl Objective for CongestionObjective {
 
     fn rebuild(&mut self, table: &[u64]) -> Cost {
         self.last.open = false;
-        self.last.bounded = false;
+        self.last.bounded = None;
+        self.last.carried.clear();
         self.last.touched.clear();
         let CongestionObjective {
             edges,
@@ -1160,15 +1285,14 @@ impl Objective for CongestionObjective {
 
     fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost {
         if self.is_undo(&[(a, b)]) {
-            return self.undo();
+            return self.undo(table, None);
         }
-        if self.last.bounded {
+        if self.last.bounded.is_some() {
             // A bounded move made final: price the table from scratch.
             return self.rebuild(table);
         }
         self.begin(&[(a, b)]);
         let CongestionObjective { edges, last, .. } = self;
-        last.moved.clear();
         if a != b {
             edges.for_each_affected(table, a, b, |e, pre, _| {
                 last.moved.push(MovedEdge { id: e as u32, pre });
@@ -1359,9 +1483,10 @@ impl Objective for WirelengthObjective {
 /// See the module docs for the catalog: every kind is either an involution
 /// (swap, reversal, block swap — re-apply to undo) or one half of an
 /// explicit inverse pair (k-cycle rotation, undone by the opposite
-/// rotation), and every kind reaches objectives through
-/// [`Objective::apply_swap`] / [`Objective::apply_disjoint_swaps`] only, so
-/// the incremental-vs-rebuild differential wall covers all of them.
+/// rotation), and every kind reaches objectives as batches of disjoint
+/// transpositions ([`Objective::apply_swap`],
+/// [`Objective::apply_disjoint_swaps`], [`Objective::apply_bounded`]), so
+/// the incremental-vs-rebuild differential walls cover all of them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MoveMix {
     /// Per-mille weight of segment reversal (reverse a short run of the
@@ -1779,6 +1904,13 @@ fn reversal_swaps(start: u64, end: u64, swaps: &mut Vec<(u64, u64)>) {
     }
 }
 
+/// The limit of a batch whose cost the annealer never judges, a rotation's
+/// first: it rejects every cost, so an objective may answer with any bound
+/// and carry the batch into the next call (see [`Objective::apply_bounded`]).
+fn unjudged(_: Cost) -> bool {
+    false
+}
+
 /// Applies `proposal` to the table and the objective's incremental state,
 /// returning the resulting cost. The move's last batch goes through
 /// [`Objective::apply_bounded`] with `limit`, the acceptance test that
@@ -1809,9 +1941,10 @@ fn apply_move(
             // evaluation phase (arbitration, delta replay) pays it twice
             // per rotation instead of k − 1 times. `end ≥ start + 2`
             // always holds, so neither batch is empty. Only the second
-            // batch's cost faces the acceptance test, so only it is bounded.
+            // batch's cost faces the acceptance test; the first is never
+            // judged, so the congestion objective prices the two as one.
             reversal_swaps(start, end, swaps);
-            objective.apply_disjoint_swaps(table, swaps);
+            objective.apply_bounded(table, swaps, &unjudged);
             reversal_swaps(start, end - 1, swaps);
         }
         Move::BlockSwap {
@@ -1848,8 +1981,10 @@ fn block_swaps(n: u64, stride: u64, radix: u64, low: u64, high: u64, swaps: &mut
 /// last batch. Involutions undo by re-applying; a rotation is undone by the
 /// inverse rotation — its two reversal batches applied in the opposite
 /// order. Either way the first call repeats the move's last call, which an
-/// objective may answer from saved state; a rotation's second undo batch
-/// is evaluated again.
+/// objective may answer from saved state. A rotation's first undo batch is
+/// never judged, so it goes through [`Objective::apply_bounded`] under
+/// [`unjudged`]; the congestion objective answers both batches from saved
+/// state, and the others evaluate the second again.
 fn undo_move(
     objective: &mut dyn Objective,
     table: &mut [u64],
@@ -1863,7 +1998,7 @@ fn undo_move(
         }
         Move::Rotate { start, end } => {
             // rotate-right-by-one: [b c d a] → [d c b a] → [a b c d].
-            objective.apply_disjoint_swaps(table, swaps);
+            objective.apply_bounded(table, swaps, &unjudged);
             reversal_swaps(start, end, swaps);
             objective.apply_disjoint_swaps(table, swaps)
         }
@@ -2483,17 +2618,17 @@ mod tests {
         // rejected by its limit — the annealer's acceptance test at three
         // temperatures on a seeded draw. A move the count test bounds (its
         // old routes have fewer hops than there are links at the maximum)
-        // leaves the loads as they were; a batch the removal test bounds
-        // instead is checked by `removal_bounds_undo_exactly`. Every undo
-        // restores the cost and the loads. Moves no bound settles are
-        // priced exactly.
+        // leaves the loads as they were. Every other batch takes the
+        // removal test, blocks and reversals alike, and a move it bounds is
+        // checked by `removal_bounds_undo_exactly`. Every undo restores the
+        // cost and the loads. Moves no bound settles are priced exactly.
         let (guest, host, start) = bound_pair();
         let mut objective = CongestionObjective::new(&guest, &host).unwrap();
         let before = objective.rebuild(&start);
         let loads = objective.loads.clone();
         let at_max = links_at_max(&loads);
         let acceptance = Acceptance::new(before, guest.size());
-        let (mut counted, mut exact) = ([0; 2], 0);
+        let (mut counted, mut removal, mut exact) = ([0; 2], [0; 2], 0);
         for (index, swaps) in probe_batches(guest.shape(), 600, 7).iter().enumerate() {
             let draw = StdRng::seed_from_u64(index as u64);
             let temperature = [0.0, 0.01, 2.0][index % 3];
@@ -2504,7 +2639,7 @@ mod tests {
             let mut fresh = CongestionObjective::new(&guest, &host).unwrap();
             fresh.rebuild(&start);
             let truth = fresh.apply_disjoint_swaps(&mut start.clone(), swaps);
-            if objective.last.bounded {
+            if objective.last.bounded.is_some() {
                 assert!(!limit(cost), "the limit accepts the bound of {swaps:?}");
                 assert!(cost.primary <= truth.primary, "{cost:?} > {truth:?}");
                 assert_eq!(cost.secondary, truth.secondary);
@@ -2512,10 +2647,7 @@ mod tests {
                     counted[usize::from(swaps.len() > 1)] += 1;
                     assert_eq!(objective.loads, loads, "a count-test bound touched a load");
                 } else {
-                    assert!(
-                        uniform_span(swaps),
-                        "{swaps:?} was bounded by the removal test"
-                    );
+                    removal[usize::from(uniform_span(swaps))] += 1;
                 }
             } else {
                 exact += 1;
@@ -2527,6 +2659,14 @@ mod tests {
         }
         assert!(counted[0] > 0, "no swap was bounded by the count test");
         assert!(counted[1] > 0, "no batch was bounded by the count test");
+        assert!(
+            removal[0] > 0,
+            "no reversal was bounded by the removal test"
+        );
+        assert!(
+            removal[1] > 0,
+            "no block swap was bounded by the removal test"
+        );
         assert!(exact > 0, "every move was bounded");
     }
 
@@ -2563,7 +2703,7 @@ mod tests {
                 |cost: Cost| acceptance.accepts(cost, before, temperature, &mut draw.clone());
             let mut table = start.clone();
             let cost = objective.apply_bounded(&mut table, swaps, &limit);
-            if objective.last.bounded && old_route_hops(&objective) >= at_max {
+            if objective.last.bounded.is_some() && old_route_hops(&objective) >= at_max {
                 let mut fresh = CongestionObjective::new(&guest, &host).unwrap();
                 fresh.rebuild(&start);
                 let mut moved_table = start.clone();
@@ -2636,7 +2776,7 @@ mod tests {
                         let mut table = start.clone();
                         let cost = objective.apply_bounded(&mut table, &swap, &limit);
                         let truth = exact.apply_disjoint_swaps(&mut start.clone(), &swap);
-                        if objective.last.bounded {
+                        if objective.last.bounded.is_some() {
                             bounded += 1;
                             assert!(!limit(cost));
                             assert_eq!(cost.secondary, truth.secondary);
@@ -2722,7 +2862,7 @@ mod tests {
                             let mut table = start.clone();
                             let cost = objective.apply_bounded(&mut table, &swaps, &limit);
                             let truth = exact.apply_disjoint_swaps(&mut start.clone(), &swaps);
-                            if objective.last.bounded {
+                            if objective.last.bounded.is_some() {
                                 removal += u32::from(old_route_hops(&objective) >= at_max);
                                 assert_eq!(cost.secondary, truth.secondary);
                                 assert!(
@@ -2760,7 +2900,10 @@ mod tests {
             let before = objective.rebuild(start);
             let mut table = start.to_vec();
             objective.apply_bounded(&mut table, first, &|cost| cost <= before);
-            assert!(objective.last.bounded, "the probe move must be bounded");
+            assert!(
+                objective.last.bounded.is_some(),
+                "the probe move must be bounded"
+            );
             let moved = table.clone();
             let cost = match kind {
                 0 if second.len() == 1 => {
@@ -2792,10 +2935,228 @@ mod tests {
     #[test]
     fn calls_after_a_bounded_congestion_move_that_do_not_undo_it_are_exact() {
         // A bounded move followed by anything but its undo leaves its loads
-        // unrouted; the next call must price from scratch. Each follow-up —
-        // a swap, a batch, a bounded move — and its undo match a rebuild.
+        // unrouted; the next call must carry it or price from scratch. Each
+        // follow-up — a swap, a batch, a bounded move — and its undo match a
+        // rebuild.
         let (guest, host, start) = bound_pair();
         assert_calls_after_a_bounded_move_are_exact(&guest, &host, &start, &[(0, 37)]);
+    }
+
+    /// Checks the cost `objective` returned for `table` under `limit`
+    /// against a fresh rebuild: an exact cost equals the rebuild's, with
+    /// its loads, and with its histogram once the move is counted or
+    /// closed; a bound is at most the exact cost in both components, keeps
+    /// the exact secondary, and is rejected by `limit`. Returns whether the
+    /// cost is exact.
+    fn assert_exact_or_bounded(
+        objective: &CongestionObjective,
+        (guest, host): (&Grid, &Grid),
+        table: &[u64],
+        cost: Cost,
+        limit: &dyn Fn(Cost) -> bool,
+        what: &str,
+    ) -> bool {
+        let mut fresh = CongestionObjective::new(guest, host).unwrap();
+        let truth = fresh.rebuild(table);
+        if let Some(bound) = objective.last.bounded {
+            assert_eq!(cost, bound, "{what}");
+            assert!(!limit(cost), "{what}: the limit accepts the bound {cost:?}");
+            assert!(
+                cost.primary <= truth.primary,
+                "{what}: {cost:?} > {truth:?}"
+            );
+            assert_eq!(cost.secondary, truth.secondary, "{what}");
+            return false;
+        }
+        assert_eq!(cost, truth, "{what}");
+        assert_eq!(objective.loads, fresh.loads, "{what}");
+        if !objective.last.open || objective.last.counted {
+            let histograms = (histogram(&objective.tracker), histogram(&fresh.tracker));
+            assert_eq!(histograms.0, histograms.1, "{what}");
+        }
+        true
+    }
+
+    /// Repeats the batch `swaps` on `table`, the way a caller undoes it:
+    /// through [`Objective::apply_disjoint_swaps`] (`how == 0`),
+    /// [`Objective::apply_bounded`] under `limit` (`how == 1`), or
+    /// [`Objective::apply_swap`] for a batch of one. Returns the cost and
+    /// the limit the call was made under, which is accept-all for the two
+    /// exact methods.
+    fn repeat<'a>(
+        objective: &mut CongestionObjective,
+        table: &mut [u64],
+        swaps: &[(u64, u64)],
+        how: u32,
+        limit: &'a dyn Fn(Cost) -> bool,
+    ) -> (Cost, &'a dyn Fn(Cost) -> bool) {
+        match (how, swaps) {
+            (1, _) => (objective.apply_bounded(table, swaps, limit), limit),
+            (2, &[(a, b)]) => {
+                table.swap(a as usize, b as usize);
+                (objective.apply_swap(table, a, b), &|_| true)
+            }
+            _ => (objective.apply_disjoint_swaps(table, swaps), &|_| true),
+        }
+    }
+
+    #[test]
+    fn carried_moves_price_once_and_undo_exactly() {
+        // The carry wall. Random walks mix rotations, reversals, swaps and
+        // block swaps, each priced under a limit drawn from three:
+        // reject-all, accept-all and the annealer's test on a seeded draw.
+        // A rotation's first batch goes under reject-all, as the annealer
+        // sends it, and is carried into the second. A move its limit
+        // rejects is undone, by any of the three methods and limits, or
+        // left in place, where a bounded one is carried into the next batch
+        // or, a block swap, rebuilt. Every return is exact, with the loads
+        // of a fresh rebuild, or a bound at most the exact cost with its
+        // secondary that its limit rejects (`assert_exact_or_bounded`).
+        // Every undo that closes its move restores the cost, the loads and
+        // the histogram. A repeat of an accepted rotation's second batch
+        // under accept-all gets the exact cost, so an undo that handed the
+        // reopened half's bound to a limit that accepts it fails here.
+        use rand::seq::SliceRandom;
+        let pairs = [
+            (Grid::torus(shape(&[2, 2])), Grid::ring(4).unwrap()),
+            (Grid::line(4).unwrap(), Grid::mesh(shape(&[2, 2]))),
+            (Grid::ring(12).unwrap(), Grid::mesh(shape(&[3, 4]))),
+            (Grid::torus(shape(&[4, 4])), Grid::mesh(shape(&[4, 4]))),
+            (Grid::mesh(shape(&[2, 3, 4])), Grid::torus(shape(&[4, 6]))),
+            (Grid::hypercube(5).unwrap(), Grid::torus(shape(&[4, 8]))),
+            (Grid::mesh(shape(&[3, 3, 4])), Grid::torus(shape(&[6, 6]))),
+            (Grid::torus(shape(&[4, 4, 4])), Grid::mesh(shape(&[8, 8]))),
+        ];
+        let optimizer = Optimizer::new(OptimizerConfig {
+            mix: MoveMix {
+                reverse_per_mille: 250,
+                kcycle_per_mille: 350,
+                block_per_mille: 200,
+            },
+            ..OptimizerConfig::default()
+        });
+        let reject_all = |_: Cost| false;
+        let accept_all = |_: Cost| true;
+        // Carried batches; reopened halves, bounded and exact; undos that
+        // closed their move; bounded block swaps left in place before a
+        // batch; repeats of an accepted rotation's second batch.
+        let mut seen = [0u32; 6];
+        for (index, (guest, host)) in pairs.iter().enumerate() {
+            let grids = (guest, host);
+            let n = guest.size();
+            let mut rng = StdRng::seed_from_u64(index as u64);
+            let mut table = embed(guest, host).unwrap().to_table().unwrap();
+            if index % 2 == 1 {
+                table.shuffle(&mut rng);
+            }
+            let mut objective = CongestionObjective::new(guest, host).unwrap();
+            let acceptance = Acceptance::new(objective.rebuild(&table), n);
+            let (mut first, mut swaps) = (Vec::new(), Vec::new());
+            for step in 0..300u64 {
+                let before = CongestionObjective::new(guest, host)
+                    .unwrap()
+                    .rebuild(&table);
+                let draw = StdRng::seed_from_u64(step);
+                let temperature = [0.0, 0.01, 2.0][step as usize % 3];
+                let annealer =
+                    |cost: Cost| acceptance.accepts(cost, before, temperature, &mut draw.clone());
+                let limits: [&dyn Fn(Cost) -> bool; 3] = [&reject_all, &accept_all, &annealer];
+                let limit = limits[rng.gen_range(0..3usize)];
+                let what = format!("pair {index}, step {step}");
+                let proposal = optimizer.propose(&mut rng, guest.shape(), n);
+                match proposal {
+                    Move::Swap { a, b } => {
+                        swaps.clear();
+                        swaps.push((a, b));
+                    }
+                    Move::Reverse { start, end } => reversal_swaps(start, end, &mut swaps),
+                    Move::Rotate { start, end } => {
+                        reversal_swaps(start, end, &mut first);
+                        let cost = objective.apply_bounded(&mut table, &first, &reject_all);
+                        let half = format!("{what}, first half");
+                        assert_exact_or_bounded(
+                            &objective,
+                            grids,
+                            &table,
+                            cost,
+                            &reject_all,
+                            &half,
+                        );
+                        if let Some(bound) = objective.last.bounded {
+                            assert_eq!(bound.primary, 0, "{half}");
+                        }
+                        reversal_swaps(start, end - 1, &mut swaps);
+                    }
+                    Move::BlockSwap {
+                        stride,
+                        radix,
+                        low,
+                        high,
+                    } => block_swaps(n, stride, radix, low, high, &mut swaps),
+                }
+                let rotation = matches!(proposal, Move::Rotate { .. });
+                let last = &objective.last;
+                if last.bounded.is_some() && uniform_span(&last.swaps) && !uniform_span(&swaps) {
+                    seen[4] += 1;
+                }
+                let cost = objective.apply_bounded(&mut table, &swaps, limit);
+                seen[0] += u32::from(!objective.last.carried.is_empty());
+                assert_exact_or_bounded(&objective, grids, &table, cost, limit, &what);
+                if limit(cost) {
+                    if rotation && rng.gen_bool(0.3) {
+                        let cost = objective.apply_bounded(&mut table, &swaps, &accept_all);
+                        let again = format!("{what}, second half again");
+                        assert!(assert_exact_or_bounded(
+                            &objective,
+                            grids,
+                            &table,
+                            cost,
+                            &accept_all,
+                            &again
+                        ));
+                        seen[5] += 1;
+                    }
+                    continue;
+                }
+                if rng.gen_bool(0.2) {
+                    // Left in place: a bounded move is carried or rebuilt.
+                    continue;
+                }
+                let carried = !objective.last.carried.is_empty();
+                let how = rng.gen_range(0..3);
+                let limit = limits[rng.gen_range(0..3usize)];
+                let (mut cost, limit) = repeat(&mut objective, &mut table, &swaps, how, limit);
+                let undo = format!("{what}, undo");
+                let exact = assert_exact_or_bounded(&objective, grids, &table, cost, limit, &undo);
+                if carried {
+                    seen[1 + usize::from(exact)] += 1;
+                }
+                let mut whole = !rotation;
+                if rotation && rng.gen_bool(0.9) {
+                    let how = rng.gen_range(0..3);
+                    let drawn = limits[rng.gen_range(0..3usize)];
+                    let limit;
+                    (cost, limit) = repeat(&mut objective, &mut table, &first, how, drawn);
+                    let undo = format!("{what}, undo of the first half");
+                    assert_exact_or_bounded(&objective, grids, &table, cost, limit, &undo);
+                    whole = true;
+                }
+                if whole && !objective.last.open {
+                    assert_eq!(cost, before, "{what}: the undo must restore the cost");
+                    seen[3] += 1;
+                }
+            }
+        }
+        for (count, name) in seen.iter().zip([
+            "carried batches",
+            "bounded reopens",
+            "exact reopens",
+            "closing undos",
+            "bounded block swaps left before a batch",
+            "repeated second halves",
+        ]) {
+            assert!(*count >= 10, "only {count} {name}");
+        }
     }
 
     /// The sorted ids of the edges `moved` holds.

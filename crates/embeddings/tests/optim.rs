@@ -43,12 +43,15 @@ fn pairs() -> Vec<(Grid, Grid)> {
 /// and that every batched move keeps its disjointness contract: no index
 /// appears twice in one batch. Bounded calls reach the inner objective as
 /// bounded calls, so the audit covers the walk the annealer really takes.
+/// They are counted apart by their limit: a judged call's limit accepts the
+/// zero cost, and an unjudged one's, which rejects it, rejects every cost.
 struct BijectivityAuditor<'a> {
     inner: &'a mut dyn Objective,
     seen: Vec<bool>,
     calls: u64,
     batches: u64,
     bounded: u64,
+    unjudged: u64,
 }
 
 impl<'a> BijectivityAuditor<'a> {
@@ -59,6 +62,7 @@ impl<'a> BijectivityAuditor<'a> {
             calls: 0,
             batches: 0,
             bounded: 0,
+            unjudged: 0,
         }
     }
 
@@ -113,7 +117,15 @@ impl Objective for BijectivityAuditor<'_> {
         swaps: &[(u64, u64)],
         accepts: &dyn Fn(Cost) -> bool,
     ) -> Cost {
-        self.bounded += 1;
+        let zero = Cost {
+            primary: 0,
+            secondary: 0,
+        };
+        if accepts(zero) {
+            self.bounded += 1;
+        } else {
+            self.unjudged += 1;
+        }
         Self::assert_disjoint(swaps);
         let cost = self.inner.apply_bounded(table, swaps, accepts);
         self.assert_permutation(table);
@@ -138,6 +150,7 @@ fn every_applied_move_preserves_bijectivity() {
             auditor.bounded, 600,
             "every step proposes its move through `apply_bounded`"
         );
+        assert_eq!(auditor.unjudged, 0, "only rotations have unjudged batches");
         assert!(
             auditor.calls > 0,
             "rejected swaps are undone by `apply_swap`"
@@ -165,7 +178,10 @@ fn every_compound_move_preserves_bijectivity_and_disjointness() {
         })
         .optimize(&e, &mut auditor)
         .unwrap();
-        assert_eq!(auditor.bounded, 600, "one bounded call per step");
+        assert_eq!(auditor.bounded, 600, "one judged bounded call per step");
+        // A rotation's first batch, and the first batch of its undo, go
+        // through `apply_bounded` under a limit that rejects every cost.
+        assert!(auditor.unjudged > 0, "no rotation reached `apply_bounded`");
         assert!(
             auditor.batches >= 100,
             "compound mix must issue batched moves ({} batches)",
@@ -347,8 +363,9 @@ fn walks_through_a_boxed_objective_take_the_bounded_path() {
     // explab's shard factories hand the annealer a `Box<dyn Objective>`; a
     // box that dropped `apply_bounded` would silently price every sweep
     // move exactly. A boxed auditor goes through the same `Box<T>` impl: the
-    // walk must reach its bounded method once per step and end exactly
-    // where the unboxed walk ends.
+    // walk must reach its bounded method with one judged call per step, and
+    // with its rotations' unjudged batches, and end exactly where the
+    // unboxed walk ends.
     let (guest, host) = (Grid::torus(shape(&[4, 6])), Grid::mesh(shape(&[4, 6])));
     let e = embed(&guest, &host).unwrap();
     let config = OptimizerConfig {
@@ -361,6 +378,7 @@ fn walks_through_a_boxed_objective_take_the_bounded_path() {
     let mut boxed = Box::new(BijectivityAuditor::new(&mut congestion));
     let through_box = Optimizer::new(config).optimize(&e, &mut boxed).unwrap();
     assert_eq!(boxed.bounded, 500);
+    assert!(boxed.unjudged > 0);
     let mut direct = CongestionObjective::new(&guest, &host).unwrap();
     let direct = Optimizer::new(config).optimize(&e, &mut direct).unwrap();
     assert_eq!(through_box.table, direct.table);

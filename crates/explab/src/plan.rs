@@ -20,10 +20,10 @@
 //! workloads = neighbor, tornado, transpose
 //! optimize = congestion      # none (default) | congestion | dilation | wirelength | makespan
 //! optim_steps = 800          # annealing steps per shard
-//! optim_shards = 4           # independently-seeded annealing walks per trial
+//! optim_shards = 4           # independently-seeded annealing walks per trial, at most 1024
 //! optim_portfolio = true     # vary shard move mixes/temperatures (needs optimize)
 //! wirelength = 600           # anneal hypercube guests toward Tang's bound (none disables)
-//! wirelength_shards = 4      # independently-seeded wirelength walks (needs wirelength)
+//! wirelength_shards = 4      # independently-seeded wirelength walks (needs wirelength), at most 1024
 //! chaos = 1, 5, 10           # link-loss percentages for fault-tolerance rows
 //! chaos_tenants = 2, 4       # multi-tenant contention sizes (needs chaos)
 //! family paper
@@ -477,6 +477,12 @@ const MAX_FAMILY_DIM: u64 = 10;
 /// draw 24).
 const MAX_FAMILY_COUNT: u64 = 1024;
 
+/// The most annealing walks a plan file may ask for per trial
+/// (`optim_shards`, `wirelength_shards`): every shard's table is kept until
+/// the winner is picked, so an unbounded count would grow memory without
+/// bound (the built-ins run at most 4).
+const MAX_SHARDS: u32 = 1024;
+
 /// A declarative sweep: families × workloads, a seed, and a round count for
 /// the simulator.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -767,6 +773,14 @@ impl SweepPlan {
                             message: "wirelength_shards must be at least 1".into(),
                         });
                     }
+                    if shards > MAX_SHARDS {
+                        return Err(ExplabError::PlanParse {
+                            line,
+                            message: format!(
+                                "wirelength_shards must be at most {MAX_SHARDS}, got {shards}"
+                            ),
+                        });
+                    }
                     wirelength_shards = Some(shards);
                 }
                 "chaos" => {
@@ -845,6 +859,14 @@ impl SweepPlan {
                         return Err(ExplabError::PlanParse {
                             line,
                             message: "optim_shards must be at least 1".into(),
+                        });
+                    }
+                    if shards > MAX_SHARDS {
+                        return Err(ExplabError::PlanParse {
+                            line,
+                            message: format!(
+                                "optim_shards must be at most {MAX_SHARDS}, got {shards}"
+                            ),
                         });
                     }
                     optim_shards = Some(shards);
@@ -1194,6 +1216,14 @@ mod tests {
                 "family paper\nchaos_tenants = 2, 4294967295\nchaos = 5",
                 "chaos_tenants",
             ),
+            (
+                "optimize = congestion\noptim_shards = 4294967295\nfamily paper",
+                "optim_shards",
+            ),
+            (
+                "wirelength = 100\nwirelength_shards = 1025\nfamily paper",
+                "wirelength_shards",
+            ),
         ] {
             let err = SweepPlan::parse(plan).unwrap_err();
             assert!(
@@ -1205,7 +1235,9 @@ mod tests {
         let edge = format!(
             "family same_shape max_size={MAX_FAMILY_SIZE} max_dim={MAX_FAMILY_DIM}\n\
              family random count={MAX_FAMILY_COUNT}\n\
-             chaos = 5\nchaos_tenants = {MAX_FAMILY_SIZE}"
+             chaos = 5\nchaos_tenants = {MAX_FAMILY_SIZE}\n\
+             optimize = congestion\noptim_shards = {MAX_SHARDS}\n\
+             wirelength = 100\nwirelength_shards = {MAX_SHARDS}"
         );
         assert!(SweepPlan::parse(&edge).is_ok(), "the caps themselves parse");
         let err = SweepPlan::parse("# only comments").unwrap_err();

@@ -83,9 +83,9 @@ fn a_closed_stdout_ends_lab_quietly_with_the_sigpipe_status() {
 
 #[test]
 fn plan_file_parse_failures_name_the_line_and_exit_one() {
-    // A round count, family bound or tenant count past its cap would
-    // otherwise run without bound, or build one trial of tens of millions
-    // of nodes.
+    // A round count, family bound, tenant count or shard count past its
+    // cap would otherwise run without bound, build one trial of tens of
+    // millions of nodes, or keep a table per shard without bound.
     for (name, contents, line, message) in [
         (
             "bad-seed.plan",
@@ -122,6 +122,18 @@ fn plan_file_parse_failures_name_the_line_and_exit_one() {
             "family paper\nchaos = 5\nchaos_tenants = 4294967295\n",
             3,
             "chaos_tenants entries must be at most 1024",
+        ),
+        (
+            "huge-shards.plan",
+            "family paper\noptimize = congestion\noptim_shards = 4294967295\n",
+            3,
+            "optim_shards must be at most 1024",
+        ),
+        (
+            "huge-wirelength-shards.plan",
+            "family paper\nwirelength = 100\nwirelength_shards = 1025\n",
+            3,
+            "wirelength_shards must be at most 1024",
         ),
     ] {
         let path = temp_file(name, contents);
