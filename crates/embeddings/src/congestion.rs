@@ -48,11 +48,7 @@ struct Loads {
 
 /// Routes every guest edge whose chunk node is in `range` and accumulates
 /// per-link loads into a flat vector indexed by [`Grid::link_index`].
-fn route_chunk(
-    embedding: &Embedding,
-    range: std::ops::Range<u64>,
-    dims: &[usize],
-) -> Result<Loads> {
+fn route_chunk(embedding: &Embedding, range: std::ops::Range<u64>) -> Result<Loads> {
     use std::cell::Cell;
 
     let host = embedding.host();
@@ -95,10 +91,16 @@ fn route_chunk(
                 total_path_length,
                 ..
             } = &mut loads;
-            for_each_hop(host, fx, index, fy, dims, |hop, before, after| {
-                per_link[link_slot_of_hop(host, hop, before, after) as usize] += 1;
-                *total_path_length += 1;
-            });
+            for_each_hop(
+                host,
+                fx.as_slice(),
+                index,
+                fy.as_slice(),
+                |hop, before, after| {
+                    per_link[link_slot_of_hop(host, hop, before, after) as usize] += 1;
+                    *total_path_length += 1;
+                },
+            );
         },
     );
     match failure {
@@ -177,8 +179,7 @@ pub fn congestion(embedding: &Embedding) -> Result<CongestionReport> {
 /// Same as [`congestion`].
 pub fn congestion_sequential(embedding: &Embedding) -> Result<CongestionReport> {
     check_size(embedding)?;
-    let dims: Vec<usize> = (0..embedding.host().dim()).collect();
-    let loads = route_chunk(embedding, 0..embedding.size(), &dims)?;
+    let loads = route_chunk(embedding, 0..embedding.size())?;
     Ok(report_from(loads))
 }
 
@@ -206,7 +207,6 @@ pub fn congestion_parallel(embedding: &Embedding, threads: usize) -> Result<Cong
     let per_worker_bytes = (host.link_count() * 8).max(1);
     let threads = threads.min(((SCRATCH_BUDGET_BYTES / per_worker_bytes).max(1)) as usize);
 
-    let dims: Vec<usize> = (0..host.dim()).collect();
     // parallel_map_reduce's identity must be cheap; represent "no loads yet"
     // as an empty vector and let merging resize.
     let merged = parallel_map_reduce(
@@ -217,7 +217,7 @@ pub fn congestion_parallel(embedding: &Embedding, threads: usize) -> Result<Cong
             guest_edges: 0,
             total_path_length: 0,
         }),
-        |range| route_chunk(embedding, range, &dims),
+        |range| route_chunk(embedding, range),
         |a, b| {
             let (mut a, b) = match (a, b) {
                 (Err(e), _) | (_, Err(e)) => return Err(e),

@@ -7,8 +7,8 @@
 //! direction bit is whether the hop moves to a higher node index. Two hops
 //! claim the same slot exactly when they cross the same link from the same
 //! node, so arbitration never needs the nodes a route visits.
-//! [`DorRoutes`] expands a dimension-ordered route straight into slots,
-//! reading both endpoints from the network's per-node digit table;
+//! [`push_dor_route`] expands a dimension-ordered route straight into
+//! slots, walking the two endpoints' rows of the network's digit table;
 //! [`push_path_route`] maps a fault-aware router's node path to the same
 //! slots. Every caller keeps its routes in one [`RouteTable`]: one flat
 //! list of slots, each route a span of it, so a run of any size costs a
@@ -46,8 +46,8 @@
 
 use std::ops::Range;
 
-use topology::routing::{for_each_hop, link_slot_of_hop};
-use topology::{Coord, Grid};
+use topology::routing::link_slot_of_hop;
+use topology::Grid;
 
 use crate::chaos::faults::link_slot_between;
 use crate::network::Network;
@@ -59,49 +59,19 @@ fn claim_slot(link: u64, before: u64, after: u64) -> u32 {
         .expect("directed link slots fit in u32: the cycle bitsets would need 32 GiB first")
 }
 
-/// Expands dimension-ordered routes — the routes [`Network::route_into`]
-/// expands as nodes — straight into claim slots. Both endpoints are read
-/// from the network's per-node digit table into two reused coordinates, so
-/// an expansion neither decodes a node index nor builds a coordinate.
-pub(crate) struct DorRoutes {
-    current: Coord,
-    target: Coord,
-}
-
-impl DorRoutes {
-    /// Expansion scratch for routes on `network`.
-    pub(crate) fn new(network: &Network) -> Self {
-        let zero = Coord::zero(network.grid().dim()).expect("grid dimensions fit a Coord");
-        DorRoutes {
-            current: zero,
-            target: zero,
-        }
-    }
-
-    /// Appends the claim slots of the dimension-ordered route from `from`
-    /// to `to` on `network` to `out`.
-    pub(crate) fn push(&mut self, network: &Network, from: u64, to: u64, out: &mut Vec<u32>) {
-        let grid = network.grid();
-        let ends = network.digits(from).iter().zip(network.digits(to));
-        for (j, (&u, &v)) in ends.enumerate() {
-            self.current.set(j, u);
-            self.target.set(j, v);
-        }
-        for_each_hop(
-            grid,
-            &self.current,
-            from,
-            &self.target,
-            network.forward_dims(),
-            |hop, before, after| {
-                out.push(claim_slot(
-                    link_slot_of_hop(grid, hop, before, after),
-                    before,
-                    after,
-                ))
-            },
-        );
-    }
+/// Appends the claim slots of the dimension-ordered route from `from` to
+/// `to` on `network` — the route [`Network::route_into`] expands as nodes —
+/// to `out`.
+pub(crate) fn push_dor_route(network: &Network, from: u64, to: u64, out: &mut Vec<u32>) {
+    let table = network.table();
+    let grid = table.grid();
+    table.for_each_hop(from, to, |hop, before, after| {
+        out.push(claim_slot(
+            link_slot_of_hop(grid, hop, before, after),
+            before,
+            after,
+        ))
+    });
 }
 
 /// Appends the claim slots of the node path `path` (excluding its source
@@ -943,7 +913,7 @@ mod tests {
             for from in grid.nodes() {
                 for to in grid.nodes() {
                     let (mut direct, mut mapped) = (Vec::new(), Vec::new());
-                    DorRoutes::new(&network).push(&network, from, to, &mut direct);
+                    push_dor_route(&network, from, to, &mut direct);
                     push_path_route(&grid, from, &network.route(from, to), &mut mapped);
                     assert_eq!(direct, mapped, "{grid}: {from} -> {to}");
                 }

@@ -5,19 +5,17 @@
 //! the analytical model can never disagree about which arc a route takes.
 
 use topology::csr::CsrAdjacency;
-use topology::routing::{for_each_hop, next_hop_toward};
-use topology::{Coord, Grid};
+use topology::routing::next_hop_toward;
+use topology::{DigitTable, Grid};
 
 /// A network instance: a torus or mesh topology plus the routing metadata the
 /// simulator needs (materialized adjacency and per-node coordinates).
 #[derive(Clone, Debug)]
 pub struct Network {
-    grid: Grid,
+    /// The topology with every node's coordinates, so routes and hop counts
+    /// never decode an index.
+    table: DigitTable,
     adjacency: CsrAdjacency,
-    forward_dims: Vec<usize>,
-    /// Node-major coordinate table: digit `j` of node `x` at
-    /// `digits[x · d + j]`, so route expansion never decodes an index.
-    digits: Vec<u32>,
 }
 
 impl Network {
@@ -30,24 +28,25 @@ impl Network {
     /// memory.
     pub fn new(grid: Grid) -> Self {
         let adjacency = CsrAdjacency::build(&grid).expect("network fits in memory");
-        let forward_dims = (0..grid.dim()).collect();
-        let digits = grid.digit_table();
         Network {
-            grid,
+            table: grid.digit_table(),
             adjacency,
-            forward_dims,
-            digits,
         }
     }
 
     /// The underlying topology.
     pub fn grid(&self) -> &Grid {
-        &self.grid
+        self.table.grid()
+    }
+
+    /// The topology's digit table, which every route is walked over.
+    pub(crate) fn table(&self) -> &DigitTable {
+        &self.table
     }
 
     /// The number of nodes.
     pub fn size(&self) -> u64 {
-        self.grid.size()
+        self.grid().size()
     }
 
     /// The materialized adjacency.
@@ -62,10 +61,8 @@ impl Network {
     ///
     /// Returns `None` if `from == to`.
     pub fn next_hop(&self, from: u64, to: u64) -> Option<u64> {
-        let a: Coord = self.grid.coord(from).expect("node in range");
-        let b: Coord = self.grid.coord(to).expect("node in range");
-        let next = next_hop_toward(&self.grid, &a, &b, &self.forward_dims)?;
-        Some(self.grid.index(&next).expect("valid coordinate"))
+        let table = &self.table;
+        next_hop_toward(table.grid(), table.row(from), from, table.row(to))
     }
 
     /// The full dimension-ordered route from `from` to `to`, excluding the
@@ -79,39 +76,19 @@ impl Network {
     /// Appends the dimension-ordered route from `from` to `to` (excluding
     /// the source, including the destination) to `out`.
     ///
-    /// This is the batched form of [`Network::route`]: the route expansion
-    /// advances a coordinate and its index in place, so expanding millions
-    /// of routes into reused (or shared, flat) hop buffers never touches the
+    /// This is the batched form of [`Network::route`]: the route is walked
+    /// over the two nodes' rows of the digit table, so expanding millions of
+    /// routes into reused (or shared, flat) hop buffers never touches the
     /// allocator beyond the buffer's own growth.
     pub fn route_into(&self, from: u64, to: u64, out: &mut Vec<u64>) {
-        let current = self.grid.coord(from).expect("node in range");
-        let target = self.grid.coord(to).expect("node in range");
-        for_each_hop(
-            &self.grid,
-            &current,
-            from,
-            &target,
-            &self.forward_dims,
-            |_, _, after| out.push(after),
-        );
-    }
-
-    /// The dimension-correction order of dimension-ordered routing: every
-    /// dimension, lowest index first.
-    pub(crate) fn forward_dims(&self) -> &[usize] {
-        &self.forward_dims
-    }
-
-    /// The coordinate digits of `node`, read from the table built once.
-    pub(crate) fn digits(&self, node: u64) -> &[u32] {
-        let d = self.grid.dim();
-        &self.digits[node as usize * d..][..d]
+        self.table
+            .for_each_hop(from, to, |_, _, after| out.push(after));
     }
 
     /// The number of hops of the dimension-ordered route — equal to the
     /// shortest-path distance for toruses and meshes.
     pub fn hops(&self, from: u64, to: u64) -> u64 {
-        self.grid.distance_index(from, to).expect("nodes in range")
+        self.table.distance(from, to)
     }
 }
 

@@ -68,7 +68,7 @@
 
 use embeddings::optim::{Cost, Objective};
 
-use crate::engine::{self, DorRoutes, Replay, RouteTable, Schedule, Span};
+use crate::engine::{self, push_dor_route, Replay, RouteTable, Schedule, Span};
 use crate::network::Network;
 use crate::traffic::Workload;
 
@@ -132,8 +132,6 @@ pub struct MakespanObjective {
     epoch: u64,
     /// The committed schedule and the replay's scratch.
     schedule: Schedule,
-    /// Route expansion scratch.
-    dor: DorRoutes,
     /// Re-routing scratch, reused across evaluations.
     affected: Vec<u32>,
     touched: Vec<u64>,
@@ -204,7 +202,6 @@ impl MakespanObjective {
             }
         }
         let slots = engine::slots(network.grid());
-        let dor = DorRoutes::new(&network);
         Ok(MakespanObjective {
             network,
             workload,
@@ -218,7 +215,6 @@ impl MakespanObjective {
             pair_epoch: vec![0; pairs],
             epoch: 0,
             schedule: Schedule::new(slots, pairs),
-            dor,
             affected: Vec::new(),
             touched: Vec::new(),
             slot_count: vec![0; slots],
@@ -248,9 +244,9 @@ impl MakespanObjective {
     fn expand_route(&mut self, pair: usize, table: &[u64]) -> Span {
         let (src_task, dst_task) = self.workload.pairs()[pair];
         let (from, to) = (table[src_task as usize], table[dst_task as usize]);
-        let (network, dor) = (&self.network, &mut self.dor);
+        let network = &self.network;
         self.routes
-            .append(|slots| dor.push(network, from, to, slots))
+            .append(|slots| push_dor_route(network, from, to, slots))
     }
 
     /// Points the cached route of pair `pair` at its route under `table`,
@@ -514,8 +510,9 @@ impl Objective for MakespanObjective {
         for pair in 0..self.workload.pairs().len() {
             let (src_task, dst_task) = self.workload.pairs()[pair];
             let (from, to) = (table[src_task as usize], table[dst_task as usize]);
-            let (network, dor) = (&self.network, &mut self.dor);
-            self.routes.push(|slots| dor.push(network, from, to, slots));
+            let network = &self.network;
+            self.routes
+                .push(|slots| push_dor_route(network, from, to, slots));
             let route = self.routes.route(pair);
             recount(&mut self.slot_count, &[], route);
             self.queue_index[pair] = if route.is_empty() {

@@ -188,11 +188,10 @@ pub fn simulate(
     } else {
         workload.pairs()
     };
-    let mut dor = engine::DorRoutes::new(network);
     let mut routes = engine::RouteTable::with_routes(pairs.len());
     for &(src_task, dst_task) in pairs {
         let (from, to) = (placement.node_of(src_task), placement.node_of(dst_task));
-        routes.push(|slots| dor.push(network, from, to, slots));
+        routes.push(|slots| engine::push_dor_route(network, from, to, slots));
     }
     let cycles = engine::cycles_to_deliver(network.grid(), &routes, rounds);
     let messages = (pairs.len() * rounds) as u64;

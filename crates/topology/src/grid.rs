@@ -13,10 +13,14 @@
 
 use core::fmt;
 
-use mixedradix::distance::{delta_m_unchecked, delta_t_unchecked, mesh_diameter, torus_diameter};
+use mixedradix::distance::{
+    delta_m_unchecked, delta_t_unchecked, digit_distance_mesh, digit_distance_torus, mesh_diameter,
+    torus_diameter,
+};
 use mixedradix::planes::{DigitPlanes, LANES};
 
 use crate::error::{Result, TopologyError};
+use crate::routing::{self, HopTaken};
 use crate::{Coord, Shape};
 
 /// Whether a [`Grid`] has wrap-around edges (torus) or boundaries (mesh).
@@ -204,15 +208,15 @@ impl Grid {
         self.shape.iter()
     }
 
-    /// Every node's coordinates as one node-major table: digit `j` of node
-    /// `x` at `[x · d + j]`, `d · n` entries. Batches of up to [`LANES`]
-    /// consecutive nodes are decoded with [`DigitPlanes::decode_range`] and
-    /// transposed from the planes' dimension-major layout into rows.
+    /// Every node's coordinates as one node-major [`DigitTable`]. Batches
+    /// of up to [`LANES`] consecutive nodes are decoded with
+    /// [`DigitPlanes::decode_range`] and transposed from the planes'
+    /// dimension-major layout into rows.
     ///
     /// # Panics
     ///
     /// Panics if the table does not fit in memory.
-    pub fn digit_table(&self) -> Vec<u32> {
+    pub fn digit_table(&self) -> DigitTable {
         let d = self.dim();
         let mut digits = vec![0u32; self.size() as usize * d];
         let mut planes = DigitPlanes::for_base(&self.shape);
@@ -229,7 +233,10 @@ impl Grid {
             }
             start += count as u64;
         }
-        digits
+        DigitTable {
+            grid: self.clone(),
+            digits,
+        }
     }
 
     /// The degree of the node with index `x`.
@@ -467,6 +474,62 @@ impl Grid {
     }
 }
 
+/// A grid with every node's coordinates in one node-major table, built by
+/// [`Grid::digit_table`]: digit `j` of node `x` at `[x · d + j]`, `d · n`
+/// entries. Distances and dimension-ordered routes between two nodes read
+/// their two rows, so neither decodes a node index. Every method panics on
+/// a node index outside the grid.
+#[derive(Clone, Debug)]
+pub struct DigitTable {
+    grid: Grid,
+    digits: Vec<u32>,
+}
+
+impl DigitTable {
+    /// The grid whose nodes the table holds.
+    pub fn grid(&self) -> &Grid {
+        &self.grid
+    }
+
+    /// The coordinates of node `x`, one digit per dimension.
+    #[inline]
+    pub fn row(&self, x: u64) -> &[u32] {
+        let d = self.grid.dim();
+        &self.digits[x as usize * d..][..d]
+    }
+
+    /// The distance between nodes `x` and `y` (Lemmas 5 and 6): the
+    /// per-dimension `|Δ|` of their rows, each taken as `min(Δ, l − Δ)` on
+    /// toruses, summed — what [`Grid::distance_index`] computes after
+    /// decoding both indices.
+    #[inline]
+    pub fn distance(&self, x: u64, y: u64) -> u64 {
+        let (p, q) = (self.row(x), self.row(y));
+        if self.grid.is_torus() {
+            p.iter()
+                .zip(q)
+                .zip(self.grid.shape().radices())
+                .map(|((&u, &v), &l)| digit_distance_torus(u, v, l))
+                .sum()
+        } else {
+            p.iter()
+                .zip(q)
+                .map(|(&u, &v)| digit_distance_mesh(u, v))
+                .sum()
+        }
+    }
+
+    /// Emits every hop of the dimension-ordered route from node `from` to
+    /// node `to`, as [`routing::for_each_hop`] does for their rows.
+    #[inline]
+    pub fn for_each_hop<F>(&self, from: u64, to: u64, emit: F)
+    where
+        F: FnMut(HopTaken, u64, u64),
+    {
+        routing::for_each_hop(&self.grid, self.row(from), from, self.row(to), emit);
+    }
+}
+
 impl fmt::Debug for Grid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self}")
@@ -698,17 +761,35 @@ mod tests {
 
     #[test]
     fn digit_table_rows_match_coords() {
-        // 140 and 192 nodes: the table spans several decode batches.
+        // 140 and 192 nodes: the table spans several decode batches. Every
+        // row is its node's coordinates, and the distance between two rows
+        // is the grid's.
         for grid in [
             Grid::torus(shape(&[4, 5, 7])),
             Grid::mesh(shape(&[2, 3, 2, 2, 2, 2])),
             Grid::ring(9).unwrap(),
+            Grid::torus(shape(&[4, 2, 3])),
+            Grid::mesh(shape(&[3, 5])),
+            Grid::hypercube(4).unwrap(),
+            Grid::ring(2).unwrap(),
+            Grid::torus(shape(&[2, 2])),
+            Grid::ring(8).unwrap(),
         ] {
-            let d = grid.dim();
             let table = grid.digit_table();
-            assert_eq!(table.len() as u64, grid.size() * d as u64);
-            for (x, row) in (0..).zip(table.chunks_exact(d)) {
-                assert_eq!(row, grid.coord(x).unwrap().as_slice(), "row {x} of {grid}");
+            assert_eq!(table.grid(), &grid);
+            for x in grid.nodes() {
+                assert_eq!(
+                    table.row(x),
+                    grid.coord(x).unwrap().as_slice(),
+                    "row {x} of {grid}"
+                );
+                for y in grid.nodes() {
+                    assert_eq!(
+                        table.distance(x, y),
+                        grid.distance_index(x, y).unwrap(),
+                        "{x} -> {y} in {grid}"
+                    );
+                }
             }
         }
     }

@@ -19,8 +19,11 @@
 //!   degree distribution, mean distance, bisection width);
 //! * [`parallel`] — crossbeam-based fork–join helpers used for edge sweeps;
 //! * [`routing`] — the dimension-ordered next-hop rule shared by the
-//!   congestion model and the network simulator, with in-place batched
-//!   stepping and dense link indexing for flat-array load accounting.
+//!   congestion model, the annealing objectives and the network simulator:
+//!   one walk over two digit rows, lowest dimension first, batched per
+//!   dimension, with dense link indexing for flat-array load accounting;
+//! * [`DigitTable`] — every node's coordinates in one node-major table
+//!   ([`Grid::digit_table`]), the rows those walks and distances read.
 //!
 //! # Example
 //!
@@ -56,7 +59,7 @@ pub type Shape = mixedradix::RadixBase;
 pub type Coord = mixedradix::Digits;
 
 pub use error::{Result, TopologyError};
-pub use grid::{GraphKind, Grid};
+pub use grid::{DigitTable, GraphKind, Grid};
 
 /// The structure-of-arrays digit-plane codec, re-exported so downstream
 /// crates can batch-decode node indices of a [`Shape`] without depending on

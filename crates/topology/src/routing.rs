@@ -2,29 +2,33 @@
 //!
 //! Both the congestion model in the `embeddings` crate and the simulator in
 //! the `netsim` crate route along dimension-ordered shortest paths: correct
-//! the first differing dimension (in a caller-chosen order), moving along the
-//! shorter arc on toruses and breaking equidistant-arc ties in the *forward*
-//! (+1) direction. Keeping the rule in one place guarantees the two crates
-//! can never silently disagree about which arc a tied route takes.
+//! the lowest dimension whose digits differ, moving along the shorter arc on
+//! toruses and breaking equidistant-arc ties in the *forward* (+1)
+//! direction. Keeping the rule in one place guarantees the two crates can
+//! never silently disagree about which arc a tied route takes.
 //!
-//! Two entry points are provided:
+//! Both entry points read the two ends as digit rows (`&[u32]`, digit `j`
+//! at `[j]`, as [`DigitTable::row`] hands them out) with the source's node
+//! index, so no node index is decoded on the way:
 //!
-//! * [`next_hop_toward`] — the simple form: build and return the next
-//!   coordinate (`Coord` is `Copy`, so this never allocates);
+//! * [`next_hop_toward`] — the simple form: the index of the next node;
 //! * [`for_each_hop`] — the batched form: emit the *entire* route as
 //!   per-dimension sweeps (direction and step count computed once per
 //!   dimension, then pure index arithmetic per hop), reporting each hop's
 //!   dimension, direction and wrap with the node indices on either side,
-//!   exactly the hops repeated [`next_hop_toward`] calls take.
+//!   exactly the hops repeated [`next_hop_toward`] calls take;
+//!   [`DigitTable::for_each_hop`] runs it between two nodes of a table.
 //!
 //! The batching is sound because dimension-ordered routing fully corrects
 //! one dimension before touching the next, and the shorter-arc choice is
 //! invariant along a correction (each step shortens the chosen arc and
 //! lengthens the other), so a per-hop "first differing dimension" rescan
 //! is redundant work the batched form skips.
+//!
+//! [`DigitTable::row`]: crate::DigitTable::row
+//! [`DigitTable::for_each_hop`]: crate::DigitTable::for_each_hop
 
 use crate::grid::Grid;
-use crate::Coord;
 
 /// One dimension-ordered hop, as reported by [`for_each_hop`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,30 +43,25 @@ pub struct HopTaken {
 }
 
 /// The dimension to correct and the direction to step, under the shared
-/// rule: the first dimension in `dims` whose coordinates differ, stepping
-/// `+1` on meshes when the target is larger (else `-1`), and along the
-/// shorter arc on toruses with ties broken toward `+1`.
+/// rule: the lowest dimension whose digits differ, stepping `+1` on meshes
+/// when the target is larger (else `-1`), and along the shorter arc on
+/// toruses with ties broken toward `+1`.
 ///
-/// Returns `None` when `from == to` on every dimension in `dims`.
+/// Returns `None` when `from == to`.
 #[inline]
-fn dor_step(grid: &Grid, from: &Coord, to: &Coord, dims: &[usize]) -> Option<(usize, bool)> {
-    for &j in dims {
-        let (x, y) = (from.get(j), to.get(j));
-        if x == y {
-            continue;
-        }
-        let forward = if grid.is_torus() {
-            let l = grid.shape().radix(j) as i64;
-            let ahead = (y as i64 - x as i64).rem_euclid(l);
-            let behind = (x as i64 - y as i64).rem_euclid(l);
-            // Shorter arc; equidistant arcs take the forward direction.
-            ahead <= behind
-        } else {
-            y > x
-        };
-        return Some((j, forward));
-    }
-    None
+fn dor_step(grid: &Grid, from: &[u32], to: &[u32]) -> Option<(usize, bool)> {
+    let j = from.iter().zip(to).position(|(x, y)| x != y)?;
+    let (x, y) = (from[j], to[j]);
+    let forward = if grid.is_torus() {
+        let l = grid.shape().radix(j) as i64;
+        let ahead = (y as i64 - x as i64).rem_euclid(l);
+        let behind = (x as i64 - y as i64).rem_euclid(l);
+        // Shorter arc; equidistant arcs take the forward direction.
+        ahead <= behind
+    } else {
+        y > x
+    };
+    Some((j, forward))
 }
 
 /// One digit step in the given direction: the next digit value and whether
@@ -94,31 +93,46 @@ pub(crate) fn step_index(index: u64, l: u32, w: u64, forward: bool, wrapped: boo
     }
 }
 
-/// The next hop from `from` toward `to`, correcting dimensions in the order
-/// given by `dims` and taking the shorter arc on toruses (ties forward).
+/// Asserts that both rows have one digit per dimension of `grid`.
+#[inline]
+fn check_rows(grid: &Grid, from: &[u32], to: &[u32]) {
+    let d = grid.dim();
+    assert!(
+        from.len() == d && to.len() == d,
+        "digit rows need {d} digits"
+    );
+}
+
+/// The index of the next node on the dimension-ordered route from `from`
+/// (whose linear index is `from_index`) to `to`: correct the lowest
+/// dimension whose digits differ, taking the shorter arc on toruses (ties
+/// forward).
 ///
-/// Returns `None` when the coordinates already agree on every dimension in
-/// `dims`. This is the one dimension-ordered routing rule shared by
-/// `embeddings::congestion` and `netsim`.
+/// Returns `None` when the rows are equal. This is the one
+/// dimension-ordered routing rule shared by `embeddings::congestion` and
+/// `netsim`.
 ///
 /// # Panics
 ///
-/// Panics if a coordinate has the wrong dimension or a dimension index in
-/// `dims` is out of range.
-pub fn next_hop_toward(grid: &Grid, from: &Coord, to: &Coord, dims: &[usize]) -> Option<Coord> {
-    let (j, forward) = dor_step(grid, from, to, dims)?;
+/// Panics if a row's length is not the grid's dimension. `from_index` must
+/// be the index of `from`; the returned index is computed from it.
+pub fn next_hop_toward(grid: &Grid, from: &[u32], from_index: u64, to: &[u32]) -> Option<u64> {
+    check_rows(grid, from, to);
+    let (j, forward) = dor_step(grid, from, to)?;
     let l = grid.shape().radix(j);
-    let x = from.get(j);
-    let step: i64 = if forward { 1 } else { -1 };
-    let mut next = *from;
-    next.set(j, (x as i64 + step).rem_euclid(l as i64) as u32);
-    Some(next)
+    let (_, wrapped) = step_digit(l, from[j], forward);
+    Some(step_index(
+        from_index,
+        l,
+        grid.shape().weight(j + 1),
+        forward,
+        wrapped,
+    ))
 }
 
 /// Emits every hop of the dimension-ordered route from `from` (whose linear
-/// index is `from_index`) to `to`, correcting dimensions in the order given
-/// by `dims` — the batched form of calling [`next_hop_toward`] until it
-/// returns `None`.
+/// index is `from_index`) to `to`, lowest dimension first — the batched
+/// form of calling [`next_hop_toward`] until it returns `None`.
 ///
 /// `emit(hop, before, after)` receives every hop in route order with the
 /// node indices on either side, but the direction and step count are
@@ -126,27 +140,21 @@ pub fn next_hop_toward(grid: &Grid, from: &Coord, to: &Coord, dims: &[usize]) ->
 /// (digit-plane style: one sweep per dimension instead of one dimension
 /// rescan per hop), so each hop costs one wrap test and one index add. This
 /// is the route-expansion kernel behind `embeddings::congestion`, the
-/// congestion objective's incremental ±1 updates, and netsim's hop buffers.
+/// congestion objective's incremental ±1 updates, and netsim's routes.
 ///
 /// # Panics
 ///
-/// Panics if a coordinate has the wrong dimension, a dimension index in
-/// `dims` is out of range, or `from_index` is not the index of `from`.
-pub fn for_each_hop<F>(
-    grid: &Grid,
-    from: &Coord,
-    from_index: u64,
-    to: &Coord,
-    dims: &[usize],
-    mut emit: F,
-) where
+/// Panics if a row's length is not the grid's dimension. `from_index` must
+/// be the index of `from`; the reported indices are computed from it.
+pub fn for_each_hop<F>(grid: &Grid, from: &[u32], from_index: u64, to: &[u32], mut emit: F)
+where
     F: FnMut(HopTaken, u64, u64),
 {
+    check_rows(grid, from, to);
     let shape = grid.shape();
     let torus = grid.is_torus();
     let mut index = from_index;
-    for &j in dims {
-        let (x, y) = (from.get(j), to.get(j));
+    for (j, (&x, &y)) in from.iter().zip(to).enumerate() {
         if x == y {
             continue;
         }
@@ -224,30 +232,21 @@ mod tests {
         Shape::new(radices.to_vec()).unwrap()
     }
 
-    fn coord(digits: &[u32]) -> Coord {
-        Coord::from_slice(digits).unwrap()
-    }
-
-    fn forward_dims(grid: &Grid) -> Vec<usize> {
-        (0..grid.dim()).collect()
-    }
-
     /// The stepwise reference for [`for_each_hop`]: takes one hop in place,
-    /// advancing `current` and its index `current_index` toward `target`,
-    /// and reports it; `None` once `current == target`.
+    /// advancing the digit row `current` and its index `current_index`
+    /// toward `target`, and reports it; `None` once `current == target`.
     fn advance_toward(
         grid: &Grid,
-        current: &mut Coord,
+        current: &mut [u32],
         current_index: &mut u64,
-        target: &Coord,
-        dims: &[usize],
+        target: &[u32],
     ) -> Option<HopTaken> {
-        let (j, forward) = dor_step(grid, current, target, dims)?;
+        let (j, forward) = dor_step(grid, current, target)?;
         let l = grid.shape().radix(j);
         let w = grid.shape().weight(j + 1);
-        let (next_digit, wrapped) = step_digit(l, current.get(j), forward);
+        let (next_digit, wrapped) = step_digit(l, current[j], forward);
         debug_assert!(!wrapped || grid.is_torus(), "meshes never wrap");
-        current.set(j, next_digit);
+        current[j] = next_digit;
         *current_index = step_index(*current_index, l, w, forward, wrapped);
         Some(HopTaken {
             dim: j,
@@ -261,15 +260,20 @@ mod tests {
         // Even radices put the antipode at exactly l/2 in both directions;
         // the rule must pick the forward (+1) arc, never the backward one.
         let ring = Grid::ring(4).unwrap();
-        let next = next_hop_toward(&ring, &coord(&[0]), &coord(&[2]), &[0]).unwrap();
-        assert_eq!(next, coord(&[1]));
+        assert_eq!(next_hop_toward(&ring, &[0], 0, &[2]), Some(1));
 
         let torus = Grid::torus(shape(&[6, 6]));
-        let next = next_hop_toward(&torus, &coord(&[0, 0]), &coord(&[3, 0]), &[0, 1]).unwrap();
-        assert_eq!(next, coord(&[1, 0]));
-        // … including from a nonzero starting coordinate.
-        let next = next_hop_toward(&torus, &coord(&[5, 2]), &coord(&[2, 2]), &[0, 1]).unwrap();
-        assert_eq!(next, coord(&[0, 2]));
+        // Digit 0 weighs 6: (0, 0) steps forward to (1, 0), node 6 …
+        assert_eq!(next_hop_toward(&torus, &[0, 0], 0, &[3, 0]), Some(6));
+        // … and (5, 2), node 32, wraps forward to (0, 2), node 2.
+        assert_eq!(next_hop_toward(&torus, &[5, 2], 32, &[2, 2]), Some(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "digit rows")]
+    fn rows_of_the_wrong_length_are_rejected() {
+        let torus = Grid::torus(shape(&[6, 6]));
+        next_hop_toward(&torus, &[0], 0, &[3]);
     }
 
     #[test]
@@ -280,19 +284,20 @@ mod tests {
             Grid::torus(shape(&[5, 3])),
             Grid::hypercube(4).unwrap(),
         ] {
-            let dims = forward_dims(&grid);
+            let table = grid.digit_table();
             for a in grid.nodes() {
                 for b in grid.nodes() {
-                    let target = grid.coord(b).unwrap();
-                    let mut current = grid.coord(a).unwrap();
+                    let mut current = a;
                     let mut hops = 0u64;
-                    while let Some(next) = next_hop_toward(&grid, &current, &target, &dims) {
-                        assert_eq!(grid.distance(&current, &next), 1);
+                    while let Some(next) =
+                        next_hop_toward(&grid, table.row(current), current, table.row(b))
+                    {
+                        assert_eq!(grid.distance_index(current, next).unwrap(), 1);
                         current = next;
                         hops += 1;
                         assert!(hops <= grid.diameter(), "non-terminating route");
                     }
-                    assert_eq!(current, target);
+                    assert_eq!(current, b);
                     assert_eq!(hops, grid.distance_index(a, b).unwrap(), "{grid} {a}->{b}");
                 }
             }
@@ -306,23 +311,23 @@ mod tests {
             Grid::mesh(shape(&[3, 5])),
             Grid::ring(8).unwrap(),
         ] {
-            let dims = forward_dims(&grid);
+            let table = grid.digit_table();
             for a in grid.nodes() {
                 for b in grid.nodes() {
-                    let target = grid.coord(b).unwrap();
-                    let mut current = grid.coord(a).unwrap();
+                    let target = table.row(b);
+                    let mut current = table.row(a).to_vec();
                     let mut index = a;
                     loop {
-                        let expected = next_hop_toward(&grid, &current, &target, &dims);
+                        let expected = next_hop_toward(&grid, &current, index, target);
                         let before = index;
-                        match advance_toward(&grid, &mut current, &mut index, &target, &dims) {
+                        match advance_toward(&grid, &mut current, &mut index, target) {
                             None => {
                                 assert!(expected.is_none());
                                 break;
                             }
                             Some(hop) => {
-                                assert_eq!(Some(current), expected);
-                                assert_eq!(grid.index(&current).unwrap(), index);
+                                assert_eq!(Some(index), expected);
+                                assert_eq!(current, table.row(index));
                                 // The canonical link slot is shared by both
                                 // traversal directions of the same link.
                                 let slot = link_slot_of_hop(&grid, hop, before, index);
@@ -345,26 +350,16 @@ mod tests {
             Grid::ring(2).unwrap(),
             Grid::torus(shape(&[2, 2])),
         ] {
-            let dims = forward_dims(&grid);
+            let table = grid.digit_table();
+            let slot = |from: u64, to: u64| {
+                let mut current = table.row(from).to_vec();
+                let mut index = from;
+                let hop = advance_toward(&grid, &mut current, &mut index, table.row(to)).unwrap();
+                link_slot_of_hop(&grid, hop, from, index)
+            };
             for a in grid.nodes() {
                 for b in grid.neighbors(a).unwrap() {
-                    let slot_ab = {
-                        let mut c = grid.coord(a).unwrap();
-                        let mut i = a;
-                        let hop =
-                            advance_toward(&grid, &mut c, &mut i, &grid.coord(b).unwrap(), &dims)
-                                .unwrap();
-                        link_slot_of_hop(&grid, hop, a, i)
-                    };
-                    let slot_ba = {
-                        let mut c = grid.coord(b).unwrap();
-                        let mut i = b;
-                        let hop =
-                            advance_toward(&grid, &mut c, &mut i, &grid.coord(a).unwrap(), &dims)
-                                .unwrap();
-                        link_slot_of_hop(&grid, hop, b, i)
-                    };
-                    assert_eq!(slot_ab, slot_ba, "{grid} link {a}-{b}");
+                    assert_eq!(slot(a, b), slot(b, a), "{grid} link {a}-{b}");
                 }
             }
         }
@@ -372,10 +367,10 @@ mod tests {
 
     #[test]
     fn for_each_hop_matches_stepwise_advance_exhaustively() {
-        // The batched per-dimension emitter must reproduce the stepwise
-        // sequence bit for bit — hops, directions, wraps, and both node
-        // indices — for every ordered pair, in forward and reversed
-        // dimension order.
+        // The batched per-dimension walk over a digit table must reproduce
+        // the stepwise sequence bit for bit — hops, directions, wraps, and
+        // both node indices — for every ordered pair, and `next_hop_toward`
+        // on the table's rows must name every node of it in turn.
         for grid in [
             Grid::torus(shape(&[4, 2, 3])),
             Grid::mesh(shape(&[4, 2, 3])),
@@ -385,47 +380,34 @@ mod tests {
             Grid::ring(8).unwrap(),
             Grid::ring(2).unwrap(),
         ] {
-            let forward: Vec<usize> = (0..grid.dim()).collect();
-            let reverse: Vec<usize> = (0..grid.dim()).rev().collect();
-            for dims in [&forward, &reverse] {
-                for a in grid.nodes() {
-                    for b in grid.nodes() {
-                        let from = grid.coord(a).unwrap();
-                        let target = grid.coord(b).unwrap();
-                        let mut expected = Vec::new();
-                        let mut current = from;
-                        let mut index = a;
-                        loop {
-                            let before = index;
-                            match advance_toward(&grid, &mut current, &mut index, &target, dims) {
-                                None => break,
-                                Some(hop) => expected.push((hop, before, index)),
+            let table = grid.digit_table();
+            for a in grid.nodes() {
+                for b in grid.nodes() {
+                    let target = table.row(b);
+                    let mut expected = Vec::new();
+                    let mut current = table.row(a).to_vec();
+                    let mut index = a;
+                    loop {
+                        let before = index;
+                        let next = next_hop_toward(&grid, table.row(index), index, target);
+                        match advance_toward(&grid, &mut current, &mut index, target) {
+                            None => {
+                                assert_eq!(next, None, "{grid} {a}->{b}");
+                                break;
+                            }
+                            Some(hop) => {
+                                assert_eq!(next, Some(index), "{grid} {a}->{b}");
+                                expected.push((hop, before, index));
                             }
                         }
-                        let mut batched = Vec::new();
-                        for_each_hop(&grid, &from, a, &target, dims, |hop, before, after| {
-                            batched.push((hop, before, after));
-                        });
-                        assert_eq!(batched, expected, "{grid} {a}->{b} dims={dims:?}");
                     }
+                    let mut batched = Vec::new();
+                    table.for_each_hop(a, b, |hop, before, after| {
+                        batched.push((hop, before, after));
+                    });
+                    assert_eq!(batched, expected, "{grid} {a}->{b}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn respects_dimension_order() {
-        let mesh = Grid::mesh(shape(&[3, 3]));
-        let from = coord(&[0, 0]);
-        let to = coord(&[2, 2]);
-        // Forward order corrects dimension 0 first, reverse order dimension 1.
-        assert_eq!(
-            next_hop_toward(&mesh, &from, &to, &[0, 1]).unwrap(),
-            coord(&[1, 0])
-        );
-        assert_eq!(
-            next_hop_toward(&mesh, &from, &to, &[1, 0]).unwrap(),
-            coord(&[0, 1])
-        );
     }
 }

@@ -138,12 +138,11 @@ fn even_radix_tie_break_is_identical_in_both_crates() {
     for radices in [&[4][..], &[6, 6][..], &[2, 4][..]] {
         let grid = Grid::torus(shape(radices));
         let network = Network::new(grid.clone());
-        let dims: Vec<usize> = (0..grid.dim()).collect();
         for from in grid.nodes() {
             for to in grid.nodes() {
                 let a = grid.coord(from).unwrap();
                 let b = grid.coord(to).unwrap();
-                let shared = next_hop_toward(&grid, &a, &b, &dims).map(|c| grid.index(&c).unwrap());
+                let shared = next_hop_toward(&grid, a.as_slice(), from, b.as_slice());
                 assert_eq!(network.next_hop(from, to), shared, "{grid} {from}->{to}");
                 let route = network.route(from, to);
                 assert_eq!(route.first().copied(), shared, "{grid} {from}->{to}");
