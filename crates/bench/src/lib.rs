@@ -6,7 +6,7 @@
 //!
 //! * [`workloads`] — one table with a row for every group the checked-in
 //!   `BENCH_*.json` baselines record: the batched `verify`/`congestion`
-//!   pipeline and the digit-plane codec under it, the sweep engine, the
+//!   pipeline, the sweep engine, the
 //!   annealing objectives and move mixes, sharded annealing and the
 //!   delta-aware makespan objective, degraded routing, and `MAP` queries
 //!   over loopback TCP. Each row says what it counts, and may name the

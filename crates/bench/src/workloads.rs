@@ -28,8 +28,6 @@ use embeddings::verify::{verify, verify_sequential};
 use embeddings::Embedding;
 use explab::executor::{expand, run};
 use explab::plan::SweepPlan;
-use mixedradix::planes::{DigitPlanes, LANES};
-use mixedradix::{Digits, RadixBase};
 use netsim::chaos::{simulate_chaos, ChaosRouting, FaultPlan};
 use netsim::{simulate, MakespanObjective, Network, Placement};
 use topology::Grid;
@@ -83,8 +81,6 @@ const LOOPED_CALLS: u64 = 200;
 
 /// Guest edges of the pipeline's (1024,1024)-torus.
 const MILLION_NODE_EDGES: u64 = 1 << 21;
-/// Nodes of the pipeline's (32,32,32,32) host shape.
-const MILLION_NODES: u64 = 1 << 20;
 /// Trials of the built-in `bench` sweep plan.
 const BENCH_TRIALS: u64 = 123;
 /// Proposals per annealing walk over the 16×16 pair.
@@ -115,7 +111,7 @@ const BLOCK_HEAVY: MoveMix = MoveMix {
 /// Every timed workload, grouped by baseline file in table order.
 pub const WORKLOADS: &[Workload] = &[
     // BENCH_pipeline.json: the batched sweeps on 2²⁰ nodes, sequential and
-    // on 8 workers, and the digit-plane codec underneath them.
+    // on 8 workers.
     Workload {
         benchmark: "pipeline_throughput",
         group: "verify/batched",
@@ -147,30 +143,6 @@ pub const WORKLOADS: &[Workload] = &[
         elements: MILLION_NODE_EDGES,
         gate: None,
         setup: || million_node(|e| Ok(congestion_parallel(e, 8)?.max_congestion)),
-    },
-    Workload {
-        benchmark: "pipeline_throughput",
-        group: "soa_codec/scalar",
-        unit: MELEM,
-        elements: MILLION_NODES,
-        gate: None,
-        setup: decode_scalar,
-    },
-    Workload {
-        benchmark: "pipeline_throughput",
-        group: "soa_codec/decode_range",
-        unit: MELEM,
-        elements: MILLION_NODES,
-        gate: Some("soa_codec_melem_per_s"),
-        setup: decode_range,
-    },
-    Workload {
-        benchmark: "pipeline_throughput",
-        group: "soa_codec/gather",
-        unit: MELEM,
-        elements: MILLION_NODES,
-        gate: None,
-        setup: decode_gather,
     },
     // BENCH_explab.json: plan expansion alone, and the full sweep of the
     // `bench` plan on 1 and 4 workers.
@@ -450,67 +422,6 @@ fn million_node<T: 'static>(sweep: fn(&Embedding) -> embeddings::Result<T>) -> S
     }))
 }
 
-/// The pipeline's host shape, (32,32,32,32).
-fn host_shape() -> Result<RadixBase, Box<dyn Error>> {
-    Ok(RadixBase::new(vec![32, 32, 32, 32])?)
-}
-
-/// Decodes every host node one call at a time with the scalar codec.
-fn decode_scalar() -> Setup {
-    let shape = host_shape()?;
-    let n = shape.size();
-    let mut digits = Digits::empty();
-    Ok(Box::new(move || {
-        let mut checksum = 0u32;
-        for x in 0..n {
-            shape.to_digits_into(x, &mut digits).expect("in range");
-            checksum ^= digits.get(0);
-        }
-        black_box(checksum);
-    }))
-}
-
-/// Decodes every host node in batches of `LANES` consecutive indices.
-fn decode_range() -> Setup {
-    let shape = host_shape()?;
-    let n = shape.size();
-    let mut planes = DigitPlanes::for_base(&shape);
-    Ok(Box::new(move || {
-        let mut checksum = 0u32;
-        let mut start = 0u64;
-        while start < n {
-            let count = (n - start).min(LANES as u64) as usize;
-            planes.decode_range(&shape, start, count).expect("in range");
-            checksum ^= planes.plane(0)[count - 1];
-            start += count as u64;
-        }
-        black_box(checksum);
-    }))
-}
-
-/// Decodes the same indices as [`decode_range`] through the
-/// arbitrary-index batch entry point.
-fn decode_gather() -> Setup {
-    let shape = host_shape()?;
-    let n = shape.size();
-    let mut planes = DigitPlanes::for_base(&shape);
-    let mut indices = [0u64; LANES];
-    Ok(Box::new(move || {
-        let mut checksum = 0u32;
-        let mut start = 0u64;
-        while start < n {
-            let count = (n - start).min(LANES as u64) as usize;
-            for (lane, slot) in indices.iter_mut().enumerate().take(count) {
-                *slot = start + lane as u64;
-            }
-            planes.decode(&shape, &indices[..count]).expect("in range");
-            checksum ^= planes.plane(0)[count - 1];
-            start += count as u64;
-        }
-        black_box(checksum);
-    }))
-}
-
 /// The built-in `bench` plan swept on `workers` workers: planner, batched
 /// verify and congestion, chain report and one netsim round per trial.
 fn sweep(workers: usize) -> Setup {
@@ -779,7 +690,6 @@ mod tests {
     #[test]
     fn element_counts_match_the_inputs() {
         assert_eq!(torus(&[1024, 1024]).num_edges(), MILLION_NODE_EDGES);
-        assert_eq!(host_shape().unwrap().size(), MILLION_NODES);
         let plan = SweepPlan::builtin("bench").unwrap();
         assert_eq!(expand(&plan).len() as u64, BENCH_TRIALS);
     }

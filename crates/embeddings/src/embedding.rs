@@ -12,11 +12,11 @@
 //!   node. Convenient for spot checks, but a sweep built on them pays one
 //!   dynamic call per lookup plus (for neighbor enumeration through
 //!   [`Grid::neighbors`]) a `Vec` allocation per node.
-//! * **Batched**: [`Embedding::map_into`] writes into a caller-owned scratch
-//!   [`Coord`], and [`Embedding::for_each_edge_mapped`] walks a contiguous
-//!   chunk of guest nodes, visiting every incident guest edge exactly once
-//!   with both endpoint images already evaluated — no allocation anywhere in
-//!   the loop. `verify`, `congestion` and [`Embedding::dilation`] are all
+//! * **Batched**: [`Embedding::for_each_mapped`] walks a contiguous range
+//!   of guest nodes with a digit odometer, visiting every node and every
+//!   incident guest edge exactly once with both endpoint images already
+//!   evaluated — no division and no allocation in the loop after its first
+//!   chunk. `verify`, `congestion` and [`Embedding::dilation`] are all
 //!   built on this path; prefer it whenever you touch more than a handful
 //!   of nodes, and hand disjoint chunks to the crossbeam fork–join pool (as
 //!   [`crate::verify::verify`] does) to scale with memory bandwidth.
@@ -32,8 +32,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use topology::planes::{DigitPlanes, LANES};
-use topology::{Coord, GraphKind, Grid};
+use topology::{Coord, Grid};
 
 use crate::error::{EmbeddingError, Result};
 
@@ -226,21 +225,6 @@ impl Embedding {
         (self.map)(x)
     }
 
-    /// Writes the image of guest node `x` into a caller-owned scratch
-    /// coordinate.
-    ///
-    /// This is the batched twin of [`Embedding::map`]: hot loops keep one
-    /// `Coord` alive per endpoint and overwrite it per lookup instead of
-    /// binding a fresh value per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is out of range (constructions map exactly `[0, n)`).
-    #[inline]
-    pub fn map_into(&self, x: u64, out: &mut Coord) {
-        *out = (self.map)(x);
-    }
-
     /// The image of guest node `x` as a host linear index.
     ///
     /// # Errors
@@ -287,20 +271,15 @@ impl Embedding {
     /// per edge, and nothing in the loop touches the allocator after the
     /// first chunk.
     ///
-    /// Internally the guest-side arithmetic runs on the structure-of-arrays
-    /// digit-plane codec: each batch of [`LANES`] consecutive nodes is
-    /// decoded with [`DigitPlanes::decode_range`] (two divisions per batch
-    /// per dimension instead of one per node per dimension), and the
-    /// neighbor-by-increasing-coordinate of every lane is computed by
-    /// per-dimension sweeps over the planes before any callback runs. The
-    /// callbacks then replay in exactly the order documented above, so
-    /// stateful visitors (congestion's per-node `Cell` handoff, verify's
-    /// failure accumulation) observe the same sequence as the scalar code
-    /// this replaces.
+    /// Only the range's first node is decoded. A digit odometer stepped in
+    /// place (the last digit goes up by one and carries into the ones
+    /// before it) gives every later node's coordinates without a division,
+    /// and each edge's head is the tail plus or minus a dimension weight,
+    /// by the rule [`Grid::edges`] uses.
     ///
     /// # Panics
     ///
-    /// Panics if the chunk contains an out-of-range node index.
+    /// Panics if `nodes` is not empty and reaches past the last guest node.
     pub fn for_each_mapped<N, E>(&self, nodes: Range<u64>, mut node: N, mut edge: E)
     where
         N: FnMut(u64, &Coord),
@@ -310,16 +289,21 @@ impl Embedding {
         // least-significant-dimension neighbors stay in-chunk, small enough
         // to live in cache.
         const CHUNK: u64 = 1 << 14;
-        // No-edge sentinel for the neighbor planes. Never a real index: the
-        // guest has at most u64::MAX nodes, so indices stop at u64::MAX − 1.
-        const NO_EDGE: u64 = u64::MAX;
+        if nodes.is_empty() {
+            return;
+        }
+        assert!(
+            nodes.end <= self.size(),
+            "guest nodes {nodes:?} reach past the last node, {}",
+            self.size() - 1
+        );
         let shape = self.guest.shape();
-        let kind = self.guest.kind();
-        let d = shape.dim();
-        let mut planes = DigitPlanes::for_base(shape);
-        let mut neighbors = vec![NO_EDGE; d * LANES];
+        let torus = self.guest.is_torus();
+        let radices = shape.radices();
+        let weights = &shape.weights()[1..];
+        let first = self.guest.coord(nodes.start).expect("node in range");
+        let mut digits = first.as_slice().to_vec();
         let mut images: Vec<Coord> = Vec::new();
-        let mut fy = Coord::empty();
         let mut start = nodes.start;
         while start < nodes.end {
             let end = nodes.end.min(start + CHUNK);
@@ -327,67 +311,32 @@ impl Embedding {
             for x in start..end {
                 images.push((self.map)(x));
             }
-            let mut batch = start;
-            while batch < end {
-                let count = (end - batch).min(LANES as u64) as usize;
-                planes
-                    .decode_range(shape, batch, count)
-                    .expect("node in range");
-                // Per-dimension sweeps: fixed-bound branches hoisted out of
-                // the lane loops so each loop body is a select over one
-                // digit plane — the autovectorizable shape.
-                for j in 0..d {
-                    let l = shape.radix(j);
-                    let w = shape.weight(j + 1);
-                    let plane = planes.plane(j);
-                    let out = &mut neighbors[j * LANES..(j + 1) * LANES];
-                    match kind {
-                        GraphKind::Mesh => {
-                            for (lane, slot) in out.iter_mut().enumerate().take(count) {
-                                let x = batch + lane as u64;
-                                *slot = if plane[lane] < l - 1 { x + w } else { NO_EDGE };
-                            }
-                        }
-                        // Length-2 torus dimensions have a single edge, owned
-                        // by the coordinate-0 endpoint.
-                        GraphKind::Torus if l == 2 => {
-                            for (lane, slot) in out.iter_mut().enumerate().take(count) {
-                                let x = batch + lane as u64;
-                                *slot = if plane[lane] == 0 { x + w } else { NO_EDGE };
-                            }
-                        }
-                        GraphKind::Torus => {
-                            let wrap = (l as u64 - 1) * w;
-                            for (lane, slot) in out.iter_mut().enumerate().take(count) {
-                                let x = batch + lane as u64;
-                                // Interior: step forward. Last coordinate:
-                                // wrap-around edge back to coordinate 0.
-                                *slot = if plane[lane] < l - 1 { x + w } else { x - wrap };
-                            }
-                        }
+            for (x, fx) in (start..end).zip(&images) {
+                node(x, fx);
+                for ((&i, &l), &w) in digits.iter().zip(radices).zip(weights) {
+                    // Step forward; from the last coordinate of a torus
+                    // dimension, wrap back to 0. A length-2 torus dimension
+                    // has one edge, owned by its coordinate-0 end.
+                    let y = if i + 1 < l {
+                        x + w
+                    } else if torus && l > 2 {
+                        x - u64::from(l - 1) * w
+                    } else {
+                        continue;
+                    };
+                    if (start..end).contains(&y) {
+                        edge(x, y, fx, &images[(y - start) as usize]);
+                    } else {
+                        edge(x, y, fx, &(self.map)(y));
                     }
                 }
-                // Replay the callbacks in the documented order: node(x),
-                // then x's edges in dimension order, for increasing x.
-                for lane in 0..count {
-                    let x = batch + lane as u64;
-                    let slot = (x - start) as usize;
-                    node(x, &images[slot]);
-                    for j in 0..d {
-                        let y = neighbors[j * LANES + lane];
-                        if y == NO_EDGE {
-                            continue;
-                        }
-                        let fy_ref: &Coord = if y >= start && y < end {
-                            &images[(y - start) as usize]
-                        } else {
-                            self.map_into(y, &mut fy);
-                            &fy
-                        };
-                        edge(x, y, &images[slot], fy_ref);
+                for (digit, &l) in digits.iter_mut().zip(radices).rev() {
+                    *digit += 1;
+                    if *digit < l {
+                        break;
                     }
+                    *digit = 0;
                 }
-                batch += count as u64;
             }
             start = end;
         }
@@ -399,7 +348,7 @@ impl Embedding {
     ///
     /// # Panics
     ///
-    /// Panics if the chunk contains an out-of-range node index.
+    /// Panics if `nodes` is not empty and reaches past the last guest node.
     pub fn for_each_edge_mapped<F>(&self, nodes: Range<u64>, visit: F)
     where
         F: FnMut(u64, u64, &Coord, &Coord),
@@ -785,16 +734,6 @@ mod tests {
             .with_name("custom");
         assert_eq!(e.name(), "custom");
         assert!(format!("{e:?}").contains("custom"));
-    }
-
-    #[test]
-    fn map_into_matches_map() {
-        let e = row_major(12, Grid::mesh(shape(&[3, 4])));
-        let mut scratch = Coord::empty();
-        for x in 0..e.size() {
-            e.map_into(x, &mut scratch);
-            assert_eq!(scratch, e.map(x));
-        }
     }
 
     #[test]

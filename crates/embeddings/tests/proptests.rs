@@ -719,3 +719,114 @@ proptest! {
         }
     }
 }
+
+/// The edges of `guest` whose tail lies in `nodes`, in the order of
+/// [`Grid::edges`]: each tail's coordinates decoded with [`Grid::coord`],
+/// then its coordinate increased in each dimension in turn.
+fn decoded_edges(guest: &Grid, nodes: std::ops::Range<u64>) -> Vec<(u64, u64)> {
+    let shape = guest.shape();
+    let mut edges = Vec::new();
+    for x in nodes {
+        let coord = guest.coord(x).unwrap();
+        for j in 0..guest.dim() {
+            let (l, i) = (shape.radix(j), coord.get(j));
+            let mut next = coord;
+            if i + 1 < l {
+                next.set(j, i + 1);
+            } else if guest.is_torus() && l > 2 {
+                next.set(j, 0);
+            } else {
+                continue;
+            }
+            edges.push((x, guest.index(&next).unwrap()));
+        }
+    }
+    edges
+}
+
+#[test]
+#[should_panic(expected = "reach past the last node")]
+fn mapped_sweeps_reject_a_range_past_the_last_node() {
+    // A map that answers past the last node too, so only the sweep's own
+    // range check can stop it.
+    let guest = Grid::torus(Shape::new(vec![4, 2, 3]).unwrap());
+    let shape = guest.shape().clone();
+    let e = embeddings::Embedding::new(
+        guest.clone(),
+        guest,
+        "wrapping identity",
+        std::sync::Arc::new(move |x| shape.to_digits(x % shape.size()).unwrap()),
+    )
+    .unwrap();
+    e.for_each_edge_mapped(20..25, |_, _, _, _| ());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn mapped_sweeps_of_any_subrange_match_per_node_decodes(
+        selector in 0u8..3,
+        ring in 2u32..=(1 << 20),
+        radices in proptest::collection::vec(2u32..=9, 1..=8),
+        torus in proptest::bool::ANY,
+        start_seed in 0u64..u64::MAX,
+        len_seed in 0u64..u64::MAX,
+    ) {
+        // A single ring of up to 2²⁰ nodes, the 32-dimensional binary shape
+        // or a ragged mixed base; a range of up to 2¹⁵ nodes from a nonzero
+        // start, so it can cross the sweep's 2¹⁴-node chunk boundary.
+        let radices = match selector {
+            0 => vec![ring],
+            1 => vec![2; 32],
+            _ => radices,
+        };
+        let guest = grid(torus, radices);
+        let n = guest.size();
+        prop_assume!(n > 1);
+        let a = 1 + start_seed % (n - 1);
+        let b = a + 1 + len_seed % (n - a).min(1 << 15);
+        let e = embeddings::Embedding::identity(guest.clone(), guest.clone()).unwrap();
+        // `map` of every node in the range, evaluated once up front.
+        let images: Vec<_> = (a..b).map(|x| e.map(x)).collect();
+        let map = |x: u64| if (a..b).contains(&x) { images[(x - a) as usize] } else { e.map(x) };
+        let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+        let (mut node_images_match, mut edge_images_match) = (true, true);
+        e.for_each_mapped(
+            a..b,
+            |x, fx| {
+                nodes.push(x);
+                node_images_match &= *fx == map(x);
+            },
+            |x, y, fx, fy| {
+                edges.push((x, y));
+                edge_images_match &= *fx == map(x) && *fy == map(y);
+            },
+        );
+        prop_assert_eq!(nodes, (a..b).collect::<Vec<u64>>(), "{} over {}..{}", guest, a, b);
+        prop_assert!(edges == decoded_edges(&guest, a..b), "{} over {}..{}", guest, a, b);
+        prop_assert!(node_images_match && edge_images_match, "{} over {}..{}", guest, a, b);
+    }
+
+    #[test]
+    fn digit_table_rows_match_per_node_decodes(
+        hypercube in proptest::bool::ANY,
+        radices in proptest::collection::vec(2u32..=300, 1..=16),
+        torus in proptest::bool::ANY,
+    ) {
+        // The 16-dimensional hypercube, or the longest prefix of the radices
+        // with at most 2¹⁶ nodes (never empty: the first radix is ≤ 300).
+        let mut size = 1u64;
+        let radices: Vec<u32> = if hypercube {
+            vec![2; 16]
+        } else {
+            radices.into_iter().take_while(|&l| { size *= u64::from(l); size <= 1 << 16 }).collect()
+        };
+        let grid = grid(torus, radices);
+        let table = grid.digit_table();
+        for x in grid.nodes() {
+            let coord = grid.coord(x).unwrap();
+            prop_assert_eq!(table.row(x), coord.as_slice(), "row {} of {}", x, grid);
+        }
+    }
+}

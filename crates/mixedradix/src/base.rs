@@ -5,7 +5,6 @@ use core::fmt;
 use crate::digits::{Digits, MAX_DIM};
 use crate::error::{MixedRadixError, Result};
 use crate::perm::Permutation;
-use crate::planes::MagicDivisor;
 
 /// A radix base `L = (l_1, l_2, …, l_d)` with every `l_j > 1`.
 ///
@@ -141,19 +140,6 @@ impl RadixBase {
     #[inline]
     pub fn weights(&self) -> &[u64] {
         &self.weights
-    }
-
-    /// The precomputed multiply–shift reciprocal for dimension `j`'s radix,
-    /// shared between the scalar decode and the [`crate::planes`] batch
-    /// codec. `None` when the dimension's numerator range admits no exact
-    /// 64-bit magic (callers use hardware division there).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.dim()`.
-    #[inline]
-    pub fn divider(&self, j: usize) -> Option<MagicDivisor> {
-        self.dividers[j]
     }
 
     /// Whether all radices are equal (`l_1 = l_2 = … = l_d`) — the paper's
@@ -334,6 +320,85 @@ impl TryFrom<&[u32]> for RadixBase {
     }
 }
 
+/// A precomputed multiply–shift reciprocal: `x / divisor` as
+/// `(x · magic) >> shift`, exact for every `x ≤ max_numerator` — the
+/// division [`RadixBase::to_digits_into`] runs per digit.
+///
+/// The constructor is *checked*: it searches for a `(magic, shift)` pair and
+/// admits it only after proving the Granlund–Montgomery exactness condition
+/// `f · max_numerator < 2^shift` (with `f = magic · divisor − 2^shift`), so
+/// [`MagicDivisor::divide`] needs no correction step. Powers of two take
+/// `magic = 1` with `shift = log2(divisor)` — the same branch-free
+/// mul-and-shift path, with zero error for *all* numerators.
+///
+/// For a handful of extreme (divisor, range) pairs no exact pair exists
+/// within a 64-bit magic; the constructor returns `None` and the decode
+/// falls back to hardware division for that dimension.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct MagicDivisor {
+    magic: u64,
+    shift: u32,
+    divisor: u64,
+    max_numerator: u64,
+}
+
+impl MagicDivisor {
+    /// Finds a reciprocal for `divisor`, exact for every numerator in
+    /// `0..=max_numerator`, or `None` when no 64-bit magic satisfies the
+    /// exactness condition (or `divisor == 0`).
+    fn new(divisor: u64, max_numerator: u64) -> Option<Self> {
+        if divisor == 0 {
+            return None;
+        }
+        if divisor.is_power_of_two() {
+            // (x · 1) >> log2(d) is exact for every u64 numerator.
+            return Some(MagicDivisor {
+                magic: 1,
+                shift: divisor.trailing_zeros(),
+                divisor,
+                max_numerator: u64::MAX,
+            });
+        }
+        for shift in 64..128u32 {
+            let pow = 1u128 << shift;
+            let magic = pow / divisor as u128 + 1;
+            if magic > u64::MAX as u128 {
+                // The magic only grows with the shift; nothing left to try.
+                break;
+            }
+            // Exactness (Granlund–Montgomery): with f = m·d − 2^p,
+            // ⌊x·m / 2^p⌋ = ⌊x/d⌋ for all x ≤ X  iff  f·X < 2^p.
+            let error = magic * divisor as u128 - pow;
+            if error * (max_numerator as u128) < pow {
+                return Some(MagicDivisor {
+                    magic: magic as u64,
+                    shift,
+                    divisor,
+                    max_numerator,
+                });
+            }
+        }
+        None
+    }
+
+    /// `x / divisor`, by multiply–shift.
+    ///
+    /// Exact for `x ≤ max_numerator`; larger numerators are a logic error
+    /// (checked in debug builds).
+    #[inline]
+    fn divide(&self, x: u64) -> u64 {
+        debug_assert!(x <= self.max_numerator, "numerator beyond proven range");
+        ((x as u128 * self.magic as u128) >> self.shift) as u64
+    }
+
+    /// `(x / d, x % d)` in one multiply–shift and one multiply-subtract.
+    #[inline]
+    fn div_rem(&self, x: u64) -> (u64, u64) {
+        let q = self.divide(x);
+        (q, x - q * self.divisor)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,5 +575,63 @@ mod tests {
         assert_eq!(base.dim(), 1);
         assert_eq!(base.size(), 7);
         assert_eq!(base.to_digits(5).unwrap().as_slice(), &[5]);
+    }
+
+    #[test]
+    fn magic_matches_hardware_division_exhaustively_per_radix() {
+        // Every radix a real shape uses (plus awkward primes and composites)
+        // against hardware division over the full proven numerator range.
+        for divisor in 2u64..=512 {
+            let limit = divisor * divisor * 4;
+            let m = MagicDivisor::new(divisor, limit).expect("small ranges always admit a magic");
+            for x in 0..=limit {
+                assert_eq!(m.divide(x), x / divisor, "d={divisor} x={x}");
+                let (q, r) = m.div_rem(x);
+                assert_eq!((q, r), (x / divisor, x % divisor), "d={divisor} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn magic_is_exact_at_the_edges_of_huge_ranges() {
+        // Spot the failure-prone numerators: just below/at multiples of the
+        // divisor near the top of the proven range.
+        for divisor in [3u64, 5, 6, 7, 10, 24, 1_000_003, u32::MAX as u64] {
+            for max in [1u64 << 20, 1 << 40, 1 << 52] {
+                let m = MagicDivisor::new(divisor, max).expect("range admits a magic");
+                let mut probes = vec![0, 1, divisor - 1, divisor, divisor + 1, max - 1, max];
+                let top = max / divisor * divisor;
+                probes.extend([top.saturating_sub(1), top, (top + 1).min(max)]);
+                for x in probes.into_iter().filter(|&x| x <= max) {
+                    assert_eq!(m.divide(x), x / divisor, "d={divisor} max={max} x={x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn power_of_two_magics_cover_every_u64() {
+        for k in 0..=63u32 {
+            let divisor = 1u64 << k;
+            let m = MagicDivisor::new(divisor, u64::MAX).expect("powers of two always work");
+            assert_eq!(m.max_numerator, u64::MAX);
+            for x in [0u64, 1, divisor - 1, divisor, u64::MAX - 1, u64::MAX] {
+                assert_eq!(m.divide(x), x / divisor, "d=2^{k} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn impossible_ranges_are_rejected_not_mis_divided() {
+        assert!(MagicDivisor::new(0, 10).is_none());
+        // Divisor 7 over the full u64 range: every feasible shift (64..=66,
+        // beyond which the magic overflows u64) leaves f · X ≥ 2^shift, so
+        // the checked constructor must refuse rather than return an inexact
+        // reciprocal.
+        assert!(MagicDivisor::new(7, u64::MAX).is_none());
+        // Divisor 3 only barely works: shift 64 has f = 2 (refused for the
+        // full range) but shift 65 has f = 1, which covers every u64.
+        let m = MagicDivisor::new(3, u64::MAX).expect("f = 1 at shift 65");
+        assert_eq!(m.divide(u64::MAX), u64::MAX / 3);
     }
 }

@@ -4,10 +4,9 @@
 //! *Ma & Tao, "Embeddings Among Toruses and Meshes"* (ICPP 1987):
 //!
 //! * [`RadixBase`] — a radix base `L = (l_1, …, l_d)` with its weights
-//!   (Definition 7), doubling as the *shape* of a torus or mesh;
+//!   (Definition 7), doubling as the *shape* of a torus or mesh; its
+//!   decode divides by precomputed multiply–shift reciprocals;
 //! * [`Digits`] — radix-`L` representations / node coordinates, stored inline;
-//! * [`planes`] — the structure-of-arrays digit-plane batch codec and the
-//!   multiply–shift reciprocal constants shared with the scalar decode;
 //! * [`distance`] — the δ_m (mesh) and δ_t (torus) distance measures of
 //!   Lemmas 5 and 6;
 //! * [`sequence`] — acyclic and cyclic sequences of radix-`L` numbers and
@@ -51,14 +50,12 @@ pub mod error;
 pub mod gray;
 pub mod iter;
 pub mod perm;
-pub mod planes;
 pub mod sequence;
 
 pub use base::RadixBase;
 pub use digits::{Digits, MAX_DIM};
 pub use error::{MixedRadixError, Result};
 pub use perm::Permutation;
-pub use planes::{DigitPlanes, MagicDivisor, LANES};
 pub use sequence::{ExplicitSequence, FnSequence, NaturalSequence, RadixSequence};
 
 /// Commonly used items.
@@ -69,6 +66,5 @@ pub mod prelude {
     pub use crate::error::MixedRadixError;
     pub use crate::gray::{binary_gray, binary_gray_inverse, BinaryGraySequence};
     pub use crate::perm::Permutation;
-    pub use crate::planes::{DigitPlanes, MagicDivisor, LANES};
     pub use crate::sequence::{ExplicitSequence, FnSequence, NaturalSequence, RadixSequence};
 }

@@ -152,88 +152,15 @@ proptest! {
             prop_assert_eq!(joined.to_index(&ab).unwrap(), x * other.size() + y);
         }
     }
-}
-
-/// Builds a shape hostile to the structure-of-arrays codec from raw fuzz
-/// input: a single-dimension ring up to 2²⁰ nodes (one huge plane), the
-/// maximum-dimension binary shape (many tiny planes), or a ragged mixed base
-/// whose size is not a multiple of the batch width.
-fn hostile_base(selector: u8, ring: u32, radices: Vec<u32>) -> RadixBase {
-    match selector % 3 {
-        0 => RadixBase::new(vec![ring]).unwrap(),
-        1 => RadixBase::binary(MAX_DIM).unwrap(),
-        _ => {
-            // Keep a prefix of the radices whose product stays manageable.
-            let mut kept = Vec::new();
-            let mut size = 1u64;
-            for l in radices {
-                if size * l as u64 > 1 << 22 {
-                    break;
-                }
-                size *= l as u64;
-                kept.push(l);
-            }
-            if kept.is_empty() {
-                kept.push(2);
-            }
-            RadixBase::new(kept).unwrap()
-        }
-    }
-}
-
-proptest! {
-    #[test]
-    fn soa_gather_decode_matches_the_scalar_codec(
-        selector in 0u8..3,
-        ring in 2u32..=(1 << 20),
-        radices in proptest::collection::vec(2u32..=9, 1..=8),
-        raw in proptest::collection::vec(0u64..u64::MAX, 1..=LANES),
-    ) {
-        // Arbitrary (not necessarily consecutive) indices, arbitrary batch
-        // length — including the ragged lengths a final batch would see.
-        let base = hostile_base(selector, ring, radices);
-        let indices: Vec<u64> = raw.iter().map(|&x| x % base.size()).collect();
-        let mut planes = DigitPlanes::for_base(&base);
-        planes.decode(&base, &indices).unwrap();
-        for (lane, &x) in indices.iter().enumerate() {
-            let scalar = base.to_digits(x).unwrap();
-            prop_assert_eq!(planes.get(lane), scalar.clone());
-            for j in 0..base.dim() {
-                prop_assert_eq!(planes.plane(j)[lane], scalar.get(j));
-            }
-            prop_assert_eq!(planes.encode(&base, lane).unwrap(), x);
-        }
-    }
-
-    #[test]
-    fn soa_range_decode_matches_the_scalar_codec(
-        selector in 0u8..3,
-        ring in 2u32..=(1 << 20),
-        radices in proptest::collection::vec(2u32..=9, 1..=8),
-        start_seed in 0u64..u64::MAX,
-        count in 1usize..=LANES,
-    ) {
-        let base = hostile_base(selector, ring, radices);
-        let count = count.min(base.size() as usize);
-        let start = start_seed % (base.size() - count as u64 + 1);
-        let mut planes = DigitPlanes::for_base(&base);
-        planes.decode_range(&base, start, count).unwrap();
-        let mut encoded = vec![0u64; count];
-        planes.encode_into(&base, &mut encoded);
-        for (lane, &back) in encoded.iter().enumerate() {
-            let x = start + lane as u64;
-            prop_assert_eq!(planes.get(lane), base.to_digits(x).unwrap());
-            prop_assert_eq!(back, x);
-        }
-    }
 
     #[test]
     fn radix_one_dimensions_are_rejected_before_either_codec(
         mut radices in proptest::collection::vec(2u32..=9, 1..=7),
         position in 0usize..64,
     ) {
-        // Definition 7 requires l_j > 1, so neither the scalar nor the SoA
-        // codec ever sees a radix-1 plane: construction already fails.
+        // Definition 7 requires l_j > 1, so neither the scalar decode nor a
+        // digit odometer ever sees a radix-1 dimension: construction
+        // already fails.
         radices.insert(position % (radices.len() + 1), 1);
         let rejected = matches!(
             RadixBase::new(radices),

@@ -17,7 +17,6 @@ use mixedradix::distance::{
     delta_m_unchecked, delta_t_unchecked, digit_distance_mesh, digit_distance_torus, mesh_diameter,
     torus_diameter,
 };
-use mixedradix::planes::{DigitPlanes, LANES};
 
 use crate::error::{Result, TopologyError};
 use crate::routing::{self, HopTaken};
@@ -208,30 +207,45 @@ impl Grid {
         self.shape.iter()
     }
 
-    /// Every node's coordinates as one node-major [`DigitTable`]. Batches
-    /// of up to [`LANES`] consecutive nodes are decoded with
-    /// [`DigitPlanes::decode_range`] and transposed from the planes'
-    /// dimension-major layout into rows.
+    /// Every node's coordinates as one node-major [`DigitTable`], filled
+    /// without decoding a node index. Rows come in runs of `l_d` nodes that
+    /// share every digit but the last. A run's first row steps the odometer
+    /// of the row before it: the last digit that does not wrap goes up by
+    /// one, the digits after it stay zero and the ones before it are
+    /// copied. Every later row of the run copies the first row's leading
+    /// digits and counts its last digit up, so no row waits on the store of
+    /// the row before it.
     ///
     /// # Panics
     ///
     /// Panics if the table does not fit in memory.
     pub fn digit_table(&self) -> DigitTable {
         let d = self.dim();
+        let radices = self.shape.radices();
+        let last = d - 1;
+        let run = radices[last] as usize * d;
         let mut digits = vec![0u32; self.size() as usize * d];
-        let mut planes = DigitPlanes::for_base(&self.shape);
-        let mut start = 0u64;
-        for rows in digits.chunks_mut(LANES * d) {
-            let count = rows.len() / d;
-            planes
-                .decode_range(&self.shape, start, count)
-                .expect("batch within the grid");
-            for j in 0..d {
-                for (row, &digit) in rows.chunks_exact_mut(d).zip(planes.plane(j)) {
-                    row[j] = digit;
+        for at in (0..digits.len()).step_by(run) {
+            if at > 0 {
+                let (prev, row) = digits[at - d..at + d].split_at_mut(d);
+                for j in (0..last).rev() {
+                    let digit = prev[j] + 1;
+                    if digit < radices[j] {
+                        row[j] = digit;
+                        row[..j].copy_from_slice(&prev[..j]);
+                        break;
+                    }
                 }
             }
-            start += count as u64;
+            let (first, rest) = digits[at..at + run].split_at_mut(d);
+            for (v, row) in (1..).zip(rest.chunks_exact_mut(d)) {
+                // Not `copy_from_slice`: a `memcpy` call per short row
+                // measured twice as slow on two-dimensional grids.
+                for (to, &from) in row.iter_mut().zip(&first[..last]) {
+                    *to = from;
+                }
+                row[last] = v;
+            }
         }
         DigitTable {
             grid: self.clone(),
@@ -761,9 +775,9 @@ mod tests {
 
     #[test]
     fn digit_table_rows_match_coords() {
-        // 140 and 192 nodes: the table spans several decode batches. Every
-        // row is its node's coordinates, and the distance between two rows
-        // is the grid's.
+        // Rings are one run of rows; the other shapes have many short runs
+        // and carries through every leading digit. Every row is its node's
+        // coordinates, and the distance between two rows is the grid's.
         for grid in [
             Grid::torus(shape(&[4, 5, 7])),
             Grid::mesh(shape(&[2, 3, 2, 2, 2, 2])),

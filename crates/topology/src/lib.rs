@@ -25,6 +25,10 @@
 //! * [`DigitTable`] — every node's coordinates in one node-major table
 //!   ([`Grid::digit_table`]), the rows those walks and distances read.
 //!
+//! Whatever visits nodes in index order (edge lists, adjacency, the digit
+//! table) steps a digit odometer instead of decoding each index;
+//! [`Grid::coord`] decodes one node for random access.
+//!
 //! # Example
 //!
 //! ```
@@ -61,11 +65,6 @@ pub type Coord = mixedradix::Digits;
 pub use error::{Result, TopologyError};
 pub use grid::{DigitTable, GraphKind, Grid};
 
-/// The structure-of-arrays digit-plane codec, re-exported so downstream
-/// crates can batch-decode node indices of a [`Shape`] without depending on
-/// `mixedradix` directly.
-pub use mixedradix::planes;
-
 /// Commonly used items.
 pub mod prelude {
     pub use crate::bfs::{bfs, BfsDistances};
@@ -76,5 +75,4 @@ pub mod prelude {
     pub use crate::metrics::GridMetrics;
     pub use crate::routing::{for_each_hop, next_hop_toward};
     pub use crate::{Coord, Shape};
-    pub use mixedradix::planes::{DigitPlanes, LANES};
 }

@@ -136,11 +136,10 @@ pub fn next_hop_toward(grid: &Grid, from: &[u32], from_index: u64, to: &[u32]) -
 ///
 /// `emit(hop, before, after)` receives every hop in route order with the
 /// node indices on either side, but the direction and step count are
-/// computed **once per dimension**
-/// (digit-plane style: one sweep per dimension instead of one dimension
-/// rescan per hop), so each hop costs one wrap test and one index add. This
-/// is the route-expansion kernel behind `embeddings::congestion`, the
-/// congestion objective's incremental ±1 updates, and netsim's routes.
+/// computed **once per dimension** (one pass per dimension instead of one
+/// dimension rescan per hop), so each hop costs one wrap test and one index
+/// add. This is the route-expansion kernel behind `embeddings::congestion`,
+/// the congestion objective's incremental ±1 updates, and netsim's routes.
 ///
 /// # Panics
 ///

@@ -1,8 +1,8 @@
 #!/bin/sh
 # The dead-helper scan over the five lower crates (mixedradix, topology,
-# embeddings, netsim, gridviz): prints every `pub fn` that no other
-# workspace `.rs` file uses and that its own file's non-test code does not
-# call. A line counts as a use only when it calls the name or names it by
+# embeddings, netsim, gridviz), the sweep runner (explab) and the placement
+# service (embd): prints every `pub fn` that no other workspace `.rs` file
+# uses and that its own file's non-test code does not call. A line counts as a use only when it calls the name or names it by
 # path (`.name(`, `::name`, `name(`); bare words, `fn name` definitions,
 # `pub use` re-exports and comments do not count.
 #
@@ -20,7 +20,8 @@ fig1_quoted_pair fig3_base theorem32_even_first_example
 find_hamiltonian_circuit_exhaustive is_hamiltonian_path cyclic_line_spread'
 status=0
 for f in $(git ls-files 'crates/mixedradix/src/*.rs' 'crates/topology/src/*.rs' \
-    'crates/embeddings/src/*.rs' 'crates/netsim/src/*.rs' 'crates/gridviz/src/*.rs'); do
+    'crates/embeddings/src/*.rs' 'crates/netsim/src/*.rs' 'crates/gridviz/src/*.rs' \
+    'crates/explab/src/*.rs' 'crates/embd/src/*.rs'); do
   for n in $(grep -oP '\bpub fn \K\w+' "$f" | sort -u); do
     use="(\.|::)$n\b|\b$n\("
     others=$(git ls-files '*.rs' | grep -vxF "$f" | xargs grep -hP -- "$use" |

@@ -31,8 +31,8 @@ fn fixtures() -> Vec<Embedding> {
         Grid::torus(shape(&[5, 3])),
         Grid::mesh(shape(&[5, 3])),
         Grid::hypercube(4).unwrap(),
-        // Ragged shapes: sizes that are not multiples of the SoA batch
-        // width, so the digit-plane sweeps hit a short final batch.
+        // Ragged shapes: odd mixed radices, whose odometers carry at
+        // uneven steps, and a prime-length ring and line.
         Grid::torus(shape(&[5, 3, 7])),
         Grid::mesh(shape(&[5, 3, 7])),
         Grid::ring(67).unwrap(),
